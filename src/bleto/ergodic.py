@@ -108,6 +108,12 @@ class FourierBasis:
 
     so that the L2 norm of every F_k over the workspace is exactly one.
     Mode order is row-major in (k_0, ..., k_{v-1}).
+
+    The vectorized paths (``eval_points``, ``eval_points_with_gradient``)
+    build one cosine and one sine table per axis, (modes_per_axis[i], T)
+    each, and form values and gradients as broadcast outer products of
+    them.  They multiply in the same order as the direct product form
+    above, so their results are bit-identical to it.
     """
 
     def __init__(self, workspace, modes_per_axis):
@@ -129,7 +135,17 @@ class FourierBasis:
         self.normalizers = np.sqrt(np.prod(ell, axis=1))
         # spatial frequency per axis, omega_{k,i} = k_i pi / L_i
         self.angular = self.modes * np.pi / workspace.lengths
-        for arr in (self.modes, self.weights, self.normalizers, self.angular):
+        # the same frequencies as one (m_i, 1) column per axis, and the index
+        # that views an axis's (m_i, T) table as (1, .., m_i, .., 1, T) over
+        # the mode grid
+        self._axis_frequencies = tuple(
+            (np.arange(m) * np.pi / workspace.lengths[i])[:, None]
+            for i, m in enumerate(per_axis))
+        self._axis_slots = tuple(
+            tuple(slice(None) if j == i else None for j in range(v)) + (slice(None),)
+            for i in range(v))
+        for arr in (self.modes, self.weights, self.normalizers, self.angular,
+                    *self._axis_frequencies):
             arr.flags.writeable = False
 
     def __len__(self):
@@ -166,6 +182,31 @@ class FourierBasis:
         return grad
 
     # ---- vectorized paths used by the metric and the solver ----
+    #
+    # Σ m_i·T cos/sin calls instead of nK·T·v.  Tables are multiplied left to
+    # right in axis order and divided by h_k last: that is the floating-point
+    # order of  prod_i cos(ω_{k,i} w_i) / h_k,  which keeps the bits equal.
+
+    def _axis_phases(self, axis_points):
+        """Per-axis phase tables ω_{k,i} (w_i - low_i), shape (m_i, n_i)."""
+        return [omega * (np.asarray(pts_i, dtype=float) - low)
+                for omega, pts_i, low in zip(self._axis_frequencies, axis_points,
+                                             self.workspace.lows)]
+
+    def _grid_product(self, tables, skip=None):
+        """Left-to-right product of per-axis (m_i, T) tables, all but axis
+        ``skip``, broadcast over the mode grid; None if no table is left."""
+        out = None
+        for i, (table, slot) in enumerate(zip(tables, self._axis_slots)):
+            if i != skip:
+                out = table[slot] if out is None else out * table[slot]
+        return out
+
+    def _columns(self, points, check):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if check:
+            self.workspace.require_inside(pts, what="trajectory point")
+        return pts.T
 
     def eval_points(self, points, check=True):
         """Basis values at many points, shape (n_modes, n_points).
@@ -173,28 +214,29 @@ class FourierBasis:
         ``check=False`` skips the containment test for callers that already
         guarantee it (the solver's barrier keeps iterates inside).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if check:
-            self.workspace.require_inside(pts, what="trajectory point")
-        rel = pts - self.workspace.lows  # (T, v)
-        phases = self.angular[:, None, :] * rel[None, :, :]  # (nK, T, v)
-        return np.prod(np.cos(phases), axis=2) / self.normalizers[:, None]
+        cols = self._columns(points, check)
+        values = self._grid_product(self.axis_cosines(cols))
+        return values.reshape(len(self), cols.shape[1]) / self.normalizers[:, None]
 
     def eval_points_with_gradient(self, points, check=True):
-        """Values and spatial gradients, shapes (nK, T) and (nK, T, v)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if check:
-            self.workspace.require_inside(pts, what="trajectory point")
-        rel = pts - self.workspace.lows
-        phases = self.angular[:, None, :] * rel[None, :, :]
-        cos = np.cos(phases)
-        sin = np.sin(phases)
-        values = np.prod(cos, axis=2) / self.normalizers[:, None]
-        v = self.workspace.dims
-        grads = np.empty(cos.shape)
-        for i in range(v):
-            others = np.prod(np.delete(cos, i, axis=2), axis=2)
-            grads[:, :, i] = -self.angular[:, i:i + 1] * sin[:, :, i] * others
+        """Values and spatial gradients, shapes (nK, T) and (nK, T, v).
+
+        dF_k/dw_i = (-ω_{k,i} sin(ω_{k,i} w_i)) · prod_{j≠i} cos(ω_{k,j} w_j) / h_k
+        """
+        cols = self._columns(points, check)
+        v, T = cols.shape
+        phases = self._axis_phases(cols)
+        cos = [np.cos(p) for p in phases]
+        values = self._grid_product(cos).reshape(len(self), T) / self.normalizers[:, None]
+        grads = np.empty(self.modes_per_axis + (T, v))
+        for i, (omega, p) in enumerate(zip(self._axis_frequencies, phases)):
+            dcos = (-omega * np.sin(p))[self._axis_slots[i]]
+            others = self._grid_product(cos, skip=i)
+            if others is None:
+                grads[..., i] = dcos
+            else:
+                np.multiply(dcos, others, out=grads[..., i])
+        grads = grads.reshape(len(self), T, v)
         grads /= self.normalizers[:, None, None]
         return values, grads
 
@@ -205,12 +247,7 @@ class FourierBasis:
         the result is one (modes_per_axis[i], len(axis_points[i])) table
         per axis, *without* the 1/h_k normalization (applied by callers).
         """
-        tables = []
-        for i, pts_i in enumerate(axis_points):
-            rel = np.asarray(pts_i, dtype=float) - self.workspace.lows[i]
-            k = np.arange(self.modes_per_axis[i])
-            tables.append(np.cos(np.outer(k * np.pi / self.workspace.lengths[i], rel)))
-        return tables
+        return [np.cos(p) for p in self._axis_phases(axis_points)]
 
 
 def trajectory_coefficients(basis, points):

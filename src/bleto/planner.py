@@ -115,8 +115,8 @@ class BiLevelConfig:
     def __post_init__(self):
         if self.camera_mode not in ("optimized", "fixed", "random"):
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
-        if self.coarse_horizon < 2 or self.fine_horizon < 1:
-            raise ValueError("horizons too short")
+        if self.coarse_horizon < 2 or self.fine_horizon < 2:
+            raise ValueError("horizons must be at least 2 steps")
         if self.time_budget <= 0:
             raise ValueError("time budget must be positive")
 

@@ -200,20 +200,26 @@ def _objective_scale(problem):
     return 1.0 / max(power, 1e-12)
 
 
-def _state_scales(problem):
-    """Per-coordinate state scales; defects are measured against these so the
-    penalty curvature is uniform in the preconditioned frame."""
+def _wavelength_scales(problem):
+    """Per-coordinate state scales: positions by the shortest basis
+    wavelength L_i / (pi m_i), any other coordinate (e.g. heading) by one.
+
+    Defects are measured against these so the penalty curvature is uniform
+    in the preconditioned frame, and the preconditioner scales states by
+    them.  Computed once per solve.
+    """
     sig = np.ones(problem.model.state_dim)
     sig[: problem.model.workspace_dims] = problem.workspace.lengths / (
         np.pi * np.asarray(problem.basis.modes_per_axis, dtype=float))
     return sig
 
 
-def _merit(problem, z, lam, rho, mu, scale, want_grad=True):
+def _merit(problem, z, lam, rho, mu, scale, sig, want_grad=True):
     """Augmented-Lagrangian + barrier merit; +inf outside the barrier domain.
 
     The smooth objective part is multiplied by ``scale`` (see
-    ``_objective_scale``); multipliers act on state-scaled defects.
+    ``_objective_scale``); multipliers act on defects divided by the state
+    scales ``sig`` (see ``_wavelength_scales``).
     Returns (value, gradient_or_None, aux) with aux = (unscaled E,
     raw defect_inf).
     """
@@ -245,7 +251,6 @@ def _merit(problem, z, lam, rho, mu, scale, want_grad=True):
     Ru = us @ problem.control_weight
     ctrl = float(np.sum(us * Ru))
 
-    sig = _state_scales(problem)
     d_raw = _defects(problem, states, us)
     d = d_raw / sig
     al = float(np.sum(lam * d) + 0.5 * rho * np.sum(d * d))
@@ -276,42 +281,32 @@ def _merit(problem, z, lam, rho, mu, scale, want_grad=True):
 def _max_feasible_alpha(problem, z, step_z):
     """Largest step multiple keeping every barrier margin positive
     (fraction-to-boundary rule: linear containment margins plus the
-    quadratic per-step position-change slack)."""
+    quadratic per-step position-change slack).  ``z`` must be strictly
+    interior, as every iterate with a finite merit is."""
     xs, _ = problem.split(z)
     dxs, _ = problem.split(step_z)
     v = problem.model.workspace_dims
     ws = problem.workspace
-    rel = xs[:, :v] - ws.lows
-    drel = dxs[:, :v]
-    alpha = np.inf
-    with np.errstate(divide="ignore"):
-        neg = drel < 0.0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(rel[neg] / -drel[neg])))
-        pos = drel > 0.0
-        if np.any(pos):
-            gap = (ws.lengths - rel)[pos]
-            alpha = min(alpha, float(np.min(gap / drel[pos])))
+    pts = xs[:, :v]
+    dpts = dxs[:, :v]
+    rel = pts - ws.lows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # distance to the face each coordinate moves toward, over its speed
+        gap = np.where(dpts < 0.0, rel, ws.lengths - rel)
+        alpha = np.min(gap / np.abs(dpts), initial=np.inf, where=dpts != 0.0)
 
-    # step-cap slack: |diff + a*ddiff|^2 reaches max_step^2 at the root of
-    # |ddiff|^2 a^2 + 2 (diff.ddiff) a + (|diff|^2 - max_step^2) = 0
-    states = np.vstack([problem.initial_state, xs])
-    pts = problem.model.workspace_points(states)
-    dstates = np.vstack([np.zeros(problem.model.state_dim), dxs])
-    dpts = dstates[:, :v]
-    diff = pts[1:] - pts[:-1]
-    ddiff = dpts[1:] - dpts[:-1]
-    a = np.sum(ddiff * ddiff, axis=1)
-    b = 2.0 * np.sum(diff * ddiff, axis=1)
-    c = np.sum(diff * diff, axis=1) - problem.bounds.max_step**2
-    moving = a > 0.0
-    if np.any(moving):
-        disc = np.sqrt(np.maximum(b[moving] ** 2 - 4.0 * a[moving] * c[moving], 0.0))
-        roots = (-b[moving] + disc) / (2.0 * a[moving])
-        roots = roots[roots > 0.0]
-        if roots.size:
-            alpha = min(alpha, float(roots.min()))
-    return alpha if np.isfinite(alpha) else 1.0
+        # step-cap slack: |diff + a*ddiff|^2 reaches max_step^2 at the root of
+        # |ddiff|^2 a^2 + 2 (diff.ddiff) a + (|diff|^2 - max_step^2) = 0;
+        # the first point is pinned, so its step is zero
+        diff = np.diff(pts, axis=0, prepend=problem.initial_state[None, :v])
+        ddiff = np.diff(dpts, axis=0, prepend=np.zeros((1, v)))
+        a = np.sum(ddiff * ddiff, axis=1)
+        b = 2.0 * np.sum(diff * ddiff, axis=1)
+        c = np.sum(diff * diff, axis=1) - problem.bounds.max_step**2
+        disc = np.sqrt(np.maximum(b ** 2 - 4.0 * a * c, 0.0))
+        roots = (-b + disc) / (2.0 * a)
+        alpha = np.min(roots, initial=alpha, where=(a > 0.0) & (roots > 0.0))
+    return float(alpha) if np.isfinite(alpha) else 1.0
 
 
 def _two_loop(g, pairs):
@@ -351,18 +346,13 @@ def default_initial_guess(problem):
     return states, controls
 
 
-def _preconditioner(problem):
+def _preconditioner(problem, state_sig):
     """Per-component variable scales for the quasi-Newton inner loop.
 
-    Positions are scaled by the shortest basis wavelength, extra state
-    coordinates (e.g. heading) by one radian, controls by their half-range,
-    which brings the merit's curvature into comparable units across blocks.
+    States are scaled by ``state_sig`` (see ``_wavelength_scales``),
+    controls by their half-range, which brings the merit's curvature into
+    comparable units across blocks.
     """
-    model = problem.model
-    v = model.workspace_dims
-    state_sig = np.ones(model.state_dim)
-    state_sig[:v] = problem.workspace.lengths / (
-        np.pi * np.asarray(problem.basis.modes_per_axis, dtype=float))
     u_sig = 0.5 * (problem.bounds.upper - problem.bounds.lower)
     return np.concatenate([
         np.tile(state_sig, problem.horizon - 1),
@@ -417,7 +407,8 @@ def solve(problem, warm_start=None, trace_path=None):
             lam = np.array(carried)
     rho = problem.penalty_init
     scale = _objective_scale(problem)
-    precond = _preconditioner(problem)
+    sig = _wavelength_scales(problem)
+    precond = _preconditioner(problem, sig)
 
     diag = SolveDiagnostics(initial_cost=init_objective)
     trace_rows = [] if trace_path else None
@@ -427,7 +418,7 @@ def solve(problem, warm_start=None, trace_path=None):
     prev_defect = np.inf
     for _ in range(problem.outer_rounds):
         diag.outer_rounds += 1
-        f, g, aux = _merit(problem, z, lam, rho, mu, scale)
+        f, g, aux = _merit(problem, z, lam, rho, mu, scale, sig)
         if not np.isfinite(f):
             raise RuntimeError("initial iterate infeasible for the barrier")
         round_start = f
@@ -462,7 +453,8 @@ def solve(problem, warm_start=None, trace_path=None):
                 step = z_new - z
                 if float(np.linalg.norm(step)) == 0.0:
                     break
-                f_new, _, _ = _merit(problem, z_new, lam, rho, mu, scale, want_grad=False)
+                f_new, _, _ = _merit(problem, z_new, lam, rho, mu, scale, sig,
+                                     want_grad=False)
                 if f_new <= f + problem.armijo * min(0.0, float(g @ step)):
                     accepted = z_new
                     break
@@ -480,7 +472,7 @@ def solve(problem, warm_start=None, trace_path=None):
                     break  # stuck at this round's numerical floor
                 continue
             round_fails = 0
-            f_new, g_new, aux = _merit(problem, accepted, lam, rho, mu, scale)
+            f_new, g_new, aux = _merit(problem, accepted, lam, rho, mu, scale, sig)
             fails = 0
             s_w = (accepted - z) / precond
             y_w = precond * (g_new - g)
@@ -502,7 +494,7 @@ def solve(problem, warm_start=None, trace_path=None):
                 and pg_norm <= problem.optimality_tol
                 and mu <= problem.barrier_final):
             break
-        lam = lam + rho * (d_raw / _state_scales(problem))
+        lam = lam + rho * (d_raw / sig)
         if defect_inf > 0.25 * prev_defect:
             rho = min(rho * problem.penalty_growth, 1e8)
         prev_defect = defect_inf

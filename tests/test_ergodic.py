@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,79 @@ class TestBasisGradient:
                 wm[i] -= eps
                 fd[i] = (basis8.value(flat, wp) - basis8.value(flat, wm)) / (2 * eps)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-9)
+
+
+def product_form_values(basis, points):
+    """Reference: prod_i cos(omega_{k,i} w_i) / h_k over every (mode, point, axis)."""
+    rel = np.atleast_2d(points) - basis.workspace.lows
+    phases = basis.angular[:, None, :] * rel[None, :, :]
+    return np.prod(np.cos(phases), axis=2) / basis.normalizers[:, None]
+
+
+def product_form_gradients(basis, points):
+    """Reference gradients: -omega_i sin_i times the other axes' cosines."""
+    rel = np.atleast_2d(points) - basis.workspace.lows
+    phases = basis.angular[:, None, :] * rel[None, :, :]
+    cos = np.cos(phases)
+    sin = np.sin(phases)
+    grads = np.empty(cos.shape)
+    for i in range(basis.workspace.dims):
+        others = np.prod(np.delete(cos, i, axis=2), axis=2)
+        grads[:, :, i] = -basis.angular[:, i:i + 1] * sin[:, :, i] * others
+    grads /= basis.normalizers[:, None, None]
+    return grads
+
+
+SEPARABLE_CASES = {
+    "1d": (Workspace((7.0,), (1.5,)), 6),
+    "coarse-10x10": (Workspace((100.0, 100.0)), 10),
+    "fine-8x8": (Workspace((2.0 * math.radians(135.0), math.radians(120.0)),
+                           (-math.radians(135.0), math.radians(-90.0))), 8),
+    "3d-uneven": (Workspace((3.0, 5.0, 2.0), (-1.0, 0.5, 2.0)), (4, 5, 3)),
+}
+
+
+class TestSeparableKernel:
+    """The per-axis table kernel is bit-identical to the product form."""
+
+    @pytest.fixture(params=sorted(SEPARABLE_CASES))
+    def basis(self, request):
+        workspace, modes = SEPARABLE_CASES[request.param]
+        return FourierBasis(workspace, modes)
+
+    def assert_identical(self, basis, pts):
+        values = basis.eval_points(pts)
+        values_g, grads = basis.eval_points_with_gradient(pts)
+        assert grads.shape == (len(basis), pts.shape[0], basis.workspace.dims)
+        assert np.array_equal(values, product_form_values(basis, pts))
+        assert np.array_equal(values_g, values)
+        assert np.array_equal(grads, product_form_gradients(basis, pts))
+
+    def test_random_points(self, basis):
+        ws = basis.workspace
+        rng = np.random.default_rng(17)
+        for T in (2, 5, 48, 97):
+            pts = ws.lows + rng.random((T, ws.dims)) * ws.lengths
+            self.assert_identical(basis, pts)
+
+    def test_points_on_the_boundary(self, basis):
+        ws = basis.workspace
+        corners = np.array(np.meshgrid(*zip(ws.lows, ws.highs), indexing="ij"))
+        pts = corners.reshape(ws.dims, -1).T
+        self.assert_identical(basis, np.vstack([ws.lows, ws.highs, pts]))
+
+    def test_single_point(self, basis):
+        ws = basis.workspace
+        pts = (ws.lows + 0.37 * ws.lengths)[None, :]
+        self.assert_identical(basis, pts)
+
+    def test_outside_point_raises(self, basis):
+        ws = basis.workspace
+        pts = np.vstack([ws.lows + 0.5 * ws.lengths, ws.highs + 1e-6])
+        with pytest.raises(OutsideWorkspaceError):
+            basis.eval_points(pts)
+        with pytest.raises(OutsideWorkspaceError):
+            basis.eval_points_with_gradient(pts)
 
 
 class TestTrajectoryCoefficients:

@@ -1,0 +1,54 @@
+"""Golden mission outputs: short missions must reproduce pinned bytes.
+
+Each case runs one trial through ``bench.run_trial`` at a 120 s simulated
+budget and compares the sha256 of its deterministic artifacts,
+``metrics.json`` and ``detections.jsonl``, with digests pinned here.  A
+change that is meant to be a pure refactor or speed-up must keep every
+digest; a change that alters behaviour on purpose must update the digests
+and say why.
+
+The digests were recorded with the product-form basis kernel
+(``prod_i cos(omega_{k,i} w_i)`` over every mode, point and axis, at commit
+9c045c1), before the separable per-axis kernel replaced it, on linux
+x86-64 with numpy 2.4.6 and scipy-openblas.  The fixed-camera runs see no
+detection within 120 s, so their image logs do not depend on the seed;
+bl-eto on seed 1 detects a rock and so exercises the map updates.
+"""
+
+import hashlib
+
+import pytest
+
+from bleto.bench import ExperimentConfig, run_trial
+from bleto.planner import BiLevelConfig
+
+GOLDEN_BUDGET_S = 120.0
+
+GOLDEN = {
+    ("bl-eto", 1): {
+        "metrics.json": "b9695847df48a73f7ebab79e744abd47ea7784b059a7e7f7e01068786f3a1ba8",
+        "detections.jsonl": "d8225b5b1ac598f53610c683b224848c6374a7ed6a67f7a82078d35383b00a86",
+    },
+    ("bl-eto", 2): {
+        "metrics.json": "025543d6327ed93847629b749589ca5d4dc8c10471d3417d32ead14d4c847997",
+        "detections.jsonl": "0daf66f91deccc030fa54d9a2fbd6752790a4f5ded9c6b13d2e4c973cf771c00",
+    },
+    ("eto-fixed-camera", 1): {
+        "metrics.json": "35dfa9f9585c64a3010db035b7a398d2af7a82ad800e59aea2b95afdee394f40",
+        "detections.jsonl": "ab982b9a3c3b67ad60bc2b94945cb2c65e02fcc4e10b9d5bd9e6c8a9ceabbeb9",
+    },
+    ("eto-fixed-camera", 2): {
+        "metrics.json": "7b8af64dd57155e819fc5fb058860f45561c30139d423f743f247db833f2f46b",
+        "detections.jsonl": "ab982b9a3c3b67ad60bc2b94945cb2c65e02fcc4e10b9d5bd9e6c8a9ceabbeb9",
+    },
+}
+
+
+@pytest.mark.parametrize("method,seed", sorted(GOLDEN))
+def test_trial_artifacts_match_golden_digests(method, seed, tmp_path):
+    config = ExperimentConfig(
+        mission=BiLevelConfig(time_budget=GOLDEN_BUDGET_S)).for_method(method)
+    run_trial(config, seed, out_dir=tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN[(method, seed)]}
+    assert digests == GOLDEN[(method, seed)]

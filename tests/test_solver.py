@@ -9,7 +9,8 @@ from bleto.ergodic import (FourierBasis, Workspace, ergodic_metric,
 from bleto.infomap import InfoMap, init_coarse
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
                           objective_and_gradient, shift_warm_start, solve)
-from bleto.solver import _merit, _objective_scale, _preconditioner
+from bleto.solver import (_merit, _objective_scale, _preconditioner,
+                          _wavelength_scales)
 
 
 def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
@@ -156,15 +157,16 @@ class TestMeritGradient:
         z = random_walk_z(prob, rng)
         lam = rng.normal(size=(prob.horizon - 1, 3))
         scale = _objective_scale(prob)
-        f, g, _ = _merit(prob, z, lam, 25.0, 0.3, scale)
+        sig = _wavelength_scales(prob)
+        f, g, _ = _merit(prob, z, lam, 25.0, 0.3, scale, sig)
         eps = 1e-6
         fd = np.zeros_like(z)
         for i in range(z.size):
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            fp, _, _ = _merit(prob, zp, lam, 25.0, 0.3, scale, want_grad=False)
-            fm, _, _ = _merit(prob, zm, lam, 25.0, 0.3, scale, want_grad=False)
+            fp, _, _ = _merit(prob, zp, lam, 25.0, 0.3, scale, sig, want_grad=False)
+            fm, _, _ = _merit(prob, zm, lam, 25.0, 0.3, scale, sig, want_grad=False)
             fd[i] = (fp - fm) / (2 * eps)
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-4
@@ -314,6 +316,6 @@ class TestDefaultGuess:
 class TestPreconditioner:
     def test_shapes_and_positivity(self):
         prob = coarse_problem(horizon=9, modes=5)
-        d = _preconditioner(prob)
+        d = _preconditioner(prob, _wavelength_scales(prob))
         assert d.shape == (8 * 3 + 9 * 2,)
         assert np.all(d > 0)
