@@ -97,7 +97,8 @@ class UnicycleModel:
         T = states.shape[0]
         h = states[:, 2]
         v = controls[:, 0]
-        A = np.tile(np.eye(3), (T, 1, 1))
+        A = np.empty((T, 3, 3))
+        A[:] = np.eye(3)
         A[:, 0, 2] = -dt * v * np.sin(h)
         A[:, 1, 2] = dt * v * np.cos(h)
         B = np.zeros((T, 3, 2))
@@ -128,8 +129,10 @@ class SingleIntegratorModel:
 
     def jacobians(self, states, controls, dt):
         T = np.atleast_2d(states).shape[0]
-        A = np.tile(np.eye(2), (T, 1, 1))
-        B = np.tile(dt * np.eye(2), (T, 1, 1))
+        A = np.empty((T, 2, 2))
+        A[:] = np.eye(2)
+        B = np.empty((T, 2, 2))
+        B[:] = dt * np.eye(2)
         return A, B
 
     def workspace_points(self, states):

@@ -109,11 +109,12 @@ class FourierBasis:
     so that the L2 norm of every F_k over the workspace is exactly one.
     Mode order is row-major in (k_0, ..., k_{v-1}).
 
-    The vectorized paths (``eval_points``, ``eval_points_with_gradient``)
-    build one cosine and one sine table per axis, (modes_per_axis[i], T)
-    each, and form values and gradients as broadcast outer products of
-    them.  They multiply in the same order as the direct product form
-    above, so their results are bit-identical to it.
+    The vectorized paths (``eval_points``, ``eval_points_with_gradient``
+    and the ``point_tables`` / ``table_values`` / ``table_gradients`` split
+    they are made of) build one cosine and one sine table per axis,
+    (modes_per_axis[i], T) each, and form values and gradients as broadcast
+    outer products of them.  They multiply in the same order as the direct
+    product form above, so their results are bit-identical to it.
     """
 
     def __init__(self, workspace, modes_per_axis):
@@ -187,11 +188,13 @@ class FourierBasis:
     # right in axis order and divided by h_k last: that is the floating-point
     # order of  prod_i cos(ω_{k,i} w_i) / h_k,  which keeps the bits equal.
 
-    def _axis_phases(self, axis_points):
-        """Per-axis phase tables ω_{k,i} (w_i - low_i), shape (m_i, n_i)."""
-        return [omega * (np.asarray(pts_i, dtype=float) - low)
-                for omega, pts_i, low in zip(self._axis_frequencies, axis_points,
-                                             self.workspace.lows)]
+    def _axis_tables(self, axis_points):
+        """Per-axis phase tables ω_{k,i} (w_i - low_i) and their cosines,
+        two lists of (m_i, n_i) arrays."""
+        phases = [omega * (np.asarray(pts_i, dtype=float) - low)
+                  for omega, pts_i, low in zip(self._axis_frequencies, axis_points,
+                                               self.workspace.lows)]
+        return phases, [np.cos(p) for p in phases]
 
     def _grid_product(self, tables, skip=None):
         """Left-to-right product of per-axis (m_i, T) tables, all but axis
@@ -202,32 +205,33 @@ class FourierBasis:
                 out = table[slot] if out is None else out * table[slot]
         return out
 
-    def _columns(self, points, check):
+    def point_tables(self, points, check=True):
+        """Per-axis phase and cosine tables of many points, the input of
+        ``table_values`` and ``table_gradients``.
+
+        Built once, they serve both, so a caller that needs the gradient
+        only later (the solver's line search) does not evaluate the point
+        twice.  ``check=False`` skips the containment test for callers that
+        already guarantee it (the solver's barrier keeps iterates inside).
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if check:
             self.workspace.require_inside(pts, what="trajectory point")
-        return pts.T
+        return self._axis_tables(pts.T)
 
-    def eval_points(self, points, check=True):
-        """Basis values at many points, shape (n_modes, n_points).
+    def table_values(self, tables):
+        """Basis values from ``point_tables``, shape (n_modes, n_points)."""
+        cos = tables[1]
+        values = self._grid_product(cos)
+        return values.reshape(len(self), cos[0].shape[1]) / self.normalizers[:, None]
 
-        ``check=False`` skips the containment test for callers that already
-        guarantee it (the solver's barrier keeps iterates inside).
-        """
-        cols = self._columns(points, check)
-        values = self._grid_product(self.axis_cosines(cols))
-        return values.reshape(len(self), cols.shape[1]) / self.normalizers[:, None]
-
-    def eval_points_with_gradient(self, points, check=True):
-        """Values and spatial gradients, shapes (nK, T) and (nK, T, v).
+    def table_gradients(self, tables):
+        """Spatial gradients from ``point_tables``, shape (nK, T, v).
 
         dF_k/dw_i = (-ω_{k,i} sin(ω_{k,i} w_i)) · prod_{j≠i} cos(ω_{k,j} w_j) / h_k
         """
-        cols = self._columns(points, check)
-        v, T = cols.shape
-        phases = self._axis_phases(cols)
-        cos = [np.cos(p) for p in phases]
-        values = self._grid_product(cos).reshape(len(self), T) / self.normalizers[:, None]
+        phases, cos = tables
+        v, T = len(cos), cos[0].shape[1]
         grads = np.empty(self.modes_per_axis + (T, v))
         for i, (omega, p) in enumerate(zip(self._axis_frequencies, phases)):
             dcos = (-omega * np.sin(p))[self._axis_slots[i]]
@@ -238,7 +242,16 @@ class FourierBasis:
                 np.multiply(dcos, others, out=grads[..., i])
         grads = grads.reshape(len(self), T, v)
         grads /= self.normalizers[:, None, None]
-        return values, grads
+        return grads
+
+    def eval_points(self, points, check=True):
+        """Basis values at many points, shape (n_modes, n_points)."""
+        return self.table_values(self.point_tables(points, check))
+
+    def eval_points_with_gradient(self, points, check=True):
+        """Values and spatial gradients, shapes (nK, T) and (nK, T, v)."""
+        tables = self.point_tables(points, check)
+        return self.table_values(tables), self.table_gradients(tables)
 
     def axis_cosines(self, axis_points):
         """Per-axis cosine tables for separable grid quadrature.
@@ -247,7 +260,7 @@ class FourierBasis:
         the result is one (modes_per_axis[i], len(axis_points[i])) table
         per axis, *without* the 1/h_k normalization (applied by callers).
         """
-        return [np.cos(p) for p in self._axis_phases(axis_points)]
+        return self._axis_tables(axis_points)[1]
 
 
 def trajectory_coefficients(basis, points):

@@ -117,6 +117,15 @@ class BiLevelConfig:
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
         if self.coarse_horizon < 2 or self.fine_horizon < 2:
             raise ValueError("horizons must be at least 2 steps")
+        for name in ("coarse_dt", "fine_dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("coarse_modes", "fine_modes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("coarse_resolution", "fine_resolution"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} needs at least one cell per axis")
         if self.time_budget <= 0:
             raise ValueError("time budget must be positive")
 
@@ -234,11 +243,16 @@ def _planner_problem(config, basis, model, x0, horizon, dt, weight, bounds,
 
 
 def ergodic_coarse_planner(body_pose, coarse_map, config, memory=None,
-                           warm_start=None, basis=None):
+                           warm_start=None, basis=None, *, _phi=None):
     """Plan a body trajectory against the coarse map (optionally with
-    mission-level coverage memory)."""
+    mission-level coverage memory).
+
+    ``_phi`` is internal to the mission loop: the map's coefficients in
+    ``basis``, which the mission computes once per replan for its own
+    coverage trace, so the planner need not transform the map again.
+    """
     basis = basis or config.coarse_basis()
-    phi = map_coefficients(basis, coarse_map)
+    phi = map_coefficients(basis, coarse_map) if _phi is None else _phi
     target = memory.residual_target(phi, config.coarse_horizon) if memory else phi
     problem = _planner_problem(config, basis, UnicycleModel(),
                                _pose_array(body_pose), config.coarse_horizon,
@@ -358,15 +372,15 @@ class Mission:
         if warm is not None:
             cfg = cfg.replaced(coarse_inner_cap=cfg.coarse_warm_inner_cap,
                                coarse_outer_rounds=cfg.coarse_warm_outer_rounds)
+        self.coarse_phi = map_coefficients(self.coarse_basis, self.coarse_map)
         traj = ergodic_coarse_planner(self.body, self.coarse_map, cfg,
                                       memory=self.memory, warm_start=warm,
-                                      basis=self.coarse_basis)
+                                      basis=self.coarse_basis, _phi=self.coarse_phi)
         self._charge("planning", self.config.coarse_plan_time)
         self.log.counters["coarse_plans"] += 1
         self.log.coarse_replan_reasons.append(reason)
         self.coarse_plan = traj
         self.step_index = 0
-        self.coarse_phi = map_coefficients(self.coarse_basis, self.coarse_map)
         self._refresh_fine_map()
         return traj
 

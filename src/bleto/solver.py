@@ -9,6 +9,15 @@ quasi-Newton iteration, and the per-step position cap plus workspace
 containment are enforced by a logarithmic barrier whose coefficient is
 driven from 1 down to 1e-4 across the outer rounds.
 
+The inner loop evaluates the merit once per trial point.  ``_merit`` returns
+the value of a trial together with a record of what it computed (basis
+tables, coefficient residual, defects, barrier margins); the line search
+reads only the value, and when it accepts a trial, that trial's record
+finishes the gradient and hands its margins to the next step's
+fraction-to-boundary rule.  Nothing is evaluated twice at the same point,
+except at the start of an outer round, whose new multipliers, penalty and
+barrier weight change the merit itself.
+
 A solve owns its problem data exclusively and uses no randomness, so
 identical inputs produce bit-identical outputs; independent solves can run
 in parallel.
@@ -107,11 +116,14 @@ class ErgodicProblem:
         return np.concatenate([np.asarray(states_tail, dtype=float).ravel(),
                                np.asarray(controls, dtype=float).ravel()])
 
-    def project(self, z):
-        out = np.array(z)
-        us = out[self.n_state_vars:].reshape(self.horizon, self.model.control_dim)
-        np.clip(us, self.bounds.lower, self.bounds.upper, out=us)
-        return out
+    def decision_bounds(self):
+        """Per-entry bounds of the decision vector: the control boxes on the
+        controls, -inf/+inf on the states.  Clipping to them projects onto
+        the feasible control set."""
+        free = np.full(self.n_state_vars, np.inf)
+        lower = np.concatenate([-free, np.tile(self.bounds.lower, self.horizon)])
+        upper = np.concatenate([free, np.tile(self.bounds.upper, self.horizon)])
+        return lower, upper
 
 
 @dataclass
@@ -152,12 +164,8 @@ class Trajectory:
         return self.ergodic_cost + self.control_cost
 
 
-def _batched_step(model, states, controls, dt):
-    return model.step_batch(np.atleast_2d(states), np.atleast_2d(controls), dt)
-
-
 def _defects(problem, states, controls):
-    pred = _batched_step(problem.model, states[:-1], controls[:-1], problem.dt)
+    pred = problem.model.step_batch(states[:-1], controls[:-1], problem.dt)
     return states[1:] - pred
 
 
@@ -214,98 +222,143 @@ def _wavelength_scales(problem):
     return sig
 
 
-def _merit(problem, z, lam, rho, mu, scale, sig, want_grad=True):
+def _merit(problem, z, lam, rho, mu, scale, sig):
     """Augmented-Lagrangian + barrier merit; +inf outside the barrier domain.
 
     The smooth objective part is multiplied by ``scale`` (see
     ``_objective_scale``); multipliers act on defects divided by the state
     scales ``sig`` (see ``_wavelength_scales``).
-    Returns (value, gradient_or_None, aux) with aux = (unscaled E,
-    raw defect_inf).
+    Returns (value, aux, point) with aux = (unscaled E, raw defect_inf) and
+    ``point`` the ``_MeritPoint`` that finishes the gradient at ``z`` on
+    demand; outside the domain (inf, (nan, nan), None).
+
+    Single-evaluation contract: this is the only place the merit is
+    evaluated, once per trial point.  The line search needs the value of
+    every trial but the gradient only of the one it accepts, so the
+    gradient is not formed here.
     """
     model, ws = problem.model, problem.workspace
-    v = model.workspace_dims
     xs, us = problem.split(z)
-    states = np.vstack([problem.initial_state, xs])
+    states = np.concatenate([problem.initial_state[None, :], xs])
     pts = model.workspace_points(states)
 
     rel = pts[1:] - ws.lows
-    m_lo = rel
     m_hi = ws.lengths - rel
     diffs = pts[1:] - pts[:-1]
-    slack = problem.bounds.max_step**2 - np.sum(diffs * diffs, axis=1)
-    least = min(m_lo.min(), m_hi.min(), slack.min())
+    slack = problem.bounds.max_step**2 - (diffs * diffs).sum(axis=1)
+    least = min(rel.min(), m_hi.min(), slack.min())
     if least <= 0.0:
-        return np.inf, None, (np.nan, np.nan)
+        return np.inf, (np.nan, np.nan), None
 
-    n_barrier = m_lo.size + m_hi.size + slack.size
+    n_barrier = rel.size + m_hi.size + slack.size
     kappa = mu / n_barrier
 
-    if want_grad:
-        values, gradF = problem.basis.eval_points_with_gradient(pts, check=False)
-    else:
-        values = problem.basis.eval_points(pts, check=False)
-    c = values.mean(axis=1)
+    tables = problem.basis.point_tables(pts, check=False)
+    c = problem.basis.table_values(tables).sum(axis=1) / problem.horizon
     cdiff = c - problem.target_coefficients
-    E = float(np.sum(problem.basis.weights * cdiff * cdiff))
+    E = float((problem.basis.weights * cdiff * cdiff).sum())
     Ru = us @ problem.control_weight
-    ctrl = float(np.sum(us * Ru))
+    ctrl = float((us * Ru).sum())
 
     d_raw = _defects(problem, states, us)
     d = d_raw / sig
-    al = float(np.sum(lam * d) + 0.5 * rho * np.sum(d * d))
-    bar = -kappa * float(np.log(m_lo).sum() + np.log(m_hi).sum() + np.log(slack).sum())
+    al = float((lam * d).sum() + 0.5 * rho * (d * d).sum())
+    bar = -kappa * float(np.log(rel).sum() + np.log(m_hi).sum() + np.log(slack).sum())
     J = scale * (E + ctrl) + al + bar
     aux = (E, float(np.abs(d_raw).max()))
-    if not want_grad:
-        return J, None, aux
-
-    coeff = scale * 2.0 * problem.basis.weights * cdiff / problem.horizon
-    g_pts = np.einsum("k,ktv->tv", coeff, gradF)
-    g_pts[1:] += kappa * (1.0 / m_hi - 1.0 / m_lo)
-    g_step = kappa * 2.0 * diffs / slack[:, None]
-    g_pts[1:] += g_step
-    g_pts[:-1] -= g_step
-
-    g_states = np.zeros_like(states)
-    g_states[:, :v] = g_pts
-    g_us = scale * 2.0 * Ru
-    A, B = model.jacobians(states[:-1], us[:-1], problem.dt)
-    r = (lam + rho * d) / sig
-    g_states[1:] += r
-    g_states[:-1] -= np.einsum("tij,ti->tj", A, r)
-    g_us[:-1] -= np.einsum("tij,ti->tj", B, r)
-    return J, problem.join(g_states[1:], g_us), aux
+    point = _MeritPoint(problem, lam, rho, scale, sig, kappa, states, us,
+                        tables, cdiff, Ru, d, rel, m_hi, diffs, slack)
+    return J, aux, point
 
 
-def _max_feasible_alpha(problem, z, step_z):
+@dataclass(eq=False, slots=True)
+class _MeritPoint:
+    """What one ``_merit`` evaluation computed at a strictly interior point.
+
+    It finishes the merit gradient at that point (``gradient``) from the
+    basis tables, coefficient residual, defects and barrier margins the
+    evaluation already built, and it carries the barrier margins the
+    fraction-to-boundary rule (``_max_feasible_alpha``) needs for a step
+    from that point.  Records live only as long as the solve that made
+    them.
+
+    Fields: the merit's parameters (``lam`` to ``sig`` as passed to
+    ``_merit``, ``kappa`` the barrier weight per margin); the point's
+    ``states`` and controls ``us``; the basis ``tables`` of its positions
+    (``FourierBasis.point_tables``), the coefficient residual ``cdiff``,
+    ``Ru`` = us R and the scaled defects ``d``; and the barrier margins:
+    ``m_lo`` and ``m_hi``, the distances of every free position to the low
+    and high workspace faces, ``diffs``, the position steps (the first
+    from the pinned initial state), and ``slack``, the step-cap margin
+    max_step^2 - |diff|^2.
+    """
+
+    problem: ErgodicProblem
+    lam: np.ndarray
+    rho: float
+    scale: float
+    sig: np.ndarray
+    kappa: float
+    states: np.ndarray
+    us: np.ndarray
+    tables: tuple
+    cdiff: np.ndarray
+    Ru: np.ndarray
+    d: np.ndarray
+    m_lo: np.ndarray
+    m_hi: np.ndarray
+    diffs: np.ndarray
+    slack: np.ndarray
+
+    def gradient(self):
+        """Merit gradient with respect to the decision vector."""
+        problem, model = self.problem, self.problem.model
+        kappa, states, us = self.kappa, self.states, self.us
+        coeff = self.scale * 2.0 * problem.basis.weights * self.cdiff / problem.horizon
+        g_pts = np.einsum("k,ktv->tv", coeff, problem.basis.table_gradients(self.tables))
+        g_pts[1:] += kappa * (1.0 / self.m_hi - 1.0 / self.m_lo)
+        g_step = kappa * 2.0 * self.diffs / self.slack[:, None]
+        g_pts[1:] += g_step
+        g_pts[:-1] -= g_step
+
+        g_states = np.zeros_like(states)
+        g_states[:, :model.workspace_dims] = g_pts
+        g_us = self.scale * 2.0 * self.Ru
+        A, B = model.jacobians(states[:-1], us[:-1], problem.dt)
+        r = (self.lam + self.rho * self.d) / self.sig
+        g_states[1:] += r
+        g_states[:-1] -= np.einsum("tij,ti->tj", A, r)
+        g_us[:-1] -= np.einsum("tij,ti->tj", B, r)
+        return problem.join(g_states[1:], g_us)
+
+
+def _max_feasible_alpha(problem, point, step_z):
     """Largest step multiple keeping every barrier margin positive
     (fraction-to-boundary rule: linear containment margins plus the
-    quadratic per-step position-change slack).  ``z`` must be strictly
-    interior, as every iterate with a finite merit is."""
-    xs, _ = problem.split(z)
+    quadratic per-step position-change slack) for a step ``step_z`` from
+    the point whose merit evaluation is ``point``; its finite merit means
+    it is strictly interior.  The margins are the ones the merit already
+    computed."""
     dxs, _ = problem.split(step_z)
     v = problem.model.workspace_dims
-    ws = problem.workspace
-    pts = xs[:, :v]
     dpts = dxs[:, :v]
-    rel = pts - ws.lows
     with np.errstate(divide="ignore", invalid="ignore"):
         # distance to the face each coordinate moves toward, over its speed
-        gap = np.where(dpts < 0.0, rel, ws.lengths - rel)
-        alpha = np.min(gap / np.abs(dpts), initial=np.inf, where=dpts != 0.0)
+        gap = np.where(dpts < 0.0, point.m_lo, point.m_hi)
+        alpha = (gap / np.abs(dpts)).min(initial=np.inf, where=dpts != 0.0)
 
         # step-cap slack: |diff + a*ddiff|^2 reaches max_step^2 at the root of
         # |ddiff|^2 a^2 + 2 (diff.ddiff) a + (|diff|^2 - max_step^2) = 0;
         # the first point is pinned, so its step is zero
-        diff = np.diff(pts, axis=0, prepend=problem.initial_state[None, :v])
-        ddiff = np.diff(dpts, axis=0, prepend=np.zeros((1, v)))
-        a = np.sum(ddiff * ddiff, axis=1)
-        b = 2.0 * np.sum(diff * ddiff, axis=1)
-        c = np.sum(diff * diff, axis=1) - problem.bounds.max_step**2
+        ddiff = np.empty_like(dpts)
+        ddiff[0] = dpts[0]
+        np.subtract(dpts[1:], dpts[:-1], out=ddiff[1:])
+        a = (ddiff * ddiff).sum(axis=1)
+        b = 2.0 * (point.diffs * ddiff).sum(axis=1)
+        c = -point.slack
         disc = np.sqrt(np.maximum(b ** 2 - 4.0 * a * c, 0.0))
         roots = (-b + disc) / (2.0 * a)
-        alpha = np.min(roots, initial=alpha, where=(a > 0.0) & (roots > 0.0))
+        alpha = roots.min(initial=alpha, where=(a > 0.0) & (roots > 0.0))
     return float(alpha) if np.isfinite(alpha) else 1.0
 
 
@@ -370,6 +423,38 @@ def _nudge_interior(problem, states):
     return out
 
 
+def _costs(problem, states, controls):
+    """Metric E and control cost sum u'Ru of a state/control sequence."""
+    pts = problem.model.workspace_points(states)
+    E = ergodic_metric(problem.basis, trajectory_coefficients(problem.basis, pts),
+                       problem.target_coefficients)
+    Ru = controls @ problem.control_weight
+    return E, float(np.sum(controls * Ru))
+
+
+def _objective(problem, z):
+    """The objective E + sum u'Ru of ``objective_and_gradient``, without
+    the gradient."""
+    xs, us = problem.split(z)
+    E, ctrl = _costs(problem, np.vstack([problem.initial_state, xs]), us)
+    return E + ctrl
+
+
+def _reroll(problem, controls, diag):
+    """Clip ``controls`` to their boxes and roll them out from the initial
+    state, so dynamics hold exactly.  Positions the rollout carries outside
+    the workspace are clamped back, which marks the solve unconverged;
+    ``diag.defect_inf`` records the defect left."""
+    controls = problem.bounds.clip(controls)
+    states = rollout(problem.model, problem.initial_state, controls, problem.dt)
+    if not np.all(problem.workspace.contains(problem.model.workspace_points(states))):
+        v = problem.model.workspace_dims
+        states[:, :v] = problem.workspace.clamp(states[:, :v])
+        diag.converged = False
+    diag.defect_inf = float(np.abs(_defects(problem, states, controls)).max())
+    return states, controls
+
+
 def solve(problem, warm_start=None, trace_path=None):
     """Minimize the coverage objective subject to dynamics and bounds.
 
@@ -391,9 +476,9 @@ def solve(problem, warm_start=None, trace_path=None):
         guess_states, guess_controls = default_initial_guess(problem)
 
     guess_states = _nudge_interior(problem, guess_states)
-    z = problem.project(problem.join(guess_states[1:], guess_controls))
-    z_init = np.array(z)
-    init_objective, _ = objective_and_gradient(problem, z_init)
+    lower, upper = problem.decision_bounds()
+    z = np.clip(problem.join(guess_states[1:], guess_controls), lower, upper)
+    init_objective = _objective(problem, z)
 
     # a warm start is already interior and near-optimal: rerunning the full
     # barrier continuation would drag it away before polishing it back, and
@@ -418,9 +503,10 @@ def solve(problem, warm_start=None, trace_path=None):
     prev_defect = np.inf
     for _ in range(problem.outer_rounds):
         diag.outer_rounds += 1
-        f, g, aux = _merit(problem, z, lam, rho, mu, scale, sig)
+        f, aux, point = _merit(problem, z, lam, rho, mu, scale, sig)
         if not np.isfinite(f):
             raise RuntimeError("initial iterate infeasible for the barrier")
+        g = point.gradient()
         round_start = f
         # while the barrier is still strong there is no point polishing
         inner_tol = max(problem.optimality_tol, 1e-2 * mu)
@@ -433,7 +519,7 @@ def solve(problem, warm_start=None, trace_path=None):
             # projected gradient in the preconditioned frame
             g_w = precond * g
             pg_norm = float(np.linalg.norm(
-                (z - problem.project(z - precond * g_w)) / precond))
+                (z - np.clip(z - precond * g_w, lower, upper)) / precond))
             if trace_rows is not None:
                 trace_rows.append((diag.iterations + it, f, aux[0], aux[1], pg_norm))
             if pg_norm <= inner_tol:
@@ -446,17 +532,16 @@ def solve(problem, warm_start=None, trace_path=None):
                 direction = -g_w
                 pairs.clear()
             step_z = precond * direction
-            alpha = min(1.0, 0.95 * _max_feasible_alpha(problem, z, step_z))
+            alpha = min(1.0, 0.95 * _max_feasible_alpha(problem, point, step_z))
             accepted = None
             for _ in range(30):
-                z_new = problem.project(z + alpha * step_z)
+                z_new = np.clip(z + alpha * step_z, lower, upper)
                 step = z_new - z
                 if float(np.linalg.norm(step)) == 0.0:
                     break
-                f_new, _, _ = _merit(problem, z_new, lam, rho, mu, scale, sig,
-                                     want_grad=False)
+                f_new, aux_new, trial = _merit(problem, z_new, lam, rho, mu, scale, sig)
                 if f_new <= f + problem.armijo * min(0.0, float(g @ step)):
-                    accepted = z_new
+                    accepted = trial
                     break
                 alpha *= 0.5
             it += 1
@@ -472,21 +557,19 @@ def solve(problem, warm_start=None, trace_path=None):
                     break  # stuck at this round's numerical floor
                 continue
             round_fails = 0
-            f_new, g_new, aux = _merit(problem, accepted, lam, rho, mu, scale, sig)
             fails = 0
-            s_w = (accepted - z) / precond
+            g_new = accepted.gradient()
+            s_w = step / precond
             y_w = precond * (g_new - g)
             sy = float(s_w @ y_w)
             if sy > 1e-8 * float(np.linalg.norm(s_w) * np.linalg.norm(y_w)):
                 pairs.append((s_w, y_w, 1.0 / sy))
-            z, f, g = accepted, f_new, g_new
+            z, f, g, aux, point = z_new, f_new, g_new, aux_new, accepted
         diag.iterations += it
         diag.merit_rounds.append((round_start, f))
         diag.optimality_norm = pg_norm
-        xs, us = problem.split(z)
-        states = np.vstack([problem.initial_state, xs])
-        d_raw = _defects(problem, states, us)
-        defect_inf = float(np.abs(d_raw).max())
+        # the merit evaluation of z already holds its defects
+        defect_inf = aux[1]
         diag.defect_inf = defect_inf
         if aborted:
             break
@@ -494,7 +577,7 @@ def solve(problem, warm_start=None, trace_path=None):
                 and pg_norm <= problem.optimality_tol
                 and mu <= problem.barrier_final):
             break
-        lam = lam + rho * (d_raw / sig)
+        lam = lam + rho * point.d
         if defect_inf > 0.25 * prev_defect:
             rho = min(rho * problem.penalty_growth, 1e8)
         prev_defect = defect_inf
@@ -505,32 +588,13 @@ def solve(problem, warm_start=None, trace_path=None):
                       and diag.optimality_norm <= problem.optimality_tol)
     diag.multipliers = np.array(lam)
 
-    # Re-roll the clipped controls so dynamics hold exactly on return.
-    xs, us = problem.split(z)
-    final_controls = problem.bounds.clip(us)
-    final_states = rollout(problem.model, problem.initial_state,
-                           final_controls, problem.dt)
-    pts = problem.model.workspace_points(final_states)
-    if not np.all(problem.workspace.contains(pts)):
-        v = problem.model.workspace_dims
-        final_states = np.array(final_states)
-        final_states[:, :v] = problem.workspace.clamp(final_states[:, :v])
-        diag.converged = False
-    diag.defect_inf = float(np.abs(
-        _defects(problem, final_states, final_controls)).max())
-
-    z_final = problem.join(final_states[1:], final_controls)
-    final_objective, _ = objective_and_gradient(problem, z_final)
+    # Re-roll the clipped controls so dynamics hold exactly on return; fall
+    # back to the initial guess if that does not beat it.
+    _, us = problem.split(z)
+    final_states, final_controls = _reroll(problem, us, diag)
+    final_objective = _objective(problem, problem.join(final_states[1:], final_controls))
     if final_objective > init_objective + 1e-12:
-        final_controls = problem.bounds.clip(guess_controls)
-        final_states = rollout(problem.model, problem.initial_state,
-                               final_controls, problem.dt)
-        pts = problem.model.workspace_points(final_states)
-        if not np.all(problem.workspace.contains(pts)):
-            v = problem.model.workspace_dims
-            final_states[:, :v] = problem.workspace.clamp(final_states[:, :v])
-        diag.defect_inf = float(np.abs(
-            _defects(problem, final_states, final_controls)).max())
+        final_states, final_controls = _reroll(problem, guess_controls, diag)
         diag.converged = False
 
     if trace_path:
@@ -539,11 +603,7 @@ def solve(problem, warm_start=None, trace_path=None):
             for row in trace_rows:
                 f_out.write(",".join(repr(x) for x in row) + "\n")
 
-    pts = problem.model.workspace_points(final_states)
-    c = trajectory_coefficients(problem.basis, pts)
-    E = ergodic_metric(problem.basis, c, problem.target_coefficients)
-    Ru = final_controls @ problem.control_weight
-    ctrl = float(np.sum(final_controls * Ru))
+    E, ctrl = _costs(problem, final_states, final_controls)
     return Trajectory(states=final_states, controls=final_controls,
                       ergodic_cost=E, control_cost=ctrl, diagnostics=diag)
 

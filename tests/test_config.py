@@ -32,3 +32,34 @@ class TestHorizons:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert "at least 2 steps" in capsys.readouterr().err
         assert not out.exists()
+
+
+# one bad value per field; each used to pass construction and then stop the
+# mission with a ValueError traceback and exit status 1
+BAD_FIELDS = [
+    ("coarse_dt", 0.0, "coarse_dt must be positive"),
+    ("fine_dt", -0.4, "fine_dt must be positive"),
+    ("coarse_modes", 0, "coarse_modes must be at least 1"),
+    ("fine_modes", 0, "fine_modes must be at least 1"),
+    ("coarse_resolution", [100, 0], "coarse_resolution needs at least one cell"),
+    ("fine_resolution", [0, 24], "fine_resolution needs at least one cell"),
+]
+
+
+class TestFieldValidation:
+    @pytest.mark.parametrize("field,value,message", BAD_FIELDS)
+    def test_constructor_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            BiLevelConfig(**{field: value})
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"mission": {field: value}})
+
+    @pytest.mark.parametrize("field,value,message", BAD_FIELDS)
+    def test_cli_run_exits_with_config_status(self, field, value, message,
+                                              tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mission": {field: value}}))
+        out = tmp_path / "trial"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -12,7 +12,10 @@ The digests were recorded with the product-form basis kernel
 9c045c1), before the separable per-axis kernel replaced it, on linux
 x86-64 with numpy 2.4.6 and scipy-openblas.  The fixed-camera runs see no
 detection within 120 s, so their image logs do not depend on the seed;
-bl-eto on seed 1 detects a rock and so exercises the map updates.
+bl-eto on seed 1 detects a rock and so exercises the map updates.  The
+eto-random-camera digests were recorded later, at commit dc748b1, before
+the solver's line search kept each trial's merit evaluation; its seed-1
+run detects a rock, its seed-2 run does not.
 """
 
 import hashlib
@@ -40,6 +43,14 @@ GOLDEN = {
     ("eto-fixed-camera", 2): {
         "metrics.json": "7b8af64dd57155e819fc5fb058860f45561c30139d423f743f247db833f2f46b",
         "detections.jsonl": "ab982b9a3c3b67ad60bc2b94945cb2c65e02fcc4e10b9d5bd9e6c8a9ceabbeb9",
+    },
+    ("eto-random-camera", 1): {
+        "metrics.json": "ef6f55409bbe1172fd04cdbcc3bb78a5b8e39e1b03dbd7dae1938f1bb05be956",
+        "detections.jsonl": "1ec15b5e5ea5bf0d96f7a0bb89354fa53b63f7f2f56472cef7411071ae638849",
+    },
+    ("eto-random-camera", 2): {
+        "metrics.json": "457917157fd1867fca7f0485a176cdf81709d182e2f967d4af40af89ff18dc64",
+        "detections.jsonl": "8ddcb7f5727c75c05bb6e8e3ccee4fe7c084a558e29bc25b5c0713f2b986aaea",
     },
 }
 

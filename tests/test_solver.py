@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from bleto.ergodic import (FourierBasis, Workspace, ergodic_metric,
 from bleto.infomap import InfoMap, init_coarse
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
                           objective_and_gradient, shift_warm_start, solve)
-from bleto.solver import (_merit, _objective_scale, _preconditioner,
-                          _wavelength_scales)
+from bleto.solver import (_max_feasible_alpha, _merit, _objective_scale,
+                          _preconditioner, _wavelength_scales)
 
 
 def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
@@ -158,15 +160,16 @@ class TestMeritGradient:
         lam = rng.normal(size=(prob.horizon - 1, 3))
         scale = _objective_scale(prob)
         sig = _wavelength_scales(prob)
-        f, g, _ = _merit(prob, z, lam, 25.0, 0.3, scale, sig)
+        f, _, point = _merit(prob, z, lam, 25.0, 0.3, scale, sig)
+        g = point.gradient()
         eps = 1e-6
         fd = np.zeros_like(z)
         for i in range(z.size):
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            fp, _, _ = _merit(prob, zp, lam, 25.0, 0.3, scale, sig, want_grad=False)
-            fm, _, _ = _merit(prob, zm, lam, 25.0, 0.3, scale, sig, want_grad=False)
+            fp, _, _ = _merit(prob, zp, lam, 25.0, 0.3, scale, sig)
+            fm, _, _ = _merit(prob, zm, lam, 25.0, 0.3, scale, sig)
             fd[i] = (fp - fm) / (2 * eps)
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-4
@@ -319,3 +322,131 @@ class TestPreconditioner:
         d = _preconditioner(prob, _wavelength_scales(prob))
         assert d.shape == (8 * 3 + 9 * 2,)
         assert np.all(d > 0)
+
+
+def solve_digest(traj):
+    """sha256 over everything a solve returns: states, controls, costs,
+    diagnostics and the final multipliers, as raw float64/int64 bytes."""
+    d = traj.diagnostics
+    h = hashlib.sha256()
+    for arr in (traj.states, traj.controls, d.multipliers):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    scalars = [traj.ergodic_cost, traj.control_cost, d.initial_cost,
+               d.defect_inf, d.optimality_norm]
+    for start, end in d.merit_rounds:
+        scalars += [start, end]
+    h.update(struct.pack(f"<{len(scalars)}d", *scalars))
+    h.update(struct.pack("<4q", d.iterations, d.outer_rounds,
+                         d.line_search_failures, int(d.converged)))
+    return h.hexdigest()
+
+
+def reference_max_feasible_alpha(problem, z, step_z):
+    """The fraction-to-boundary rule computed from ``z`` itself, as the
+    solver did before it read the margins of the iterate's merit
+    evaluation; kept as the reference for ``_max_feasible_alpha``."""
+    xs, _ = problem.split(z)
+    dxs, _ = problem.split(step_z)
+    v = problem.model.workspace_dims
+    ws = problem.workspace
+    pts = xs[:, :v]
+    dpts = dxs[:, :v]
+    rel = pts - ws.lows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.where(dpts < 0.0, rel, ws.lengths - rel)
+        alpha = np.min(gap / np.abs(dpts), initial=np.inf, where=dpts != 0.0)
+        diff = np.diff(pts, axis=0, prepend=problem.initial_state[None, :v])
+        ddiff = np.diff(dpts, axis=0, prepend=np.zeros((1, v)))
+        a = np.sum(ddiff * ddiff, axis=1)
+        b = 2.0 * np.sum(diff * ddiff, axis=1)
+        c = np.sum(diff * diff, axis=1) - problem.bounds.max_step**2
+        disc = np.sqrt(np.maximum(b ** 2 - 4.0 * a * c, 0.0))
+        roots = (-b + disc) / (2.0 * a)
+        alpha = np.min(roots, initial=alpha, where=(a > 0.0) & (roots > 0.0))
+    return float(alpha) if np.isfinite(alpha) else 1.0
+
+
+def interior_walks(problem, rng, n):
+    """n decision vectors whose positions walk from the initial state in
+    steps of at most 0.71 of the step cap and stay 2% inside the workspace,
+    so every one is strictly interior for the barrier."""
+    T, nx, m = problem.horizon, problem.model.state_dim, problem.model.control_dim
+    v = problem.model.workspace_dims
+    ws = problem.workspace
+    lo, hi = ws.lows + 0.02 * ws.lengths, ws.highs - 0.02 * ws.lengths
+    pos = np.tile(problem.initial_state[:v], (n, 1))
+    xs = np.zeros((n, T - 1, nx))
+    for t in range(T - 1):
+        step = rng.uniform(-0.5, 0.5, (n, v)) * problem.bounds.max_step
+        pos = np.clip(pos + step, lo, hi)
+        xs[:, t, :v] = pos
+    xs[:, :, v:] = rng.uniform(-math.pi, math.pi, (n, T - 1, nx - v))
+    us = rng.uniform(problem.bounds.lower, problem.bounds.upper, (n, T, m))
+    return [problem.join(x, u) for x, u in zip(xs, us)]
+
+
+class TestByteIdentity:
+    """The solver's output is pinned to the byte.
+
+    The digests were recorded at commit dc748b1, before the line search
+    kept each trial's merit evaluation (one evaluation per trial point, the
+    accepted trial finishing its own gradient, the fraction-to-boundary
+    rule reading the iterate's cached margins), on linux x86-64 with numpy
+    2.4.6 and scipy-openblas.  A change meant as a pure speed-up must keep
+    them; one that alters the solver on purpose must update them and say
+    why.  The settings are the mission's: a cold coarse replan, a warm
+    one from ``shift_warm_start`` after one executed step, and a fine
+    (camera) solve.
+    """
+
+    COARSE = dict(dt=15.0, inner_cap=150, outer_rounds=6, optimality_tol=1e-2)
+    DIGESTS = {
+        "cold": "567e61f93e7fe8d6870f14f628af0d5e04bec3524cc0daa957f77aa3162f80e0",
+        "warm": "fe43cf3d62bd6a391eaff52fd35ed3a13b21ebc3314d718619e7553dafc3b85a",
+        "fine": "7ee19da3ce130f09b06ec13a7f3cdd83cd42551f59ab375d48c6a3030b3c46eb",
+    }
+
+    def test_solves_match_pinned_digests(self):
+        cold = solve(coarse_problem(x0=(30.0, 70.0, 1.0), **self.COARSE))
+        warm_kw = dict(self.COARSE, inner_cap=60, outer_rounds=2)
+        warm = solve(coarse_problem(x0=cold.states[1], **warm_kw),
+                     warm_start=shift_warm_start(cold))
+        fine = solve(fine_problem())
+        digests = {"cold": solve_digest(cold), "warm": solve_digest(warm),
+                   "fine": solve_digest(fine)}
+        assert digests == self.DIGESTS
+        # every case runs the line search, failures included
+        for traj in (cold, warm, fine):
+            assert traj.diagnostics.iterations > 0
+            assert traj.diagnostics.line_search_failures > 0
+
+    @pytest.mark.parametrize("make", ["coarse", "fine"])
+    def test_cached_margins_match_reference_rule(self, make):
+        # starts near a corner, so the walks reach the workspace faces and
+        # a face binds about as often as the step cap does
+        if make == "coarse":
+            prob = coarse_problem(x0=(4.0, 96.0, 0.3), dt=15.0)
+        else:
+            prob = fine_problem(x0=(-2.2, 0.42))
+        rng = np.random.default_rng(41 if make == "coarse" else 42)
+        scale, sig = _objective_scale(prob), _wavelength_scales(prob)
+        precond = _preconditioner(prob, sig)
+        lam = np.zeros((prob.horizon - 1, prob.model.state_dim))
+        v = prob.model.workspace_dims
+        n = 5000
+        checked = 0
+        for k, z in enumerate(interior_walks(prob, rng, n)):
+            f, _, point = _merit(prob, z, lam, 10.0, 0.1, scale, sig)
+            assert np.isfinite(f)
+            step_z = precond * rng.normal(size=z.size) * 10.0 ** rng.uniform(-2, 1)
+            if k % 100 == 0:
+                step_z[: prob.n_state_vars] = 0.0  # no position moves: alpha is 1
+            elif k % 2:  # every position shifts alike: the workspace faces bind
+                dxs, _ = prob.split(step_z)
+                dxs[:, :v] = dxs[0, :v]
+            else:  # some coordinates stand still; mostly the step cap binds
+                step_z[rng.random(z.size) < 0.2] = 0.0
+            assert (_max_feasible_alpha(prob, point, step_z)
+                    == reference_max_feasible_alpha(prob, z, step_z))
+            checked += 1
+        assert checked == n
