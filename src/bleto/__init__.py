@@ -8,15 +8,15 @@ harness for comparing fixed-, random-, and optimized-camera exploration.
 
 from .dynamics import (BodyState, CameraState, ControlBounds,
                        SingleIntegratorModel, UnicycleModel, integrator_step,
-                       rollout, track, unicycle_step)
-from .ergodic import (FourierBasis, OutsideWorkspaceError, Workspace,
-                      ergodic_metric, map_coefficients, metric_gradient,
+                       rollout, unicycle_step)
+from .ergodic import (CoverageCost, FourierBasis, OutsideWorkspaceError,
+                      Workspace, ergodic_metric, map_coefficients,
                       trajectory_coefficients)
 from .infomap import (DetectionEvent, InfoMap, init_coarse, project_to_fine,
                       register_detection, update_fine)
 from .planner import (BiLevelConfig, CoverageMemory, Mission, MissionLog,
-                      chain_coarse_plans, ergodic_coarse_planner,
-                      ergodic_fine_planner, run_mission)
+                      coarse_problem, ergodic_coarse_planner,
+                      ergodic_fine_planner)
 from .solver import (ErgodicProblem, Trajectory, objective_and_gradient,
                      shift_warm_start, solve)
 from .world import (CameraModel, Rock, Scenario, classify_view,

@@ -14,7 +14,6 @@ Per-trial outputs: ``trajectory.csv``, ``detections.jsonl``, ``metrics.json``
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,8 +33,6 @@ __all__ = [
     "build_scenario",
     "score",
     "run_trial",
-    "run_baseline_fixed",
-    "run_baseline_random",
     "compare",
     "metrics_json_dict",
 ]
@@ -177,9 +174,7 @@ def _write_trajectory_csv(log, path):
 def run_trial(config, seed, out_dir=None):
     """Run one mission with the configured method on the seeded scenario."""
     scenario = build_scenario(config, seed)
-    mission_cfg = config.mission.replaced(
-        camera_mode=METHODS[config.method],
-        time_budget=config.mission.time_budget)
+    mission_cfg = config.mission.replaced(camera_mode=METHODS[config.method])
     started = time.perf_counter()
     mission = Mission(mission_cfg, scenario, seed, camera_model=config.camera)
     log = mission.run()
@@ -203,14 +198,6 @@ def run_trial(config, seed, out_dir=None):
         (out / "timing.txt").write_text(f"wall_clock_s={runtime:.3f}\n",
                                         encoding="utf-8")
     return metrics
-
-
-def run_baseline_fixed(config, seed, out_dir=None):
-    return run_trial(config.for_method("eto-fixed-camera"), seed, out_dir)
-
-
-def run_baseline_random(config, seed, out_dir=None):
-    return run_trial(config.for_method("eto-random-camera"), seed, out_dir)
 
 
 def _scenario_hash(config, seed):

@@ -13,6 +13,8 @@ from pathlib import Path
 from .bench import (METHODS, ConfigError, ExperimentConfig, compare,
                     format_table, metrics_json_dict, run_trial)
 from .infomap import load_detections_jsonl
+from .planner import CoverageMemory, coarse_problem
+from .solver import solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,36 +39,22 @@ def _cmd_run(args):
         raise ConfigError("--trace needs --out to have somewhere to write")
     metrics = run_trial(config, seed, out_dir=out)
     if args.trace:
-        _write_demo_traces(config, seed, out)
+        _write_demo_traces(config.mission, out)
     print(json.dumps(metrics_json_dict(metrics), sort_keys=True, indent=2))
     return EXIT_OK
 
 
-def _write_demo_traces(config, seed, out):
-    """Per-iteration solver trace of the first coarse plan of this trial."""
-    from .bench import build_scenario
-    from .planner import CoverageMemory, ergodic_coarse_planner
-
-    scenario = build_scenario(config, seed)
-    mission = config.mission
+def _write_demo_traces(mission, out):
+    """Per-iteration solver trace of the trial's first coarse plan: the
+    problem the mission solves first, from the start pose against the
+    initial map, with the start position as the only coverage memory."""
     basis = mission.coarse_basis()
-    memory = CoverageMemory(basis) if mission.use_memory else None
-    if memory:
-        memory.add([list(mission.start_pose[:2])])
-    coarse_map = mission.initial_coarse_map()
-    from .ergodic import map_coefficients
-    from .solver import ErgodicProblem, solve
-    from .dynamics import UnicycleModel
-    import numpy as np
-
-    phi = map_coefficients(basis, coarse_map)
-    target = memory.residual_target(phi, mission.coarse_horizon) if memory else phi
-    problem = ErgodicProblem(
-        basis=basis, target_coefficients=target, model=UnicycleModel(),
-        initial_state=np.asarray(mission.start_pose, dtype=float),
-        horizon=mission.coarse_horizon, dt=mission.coarse_dt,
-        control_weight=mission.coarse_control_weight * np.eye(2),
-        bounds=mission.body_bounds())
+    memory = None
+    if mission.use_memory:
+        memory = CoverageMemory(basis)
+        memory.add([mission.start_pose[:2]])
+    problem = coarse_problem(mission.start_pose, mission.initial_coarse_map(),
+                             mission, memory, basis)
     solve(problem, trace_path=out / "solver_trace.csv")
 
 
@@ -113,7 +101,8 @@ def build_parser():
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", help="trial output directory")
     p_run.add_argument("--trace", action="store_true",
-                       help="also write a per-iteration solver trace")
+                       help="also write the first coarse plan's per-iteration "
+                            "solver trace")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run all three methods, paired seeds")

@@ -18,7 +18,6 @@ __all__ = [
     "unicycle_step",
     "integrator_step",
     "rollout",
-    "track",
 ]
 
 
@@ -110,9 +109,6 @@ class UnicycleModel:
     def workspace_points(self, states):
         return np.atleast_2d(states)[:, :2]
 
-    def speed(self, control):
-        return abs(float(control[0]))
-
 
 class SingleIntegratorModel:
     """First-order point; state and control share the workspace coordinates."""
@@ -137,9 +133,6 @@ class SingleIntegratorModel:
 
     def workspace_points(self, states):
         return np.atleast_2d(states)
-
-    def speed(self, control):
-        return float(np.linalg.norm(control))
 
 
 def unicycle_step(state: BodyState, control, dt):
@@ -169,28 +162,3 @@ def rollout(model, initial_state, controls, dt):
     for t in range(T - 1):
         states[t + 1] = model.step(states[t], controls[t], dt)
     return states
-
-
-def track(model, states, controls, dt, noise_std=0.0, rng=None):
-    """Execute a plan through the kinematic model with optional actuation noise.
-
-    Noise is multiplicative per control channel (a relative actuation error),
-    drawn i.i.d. per step and clipped to three standard deviations.  Returns
-    the realized states (same length as the plan) and the commanded path
-    length sum(speed(u_t)) * dt over the whole control sequence.
-    """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if states.shape[0] != controls.shape[0] or states.shape[0] < 1:
-        raise ValueError("plan must pair equal, nonempty state/control sequences")
-    if noise_std > 0.0:
-        if rng is None:
-            rng = np.random.default_rng()
-        wobble = np.clip(rng.normal(0.0, noise_std, size=controls.shape),
-                         -3.0 * noise_std, 3.0 * noise_std)
-        executed = controls * (1.0 + wobble)
-    else:
-        executed = controls
-    realized = rollout(model, states[0], executed, dt)
-    path_length = float(sum(model.speed(u) for u in executed) * dt)
-    return realized, path_length

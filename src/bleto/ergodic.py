@@ -8,6 +8,12 @@ time-averaged basis values and the density's basis coefficients.  Because
 the basis is smooth, the metric is differentiable with respect to the
 trajectory, which is what the trajectory optimizer needs.
 
+``CoverageCost`` is the one place that turns trajectory points into that
+cost: it builds the per-axis basis tables of the points once, averages them
+into the trajectory's coefficients, and from the same tables finishes the
+gradient with respect to every point on demand.  The solver's merit, its
+reported costs and ``solver.objective_and_gradient`` all go through it.
+
 Everything in this module is a pure function of immutable inputs and is
 safe to call concurrently from multiple threads.
 """
@@ -21,7 +27,7 @@ __all__ = [
     "trajectory_coefficients",
     "map_coefficients",
     "ergodic_metric",
-    "metric_gradient",
+    "CoverageCost",
 ]
 
 
@@ -162,26 +168,6 @@ class FourierBasis:
             idx = idx * mi + ki
         return idx
 
-    def value(self, k_index, point):
-        """F_k at a single point (raises if the point is outside)."""
-        self.workspace.require_inside(point)
-        rel = self.workspace.to_local(point)
-        return float(np.prod(np.cos(self.angular[k_index] * rel)) / self.normalizers[k_index])
-
-    def gradient(self, k_index, point):
-        """Analytic spatial gradient of F_k at a single point."""
-        self.workspace.require_inside(point)
-        rel = self.workspace.to_local(point)
-        om = self.angular[k_index]
-        c = np.cos(om * rel)
-        s = np.sin(om * rel)
-        v = self.workspace.dims
-        grad = np.empty(v)
-        for i in range(v):
-            others = np.prod(np.delete(c, i))
-            grad[i] = -om[i] * s[i] * others / self.normalizers[k_index]
-        return grad
-
     # ---- vectorized paths used by the metric and the solver ----
     #
     # Σ m_i·T cos/sin calls instead of nK·T·v.  Tables are multiplied left to
@@ -302,18 +288,39 @@ def ergodic_metric(basis, coefficients, target_coefficients):
     return float(np.sum(basis.weights * d * d))
 
 
-def metric_gradient(basis, points, target_coefficients):
-    """Gradient of the metric with respect to every trajectory point.
+class CoverageCost:
+    """Coverage cost of a point sequence against target coefficients.
 
-    Row t is  (2/T) sum_k weight_k (c_k - phi_k) grad F_k(w_t).
+        c_k = (1/T) sum_t F_k(w_t)         ``coefficients``
+        r_k = c_k - phi_k                  ``residual``
+        E   = sum_k weight_k r_k^2         ``cost``
+
+    Construction evaluates the basis at the points once and keeps its
+    per-axis tables (``FourierBasis.point_tables``); ``gradient`` finishes
+    dE/dw_t from them only when asked, as the solver's line search needs.
+    ``check=False`` skips the containment test for callers that already
+    guarantee it.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValueError("trajectory must contain at least one point")
-    p = np.asarray(target_coefficients, dtype=float)
-    if p.shape != (len(basis),):
-        raise ValueError("coefficient vector must match the basis mode count")
-    values, grads = basis.eval_points_with_gradient(pts)
-    c = values.mean(axis=1)
-    scale = 2.0 * basis.weights * (c - p) / pts.shape[0]
-    return np.einsum("k,ktv->tv", scale, grads)
+
+    __slots__ = ("basis", "horizon", "tables", "coefficients", "residual", "cost")
+
+    def __init__(self, basis, points, target_coefficients, check=True):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[0] < 1:
+            raise ValueError("trajectory must contain at least one point")
+        self.basis = basis
+        self.horizon = pts.shape[0]
+        self.tables = basis.point_tables(pts, check)
+        self.coefficients = basis.table_values(self.tables).sum(axis=1) / self.horizon
+        self.residual = self.coefficients - target_coefficients
+        r = self.residual
+        self.cost = float((basis.weights * r * r).sum())
+
+    def gradient(self, weight=1.0):
+        """``weight`` times dE/dw_t for every point, shape (T, v).
+
+        Row t is  weight (2/T) sum_k weight_k r_k grad F_k(w_t).
+        """
+        basis = self.basis
+        coeff = weight * 2.0 * basis.weights * self.residual / self.horizon
+        return np.einsum("k,ktv->tv", coeff, basis.table_gradients(self.tables))

@@ -19,8 +19,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ergodic import Workspace
-
 __all__ = [
     "FLOOR_FRACTION",
     "DetectionEvent",
@@ -108,11 +106,6 @@ class InfoMap:
     def uniform(cls, workspace, resolution):
         shape = _shape(workspace, resolution)
         return cls(workspace, np.ones(shape))
-
-    @classmethod
-    def from_values(cls, workspace, values):
-        """Normalize arbitrary nonnegative cell values into a map."""
-        return cls(workspace, values)
 
     # ---- geometry ----
 

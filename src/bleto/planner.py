@@ -24,7 +24,7 @@ run independent missions concurrently if you need parallelism.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,17 +33,16 @@ from . import world as ws
 from .dynamics import (BodyState, CameraState, ControlBounds,
                        SingleIntegratorModel, UnicycleModel)
 from .ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
-from .solver import ErgodicProblem, Trajectory, shift_warm_start, solve
+from .solver import ErgodicProblem, shift_warm_start, solve
 
 __all__ = [
     "BiLevelConfig",
     "CoverageMemory",
     "MissionLog",
     "Mission",
+    "coarse_problem",
     "ergodic_coarse_planner",
     "ergodic_fine_planner",
-    "run_mission",
-    "chain_coarse_plans",
 ]
 
 DEFAULT_EPICENTERS = (((20.0, 60.0, 15.0, 20.0), 5.0),
@@ -128,6 +127,39 @@ class BiLevelConfig:
                 raise ValueError(f"{name} needs at least one cell per axis")
         if self.time_budget <= 0:
             raise ValueError("time budget must be positive")
+        self._check_geometry()
+
+    def _check_geometry(self):
+        """Scalar checks of the workspaces, limits and start states, so that
+        a config that constructs can build its maps, bases and bounds.
+        ``replaced`` reruns this on every warm replan, so it builds none of
+        them."""
+        for name in ("body_speed_max", "body_turn_max", "body_step_cap",
+                     "camera_rate_max", "camera_step_cap", "yaw_limit"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not min(self.coarse_lengths) > 0:
+            raise ValueError("coarse_lengths must be positive")
+        pitch_lo, pitch_hi = self.pitch_bounds
+        if not pitch_lo < pitch_hi:
+            raise ValueError("pitch_bounds must be increasing")
+        coarse_box = tuple((lo, lo + n) for lo, n in zip(self.coarse_lows,
+                                                         self.coarse_lengths))
+        fine_box = ((-self.yaw_limit, self.yaw_limit), (pitch_lo, pitch_hi))
+
+        def inside(point, box):
+            return all(lo <= p <= hi for p, (lo, hi) in zip(point, box))
+
+        if not inside(self.start_pose[:2], coarse_box):
+            raise ValueError("start_pose lies outside the coarse workspace")
+        if not inside(self.camera_start, fine_box):
+            raise ValueError("camera_start lies outside the fine workspace")
+        for rect, multiplier in self.epicenters:
+            x0, y0, w, h = rect
+            if not (inside((x0, y0), coarse_box) and inside((x0 + w, y0 + h), coarse_box)):
+                raise ValueError(f"epicenter {list(rect)} lies outside the coarse workspace")
+            if not multiplier >= 1:
+                raise ValueError("epicenter multipliers must be at least 1")
 
     # derived objects ------------------------------------------------------
 
@@ -228,12 +260,9 @@ class MissionLog:
     def detections(self):
         return [e for e in self.events if e.is_detection]
 
-    def charge_total(self):
-        return sum(self.charges.values())
 
-
-def _planner_problem(config, basis, model, x0, horizon, dt, weight, bounds,
-                     target, inner_cap, outer_rounds, optimality_tol):
+def _planner_problem(basis, model, x0, horizon, dt, weight, bounds, target,
+                     inner_cap, outer_rounds, optimality_tol):
     R = weight * np.eye(model.control_dim)
     return ErgodicProblem(basis=basis, target_coefficients=target, model=model,
                           initial_state=np.asarray(x0, dtype=float),
@@ -242,24 +271,33 @@ def _planner_problem(config, basis, model, x0, horizon, dt, weight, bounds,
                           optimality_tol=optimality_tol)
 
 
+def coarse_problem(body_pose, coarse_map, config, memory=None, basis=None, phi=None):
+    """The body's planning problem from ``body_pose`` against the coarse map
+    (optionally with mission-level coverage memory), at the config's coarse
+    solver effort.
+
+    ``phi``, when given, is the map's coefficients in ``basis``, so the map
+    need not be transformed again.
+    """
+    basis = basis or config.coarse_basis()
+    phi = map_coefficients(basis, coarse_map) if phi is None else phi
+    target = memory.residual_target(phi, config.coarse_horizon) if memory else phi
+    return _planner_problem(basis, UnicycleModel(), _pose_array(body_pose),
+                            config.coarse_horizon, config.coarse_dt,
+                            config.coarse_control_weight, config.body_bounds(), target,
+                            config.coarse_inner_cap, config.coarse_outer_rounds,
+                            config.coarse_optimality_tol)
+
+
 def ergodic_coarse_planner(body_pose, coarse_map, config, memory=None,
                            warm_start=None, basis=None, *, _phi=None):
-    """Plan a body trajectory against the coarse map (optionally with
-    mission-level coverage memory).
+    """Plan a body trajectory: solve ``coarse_problem``.
 
     ``_phi`` is internal to the mission loop: the map's coefficients in
     ``basis``, which the mission computes once per replan for its own
-    coverage trace, so the planner need not transform the map again.
+    coverage trace.
     """
-    basis = basis or config.coarse_basis()
-    phi = map_coefficients(basis, coarse_map) if _phi is None else _phi
-    target = memory.residual_target(phi, config.coarse_horizon) if memory else phi
-    problem = _planner_problem(config, basis, UnicycleModel(),
-                               _pose_array(body_pose), config.coarse_horizon,
-                               config.coarse_dt, config.coarse_control_weight,
-                               config.body_bounds(), target,
-                               config.coarse_inner_cap, config.coarse_outer_rounds,
-                               config.coarse_optimality_tol)
+    problem = coarse_problem(body_pose, coarse_map, config, memory, basis, _phi)
     return solve(problem, warm_start=warm_start)
 
 
@@ -277,7 +315,7 @@ def ergodic_fine_planner(camera_angles, fine_map, config, warm_start=None,
     basis = basis or config.fine_basis()
     phi = map_coefficients(basis, fine_map)
     target = memory.residual_target(phi, config.fine_horizon) if memory else phi
-    problem = _planner_problem(config, basis, SingleIntegratorModel(),
+    problem = _planner_problem(basis, SingleIntegratorModel(),
                                _angles_array(camera_angles), config.fine_horizon,
                                config.fine_dt, config.fine_control_weight,
                                config.camera_bounds(), target,
@@ -469,21 +507,17 @@ class Mission:
             if event.is_detection:
                 detections += 1
                 self._apply_detection(event)
-                if images >= self.config.fine_horizon or self._out_of_time():
-                    break
+            else:
+                self._apply_background()
+            if images >= self.config.fine_horizon or self._out_of_time():
+                break
+            if event.is_detection:
                 plan = self._plan_fine(warm=shift_warm_start(plan))
                 self.fine_plan = plan
                 replans += 1
                 next_state = 1
                 if self._out_of_time():
                     break
-                self._slew_camera(plan.states[min(next_state,
-                                                  self.config.fine_horizon - 1)])
-                next_state += 1
-                continue
-            self._apply_background()
-            if images >= self.config.fine_horizon or self._out_of_time():
-                break
             self._slew_camera(plan.states[min(next_state,
                                               self.config.fine_horizon - 1)])
             next_state += 1
@@ -574,35 +608,3 @@ class Mission:
 
         self.log.counters["detections"] = len(self.log.detections())
         return self.log
-
-
-def run_mission(config, scenario, seed, camera_model=None):
-    """Run one mission and return its log."""
-    return Mission(config, scenario, seed, camera_model=camera_model).run()
-
-
-def chain_coarse_plans(config, n_plans, start_pose=None, use_memory=True):
-    """Concatenate full coarse plans, replanning from each end state.
-
-    Returns the visited workspace points (one row per executed state) —
-    the raw material for coverage histograms.
-    """
-    basis = config.coarse_basis()
-    coarse_map = config.initial_coarse_map()
-    memory = CoverageMemory(basis) if use_memory else None
-    pose = np.asarray(start_pose if start_pose is not None else config.start_pose,
-                      dtype=float)
-    visited = [pose[:2].copy()]
-    if memory:
-        memory.add([pose[:2]])
-    warm = None
-    for _ in range(n_plans):
-        traj = ergodic_coarse_planner(pose, coarse_map, config, memory=memory,
-                                      warm_start=warm, basis=basis)
-        pts = traj.states[1:, :2]
-        visited.extend(pts)
-        if memory:
-            memory.add(pts)
-        pose = traj.states[-1]
-        warm = shift_warm_start(traj)
-    return np.array(visited)

@@ -2,21 +2,27 @@
 
 The decision vector stacks the free states x_1..x_{T-1} and all controls
 u_0..u_{T-1}; x_0 is pinned.  The cost is the coverage metric of the state
-trajectory plus a quadratic control penalty.  Dynamics enter as equality
-constraints handled by an augmented Lagrangian (penalty growing tenfold per
-outer round), control boxes are enforced by projection inside the
-quasi-Newton iteration, and the per-step position cap plus workspace
-containment are enforced by a logarithmic barrier whose coefficient is
-driven from 1 down to 1e-4 across the outer rounds.
+trajectory (``ergodic.CoverageCost``) plus a quadratic control penalty.
+Dynamics enter as equality constraints handled by an augmented Lagrangian
+(penalty growing tenfold per outer round), control boxes are enforced by
+projection inside the quasi-Newton iteration, and the per-step position cap
+plus workspace containment are enforced by a logarithmic barrier whose
+coefficient is driven from 1 down to 1e-4 across the outer rounds.
 
 The inner loop evaluates the merit once per trial point.  ``_merit`` returns
-the value of a trial together with a record of what it computed (basis
-tables, coefficient residual, defects, barrier margins); the line search
+the value of a trial together with a record of what it computed (coverage
+cost and its basis tables, defects, barrier margins); the line search
 reads only the value, and when it accepts a trial, that trial's record
 finishes the gradient and hands its margins to the next step's
 fraction-to-boundary rule.  Nothing is evaluated twice at the same point,
 except at the start of an outer round, whose new multipliers, penalty and
 barrier weight change the merit itself.
+
+An ``ErgodicProblem`` sets only the optimality tolerance and the iteration
+caps.  Everything else is a module constant, the same for every problem:
+``_DEFECT_TOL`` 1e-5, ``_PENALTY_INIT`` 10, ``_PENALTY_GROWTH`` 10,
+``_BARRIER_INIT`` 1, ``_BARRIER_FINAL`` 1e-4, ``_ARMIJO`` 1e-4,
+``_LS_FAIL_LIMIT`` 20 and ``_LBFGS_MEMORY`` 15.
 
 A solve owns its problem data exclusively and uses no randomness, so
 identical inputs produce bit-identical outputs; independent solves can run
@@ -30,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ControlBounds, rollout
-from .ergodic import ergodic_metric, trajectory_coefficients
+from .ergodic import CoverageCost
 
 __all__ = [
     "ErgodicProblem",
@@ -43,6 +49,14 @@ __all__ = [
 ]
 
 _INTERIOR_MARGIN = 1e-3  # fraction of each axis length used to nudge guesses inside
+_DEFECT_TOL = 1e-5       # largest raw dynamics defect of a converged solve
+_PENALTY_INIT = 10.0     # augmented-Lagrangian penalty of the first round
+_PENALTY_GROWTH = 10.0   # penalty factor when a round leaves the defect high
+_BARRIER_INIT = 1.0      # barrier weight of a cold solve's first round
+_BARRIER_FINAL = 1e-4    # barrier weight floor, and a warm solve's weight
+_ARMIJO = 1e-4           # sufficient-decrease constant of the line search
+_LS_FAIL_LIMIT = 20      # consecutive line-search failures that abort a solve
+_LBFGS_MEMORY = 15       # curvature pairs kept by the quasi-Newton update
 
 
 @dataclass
@@ -61,17 +75,9 @@ class ErgodicProblem:
     dt: float
     control_weight: np.ndarray
     bounds: ControlBounds
-    defect_tol: float = 1e-5
     optimality_tol: float = 1e-3
     inner_cap: int = 500
     outer_rounds: int = 8
-    penalty_init: float = 10.0
-    penalty_growth: float = 10.0
-    barrier_init: float = 1.0
-    barrier_final: float = 1e-4
-    armijo: float = 1e-4
-    ls_fail_limit: int = 20
-    lbfgs_memory: int = 15
 
     def __post_init__(self):
         self.target_coefficients = np.asarray(self.target_coefficients, dtype=float)
@@ -159,10 +165,6 @@ class Trajectory:
     def horizon(self):
         return self.states.shape[0]
 
-    @property
-    def total_cost(self):
-        return self.ergodic_cost + self.control_cost
-
 
 def _defects(problem, states, controls):
     pred = problem.model.step_batch(states[:-1], controls[:-1], problem.dt)
@@ -178,20 +180,18 @@ def objective_and_gradient(problem, z):
     z = np.asarray(z, dtype=float)
     xs, us = problem.split(z)
     states = np.vstack([problem.initial_state, xs])
-    pts = problem.model.workspace_points(states)
-    values, gradF = problem.basis.eval_points_with_gradient(pts)
-    c = values.mean(axis=1)
-    diff = c - problem.target_coefficients
-    E = float(np.sum(problem.basis.weights * diff * diff))
-    Ru = us @ problem.control_weight
-    ctrl = float(np.sum(us * Ru))
-
-    scale = 2.0 * problem.basis.weights * diff / problem.horizon
-    g_pts = np.einsum("k,ktv->tv", scale, gradF)
+    cost, ctrl = _costs(problem, states, us)
     g_states = np.zeros_like(states)
-    g_states[:, : problem.model.workspace_dims] = g_pts
-    grad = problem.join(g_states[1:], 2.0 * Ru)
-    return E + ctrl, grad
+    g_states[:, : problem.model.workspace_dims] = cost.gradient()
+    grad = problem.join(g_states[1:], 2.0 * (us @ problem.control_weight))
+    return cost.cost + ctrl, grad
+
+
+def _costs(problem, states, controls):
+    """The ``CoverageCost`` of a state sequence and the control cost sum u'Ru."""
+    cost = CoverageCost(problem.basis, problem.model.workspace_points(states),
+                        problem.target_coefficients)
+    return cost, float(np.sum(controls * (controls @ problem.control_weight)))
 
 
 def _objective_scale(problem):
@@ -253,10 +253,7 @@ def _merit(problem, z, lam, rho, mu, scale, sig):
     n_barrier = rel.size + m_hi.size + slack.size
     kappa = mu / n_barrier
 
-    tables = problem.basis.point_tables(pts, check=False)
-    c = problem.basis.table_values(tables).sum(axis=1) / problem.horizon
-    cdiff = c - problem.target_coefficients
-    E = float((problem.basis.weights * cdiff * cdiff).sum())
+    cost = CoverageCost(problem.basis, pts, problem.target_coefficients, check=False)
     Ru = us @ problem.control_weight
     ctrl = float((us * Ru).sum())
 
@@ -264,10 +261,10 @@ def _merit(problem, z, lam, rho, mu, scale, sig):
     d = d_raw / sig
     al = float((lam * d).sum() + 0.5 * rho * (d * d).sum())
     bar = -kappa * float(np.log(rel).sum() + np.log(m_hi).sum() + np.log(slack).sum())
-    J = scale * (E + ctrl) + al + bar
-    aux = (E, float(np.abs(d_raw).max()))
+    J = scale * (cost.cost + ctrl) + al + bar
+    aux = (cost.cost, float(np.abs(d_raw).max()))
     point = _MeritPoint(problem, lam, rho, scale, sig, kappa, states, us,
-                        tables, cdiff, Ru, d, rel, m_hi, diffs, slack)
+                        cost, Ru, d, rel, m_hi, diffs, slack)
     return J, aux, point
 
 
@@ -276,16 +273,14 @@ class _MeritPoint:
     """What one ``_merit`` evaluation computed at a strictly interior point.
 
     It finishes the merit gradient at that point (``gradient``) from the
-    basis tables, coefficient residual, defects and barrier margins the
-    evaluation already built, and it carries the barrier margins the
-    fraction-to-boundary rule (``_max_feasible_alpha``) needs for a step
-    from that point.  Records live only as long as the solve that made
+    coverage cost, defects and barrier margins the evaluation already
+    built, and it carries the barrier margins the fraction-to-boundary rule
+    (``_max_feasible_alpha``) needs for a step from that point.  Records live only as long as the solve that made
     them.
 
     Fields: the merit's parameters (``lam`` to ``sig`` as passed to
     ``_merit``, ``kappa`` the barrier weight per margin); the point's
-    ``states`` and controls ``us``; the basis ``tables`` of its positions
-    (``FourierBasis.point_tables``), the coefficient residual ``cdiff``,
+    ``states`` and controls ``us``; the ``CoverageCost`` of its positions,
     ``Ru`` = us R and the scaled defects ``d``; and the barrier margins:
     ``m_lo`` and ``m_hi``, the distances of every free position to the low
     and high workspace faces, ``diffs``, the position steps (the first
@@ -301,8 +296,7 @@ class _MeritPoint:
     kappa: float
     states: np.ndarray
     us: np.ndarray
-    tables: tuple
-    cdiff: np.ndarray
+    cost: CoverageCost
     Ru: np.ndarray
     d: np.ndarray
     m_lo: np.ndarray
@@ -314,8 +308,7 @@ class _MeritPoint:
         """Merit gradient with respect to the decision vector."""
         problem, model = self.problem, self.problem.model
         kappa, states, us = self.kappa, self.states, self.us
-        coeff = self.scale * 2.0 * problem.basis.weights * self.cdiff / problem.horizon
-        g_pts = np.einsum("k,ktv->tv", coeff, problem.basis.table_gradients(self.tables))
+        g_pts = self.cost.gradient(self.scale)
         g_pts[1:] += kappa * (1.0 / self.m_hi - 1.0 / self.m_lo)
         g_step = kappa * 2.0 * self.diffs / self.slack[:, None]
         g_pts[1:] += g_step
@@ -423,21 +416,12 @@ def _nudge_interior(problem, states):
     return out
 
 
-def _costs(problem, states, controls):
-    """Metric E and control cost sum u'Ru of a state/control sequence."""
-    pts = problem.model.workspace_points(states)
-    E = ergodic_metric(problem.basis, trajectory_coefficients(problem.basis, pts),
-                       problem.target_coefficients)
-    Ru = controls @ problem.control_weight
-    return E, float(np.sum(controls * Ru))
-
-
 def _objective(problem, z):
     """The objective E + sum u'Ru of ``objective_and_gradient``, without
     the gradient."""
     xs, us = problem.split(z)
-    E, ctrl = _costs(problem, np.vstack([problem.initial_state, xs]), us)
-    return E + ctrl
+    cost, ctrl = _costs(problem, np.vstack([problem.initial_state, xs]), us)
+    return cost.cost + ctrl
 
 
 def _reroll(problem, controls, diag):
@@ -484,13 +468,13 @@ def solve(problem, warm_start=None, trace_path=None):
     # barrier continuation would drag it away before polishing it back, and
     # its shifted multipliers spare most of the defect rounds
     lam = np.zeros((problem.horizon - 1, problem.model.state_dim))
-    mu = problem.barrier_init
+    mu = _BARRIER_INIT
     if warm_start is not None:
-        mu = problem.barrier_final
+        mu = _BARRIER_FINAL
         carried = warm_start.diagnostics and warm_start.diagnostics.multipliers
         if carried is not None and np.shape(carried) == lam.shape:
             lam = np.array(carried)
-    rho = problem.penalty_init
+    rho = _PENALTY_INIT
     scale = _objective_scale(problem)
     sig = _wavelength_scales(problem)
     precond = _preconditioner(problem, sig)
@@ -510,7 +494,7 @@ def solve(problem, warm_start=None, trace_path=None):
         round_start = f
         # while the barrier is still strong there is no point polishing
         inner_tol = max(problem.optimality_tol, 1e-2 * mu)
-        pairs = deque(maxlen=problem.lbfgs_memory)
+        pairs = deque(maxlen=_LBFGS_MEMORY)
         it = 0
         round_fails = 0
         pg_norm = np.inf
@@ -540,7 +524,7 @@ def solve(problem, warm_start=None, trace_path=None):
                 if float(np.linalg.norm(step)) == 0.0:
                     break
                 f_new, aux_new, trial = _merit(problem, z_new, lam, rho, mu, scale, sig)
-                if f_new <= f + problem.armijo * min(0.0, float(g @ step)):
+                if f_new <= f + _ARMIJO * min(0.0, float(g @ step)):
                     accepted = trial
                     break
                 alpha *= 0.5
@@ -550,7 +534,7 @@ def solve(problem, warm_start=None, trace_path=None):
                 round_fails += 1
                 diag.line_search_failures += 1
                 pairs.clear()
-                if fails >= problem.ls_fail_limit:
+                if fails >= _LS_FAIL_LIMIT:
                     aborted = True
                     break
                 if round_fails >= 3:
@@ -573,18 +557,18 @@ def solve(problem, warm_start=None, trace_path=None):
         diag.defect_inf = defect_inf
         if aborted:
             break
-        if (defect_inf <= 0.1 * problem.defect_tol
+        if (defect_inf <= 0.1 * _DEFECT_TOL
                 and pg_norm <= problem.optimality_tol
-                and mu <= problem.barrier_final):
+                and mu <= _BARRIER_FINAL):
             break
         lam = lam + rho * point.d
         if defect_inf > 0.25 * prev_defect:
-            rho = min(rho * problem.penalty_growth, 1e8)
+            rho = min(rho * _PENALTY_GROWTH, 1e8)
         prev_defect = defect_inf
-        mu = max(0.1 * mu, problem.barrier_final)
+        mu = max(0.1 * mu, _BARRIER_FINAL)
 
     diag.converged = (not aborted
-                      and diag.defect_inf <= problem.defect_tol
+                      and diag.defect_inf <= _DEFECT_TOL
                       and diag.optimality_norm <= problem.optimality_tol)
     diag.multipliers = np.array(lam)
 
@@ -603,9 +587,9 @@ def solve(problem, warm_start=None, trace_path=None):
             for row in trace_rows:
                 f_out.write(",".join(repr(x) for x in row) + "\n")
 
-    E, ctrl = _costs(problem, final_states, final_controls)
+    cost, ctrl = _costs(problem, final_states, final_controls)
     return Trajectory(states=final_states, controls=final_controls,
-                      ergodic_cost=E, control_cost=ctrl, diagnostics=diag)
+                      ergodic_cost=cost.cost, control_cost=ctrl, diagnostics=diag)
 
 
 def shift_warm_start(prev):

@@ -13,7 +13,7 @@ Scenario and CameraModel are immutable after construction; the rng used by
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -159,6 +159,11 @@ def classify_view(scenario, camera_model, body_pose, camera_angles, rng):
             if camera_model.offset_noise > 0.0:
                 d_az += rng.normal(0.0, camera_model.offset_noise)
                 d_el += rng.normal(0.0, camera_model.offset_noise)
+                # a classified rock lies within max_range, so its ray points
+                # at least as low as the range limit's depression; noise may
+                # not lift it above that, let alone above the horizon
+                shallowest = math.atan2(-camera_model.mount_height, camera_model.max_range)
+                d_el = min(d_el, shallowest - cam_pitch)
             return rock.kind, (d_az, d_el)
         return "background", None
 

@@ -63,3 +63,58 @@ class TestFieldValidation:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+# mission geometry and actuation limits: each bad value used to pass
+# construction and then stop the mission at its first map, plan or bound
+# with a traceback and exit status 1
+BAD_GEOMETRY = [
+    pytest.param("start_pose", [150.0, 50.0, 0.0],
+                 "start_pose lies outside the coarse workspace", id="start_pose"),
+    pytest.param("epicenters", [[[90.0, 90.0, 20.0, 20.0], 5.0]],
+                 "lies outside the coarse workspace", id="epicenter_rectangle"),
+    pytest.param("epicenters", [[[10.0, 10.0, 5.0, 5.0], 0.5]],
+                 "multipliers must be at least 1", id="epicenter_multiplier"),
+    pytest.param("coarse_lengths", [100.0, 0.0], "coarse_lengths must be positive",
+                 id="coarse_lengths"),
+    pytest.param("body_speed_max", 0.0, "body_speed_max must be positive",
+                 id="body_speed_max"),
+    pytest.param("body_turn_max", 0.0, "body_turn_max must be positive",
+                 id="body_turn_max"),
+    pytest.param("body_step_cap", -1.0, "body_step_cap must be positive",
+                 id="body_step_cap"),
+    pytest.param("camera_rate_max", 0.0, "camera_rate_max must be positive",
+                 id="camera_rate_max"),
+    pytest.param("camera_step_cap", 0.0, "camera_step_cap must be positive",
+                 id="camera_step_cap"),
+    pytest.param("pitch_bounds", [0.5, -1.5], "pitch_bounds must be increasing",
+                 id="pitch_bounds"),
+    pytest.param("camera_start", [3.0, 0.0],
+                 "camera_start lies outside the fine workspace", id="camera_start"),
+    pytest.param("yaw_limit", 0.0, "yaw_limit must be positive", id="yaw_limit"),
+]
+
+
+class TestGeometryValidation:
+    @pytest.mark.parametrize("field,value,message", BAD_GEOMETRY)
+    def test_constructor_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            BiLevelConfig(**{field: value})
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"mission": {field: value}})
+
+    @pytest.mark.parametrize("field,value,message", BAD_GEOMETRY)
+    def test_cli_run_exits_with_config_status(self, field, value, message,
+                                              tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mission": {field: value}}))
+        out = tmp_path / "trial"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boundary_values_accepted(self):
+        cfg = BiLevelConfig(start_pose=(100.0, 0.0, 1.0),
+                            camera_start=(-BiLevelConfig.yaw_limit, 0.5),
+                            epicenters=(((0.0, 0.0, 100.0, 100.0), 1.0),))
+        assert cfg.replaced(coarse_inner_cap=60).start_pose == (100.0, 0.0, 1.0)

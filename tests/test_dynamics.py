@@ -3,7 +3,7 @@ import pytest
 
 from bleto.dynamics import (BodyState, CameraState, ControlBounds,
                             SingleIntegratorModel, UnicycleModel,
-                            integrator_step, rollout, track, unicycle_step)
+                            integrator_step, rollout, unicycle_step)
 
 
 class TestUnicycleStep:
@@ -94,43 +94,6 @@ class TestRollout:
         controls[-1] = 1e9  # must not affect anything visible
         states = rollout(model, np.zeros(2), controls, 1.0)
         assert np.allclose(states[-1], [3.0, 3.0])
-
-
-class TestTrack:
-    def test_zero_noise_reproduces_plan(self):
-        model = UnicycleModel()
-        controls = np.tile([0.25, 0.1], (30, 1))
-        states = rollout(model, np.zeros(3), controls, 1.0)
-        realized, length = track(model, states, controls, 1.0)
-        assert np.array_equal(realized, states)
-        assert length == pytest.approx(0.25 * 30, abs=1e-12)
-
-    def test_constant_speed_path_length(self):
-        model = UnicycleModel()
-        controls = np.tile([0.3, 0.0], (100, 1))
-        states = rollout(model, np.zeros(3), controls, 1.0)
-        _, length = track(model, states, controls, 1.0)
-        assert abs(length - 30.0) < 1e-9
-
-    def test_heading_only_motion_adds_no_length(self):
-        model = UnicycleModel()
-        controls = np.tile([0.0, 0.5], (20, 1))
-        states = rollout(model, np.zeros(3), controls, 1.0)
-        _, length = track(model, states, controls, 1.0)
-        assert length == 0.0
-
-    def test_noise_endpoint_statistics(self):
-        # relative actuation noise, 100 seeds: mean endpoint error stays small
-        model = UnicycleModel()
-        controls = np.tile([0.3, 0.05], (48, 1))
-        states = rollout(model, np.zeros(3), controls, 1.0)
-        errs = []
-        for seed in range(100):
-            realized, _ = track(model, states, controls, 1.0, noise_std=0.01,
-                                rng=np.random.default_rng(seed))
-            errs.append(np.linalg.norm(realized[-1, :2] - states[-1, :2]))
-        assert np.mean(errs) < 0.5
-        assert np.max(errs) < 1.5
 
 
 class TestControlBounds:

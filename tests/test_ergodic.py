@@ -3,10 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from bleto.ergodic import (FourierBasis, OutsideWorkspaceError, Workspace,
-                           ergodic_metric, map_coefficients, metric_gradient,
+from bleto.ergodic import (CoverageCost, FourierBasis, OutsideWorkspaceError,
+                           Workspace, ergodic_metric, map_coefficients,
                            trajectory_coefficients)
-from bleto.infomap import InfoMap
+from bleto.infomap import InfoMap, init_coarse
+
+
+def basis_value(basis, k_index, point):
+    """Oracle: F_k at a single point (raises if the point is outside)."""
+    basis.workspace.require_inside(point)
+    rel = basis.workspace.to_local(point)
+    return float(np.prod(np.cos(basis.angular[k_index] * rel)) / basis.normalizers[k_index])
+
+
+def basis_gradient(basis, k_index, point):
+    """Oracle: analytic spatial gradient of F_k at a single point."""
+    basis.workspace.require_inside(point)
+    rel = basis.workspace.to_local(point)
+    om = basis.angular[k_index]
+    c = np.cos(om * rel)
+    s = np.sin(om * rel)
+    v = basis.workspace.dims
+    grad = np.empty(v)
+    for i in range(v):
+        others = np.prod(np.delete(c, i))
+        grad[i] = -om[i] * s[i] * others / basis.normalizers[k_index]
+    return grad
 
 
 def simpson_weights(n_nodes, length):
@@ -61,15 +83,15 @@ class TestBasisValue:
     def test_constant_mode_value(self, basis8, square100):
         # k = 0 basis is constant 1/h_0, h_0 = sqrt(100*100)
         idx = basis8.mode_index((0, 0))
-        assert basis8.value(idx, (12.3, 98.2)) == pytest.approx(0.01)
+        assert basis_value(basis8, idx, (12.3, 98.2)) == pytest.approx(0.01)
 
     def test_cosine_zero_crossing(self, basis8):
         idx = basis8.mode_index((1, 0))
-        assert basis8.value(idx, (50.0, 37.2)) == pytest.approx(0.0, abs=1e-15)
+        assert basis_value(basis8, idx, (50.0, 37.2)) == pytest.approx(0.0, abs=1e-15)
 
     def test_outside_point_raises(self, basis8):
         with pytest.raises(OutsideWorkspaceError):
-            basis8.value(0, (101.0, 3.0))
+            basis_value(basis8, 0, (101.0, 3.0))
 
     def test_unit_norm_by_quadrature(self, basis8):
         # composite-Simpson oracle on a 401x401 grid, every mode
@@ -112,11 +134,11 @@ class TestBasisValue:
 
 class TestBasisGradient:
     def test_constant_mode_gradient_zero(self, basis8):
-        g = basis8.gradient(basis8.mode_index((0, 0)), (33.0, 44.0))
+        g = basis_gradient(basis8, basis8.mode_index((0, 0)), (33.0, 44.0))
         assert np.allclose(g, 0.0)
 
     def test_gradient_zero_at_origin(self, basis8):
-        g = basis8.gradient(basis8.mode_index((1, 0)), (0.0, 0.0))
+        g = basis_gradient(basis8, basis8.mode_index((1, 0)), (0.0, 0.0))
         assert np.allclose(g, 0.0)
 
     def test_matches_central_differences(self, basis8):
@@ -125,13 +147,14 @@ class TestBasisGradient:
         for _ in range(25):
             flat = int(rng.integers(len(basis8)))
             w = rng.uniform(5.0, 95.0, 2)
-            g = basis8.gradient(flat, w)
+            g = basis_gradient(basis8, flat, w)
             fd = np.zeros(2)
             for i in range(2):
                 wp, wm = w.copy(), w.copy()
                 wp[i] += eps
                 wm[i] -= eps
-                fd[i] = (basis8.value(flat, wp) - basis8.value(flat, wm)) / (2 * eps)
+                fd[i] = (basis_value(basis8, flat, wp)
+                         - basis_value(basis8, flat, wm)) / (2 * eps)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-9)
 
 
@@ -213,14 +236,14 @@ class TestTrajectoryCoefficients:
         w0 = np.array([62.0, 17.0])
         pts = np.tile(w0, (9, 1))
         c = trajectory_coefficients(basis8, pts)
-        direct = np.array([basis8.value(k, w0) for k in range(len(basis8))])
+        direct = np.array([basis_value(basis8, k, w0) for k in range(len(basis8))])
         assert np.allclose(c, direct, atol=1e-14)
 
     def test_two_point_average(self, basis8):
         w1, w2 = np.array([10.0, 20.0]), np.array([80.0, 55.0])
         c = trajectory_coefficients(basis8, [w1, w2])
         for k in range(len(basis8)):
-            expect = 0.5 * (basis8.value(k, w1) + basis8.value(k, w2))
+            expect = 0.5 * (basis_value(basis8, k, w1) + basis_value(basis8, k, w2))
             assert c[k] == pytest.approx(expect, abs=1e-14)
 
     def test_dense_sweep_approaches_uniform_density(self, basis8):
@@ -273,7 +296,7 @@ class TestMapCoefficients:
         imap = InfoMap(square100, vals)
         phi = map_coefficients(basis, imap)
         center = (30.5, 70.5)
-        direct = np.array([basis.value(k, center) for k in range(len(basis))])
+        direct = np.array([basis_value(basis, k, center) for k in range(len(basis))])
         # floor mixing adds ~2e-6 of the uniform map's coefficients
         assert np.max(np.abs(phi - direct)) < 1e-4
 
@@ -321,10 +344,12 @@ class TestErgodicMetric:
 
 
 class TestMetricGradient:
+    """dE/dw_t from ``CoverageCost.gradient``."""
+
     def test_zero_gradient_at_match(self, basis8):
         pts = np.tile([40.0, 60.0], (7, 1))
         phi = trajectory_coefficients(basis8, pts)
-        g = metric_gradient(basis8, pts, phi)
+        g = CoverageCost(basis8, pts, phi).gradient()
         assert np.max(np.abs(g)) < 1e-14
 
     def test_matches_central_differences(self, basis8, square100):
@@ -333,7 +358,7 @@ class TestMetricGradient:
         phi = map_coefficients(basis8, imap)
         eps = 1e-6
         pts = rng.uniform(10.0, 90.0, (10, 2))
-        g = metric_gradient(basis8, pts, phi)
+        g = CoverageCost(basis8, pts, phi).gradient()
         fd = np.zeros_like(pts)
         for t in range(pts.shape[0]):
             for i in range(2):
@@ -351,11 +376,46 @@ class TestMetricGradient:
         phi = map_coefficients(basis8, imap)
         rng = np.random.default_rng(2)
         pts = rng.uniform(5.0, 95.0, (6, 2))
-        g1 = metric_gradient(basis8, pts, phi)
+        g1 = CoverageCost(basis8, pts, phi).gradient()
         doubled = np.vstack([pts, pts])
-        g2 = metric_gradient(basis8, doubled, phi)
+        g2 = CoverageCost(basis8, doubled, phi).gradient()
         assert np.allclose(g2[:6], 0.5 * g1, atol=1e-14)
         assert np.allclose(g2[6:], 0.5 * g1, atol=1e-14)
+
+
+class TestCoverageCost:
+    """The kernel reproduces the metric's and the old gradient's floats."""
+
+    @pytest.fixture
+    def case(self, basis8, square100):
+        rng = np.random.default_rng(23)
+        phi = map_coefficients(basis8, init_coarse(square100, (100, 100),
+                                                   (((20.0, 60.0, 15.0, 20.0), 5.0),)))
+        return basis8, rng.uniform(0.0, 100.0, (48, 2)), phi
+
+    def test_cost_equals_metric_of_coefficients(self, case):
+        basis, pts, phi = case
+        cost = CoverageCost(basis, pts, phi)
+        c = trajectory_coefficients(basis, pts)
+        assert np.array_equal(cost.coefficients, c)
+        assert np.array_equal(cost.residual, c - phi)
+        assert cost.cost == ergodic_metric(basis, c, phi)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.37, 1234.5])
+    def test_gradient_matches_reference_expression(self, case, weight):
+        basis, pts, phi = case
+        _, grads = basis.eval_points_with_gradient(pts)
+        r = trajectory_coefficients(basis, pts) - phi
+        coeff = weight * 2.0 * basis.weights * r / pts.shape[0]
+        expect = np.einsum("k,ktv->tv", coeff, grads)
+        assert np.array_equal(CoverageCost(basis, pts, phi).gradient(weight), expect)
+
+    def test_rejects_empty_and_outside_points(self, basis8):
+        phi = np.zeros(len(basis8))
+        with pytest.raises(ValueError):
+            CoverageCost(basis8, np.zeros((0, 2)), phi)
+        with pytest.raises(OutsideWorkspaceError):
+            CoverageCost(basis8, [[50.0, 50.0], [100.5, 3.0]], phi)
 
 
 class TestTranslationInvariance:

@@ -1,0 +1,142 @@
+"""The mission executive, the experiment harness and the CLI.
+
+Short missions (30–120 s of simulated time) check the invariants the
+docstrings of ``planner``, ``bench`` and ``cli`` promise: the clock is the
+sum of its charges, sweeps take ``fine_horizon`` images, comparisons stay
+paired, bad input exits with status 2, and ``run --trace`` traces the
+mission's own first coarse plan.
+"""
+
+import json
+
+import pytest
+
+import bleto.bench
+import bleto.planner
+from bleto.bench import ExperimentConfig, build_scenario, compare, run_trial
+from bleto.cli import EXIT_CONFIG, EXIT_OK, main
+from bleto.planner import BiLevelConfig, Mission
+
+SWEEP_BUDGET_S = 120.0
+
+
+def run_mission(method, seed, **mission_kw):
+    """One mission as ``bench.run_trial`` runs it, returning its log."""
+    config = ExperimentConfig(mission=BiLevelConfig(**mission_kw)).for_method(method)
+    mission = Mission(config.mission, build_scenario(config, seed), seed,
+                      camera_model=config.camera)
+    return mission.run()
+
+
+def write_config(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture(scope="module", params=sorted(bleto.bench.METHODS))
+def sweep_case(request):
+    """(method, log) of a seed-1 mission; bl-eto detects a rock on it."""
+    method = request.param
+    return method, run_mission(method, 1, time_budget=SWEEP_BUDGET_S)
+
+
+class TestMissionInvariants:
+    def test_sim_time_is_the_sum_of_charges(self, sweep_case):
+        _, log = sweep_case
+        assert log.sim_time >= SWEEP_BUDGET_S
+        # the clock and the charges add the same amounts in different orders
+        assert log.sim_time == pytest.approx(sum(log.charges.values()), rel=1e-12)
+
+    def test_every_sweep_takes_a_full_set_of_images(self, sweep_case):
+        method, log = sweep_case
+        per_sweep = BiLevelConfig().fine_horizon
+        expected = 1 if method == "eto-fixed-camera" else per_sweep
+        assert log.images_per_body_step
+        assert all(n == expected for n in log.images_per_body_step)
+        # only the final sweep, cut short by the clock, has no body step
+        unstepped = log.counters["images"] - sum(log.images_per_body_step)
+        assert 0 <= unstepped <= per_sweep
+
+    def test_track_noise_is_deterministic(self):
+        noisy = [run_mission("bl-eto", 3, time_budget=60.0, track_noise=0.2)
+                 for _ in range(2)]
+        assert noisy[0] == noisy[1]
+        quiet = run_mission("bl-eto", 3, time_budget=60.0)
+        assert noisy[0].body_states != quiet.body_states
+
+
+class TestCompare:
+    def test_unpaired_scenarios_raise(self, monkeypatch):
+        monkeypatch.setattr(bleto.bench, "_scenario_hash",
+                            lambda config, seed: config.method)
+        config = ExperimentConfig(mission=BiLevelConfig(time_budget=20.0), seeds=(1,))
+        with pytest.raises(AssertionError, match="differs across methods"):
+            compare(config, methods=("bl-eto", "eto-fixed-camera"))
+
+
+class TestCli:
+    def test_run_inspect_and_compare(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"mission": {"time_budget": 30.0},
+                                         "seeds": [2]})
+        trial = tmp_path / "trial"
+        assert main(["run", "--config", config, "--out", str(trial)]) == EXIT_OK
+        metrics = json.loads((trial / "metrics.json").read_text())
+        assert metrics["seed"] == 2 and metrics["method"] == "bl-eto"
+        capsys.readouterr()
+
+        assert main(["inspect", "--log", str(trial)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert f"events: {metrics['images']} images, {metrics['detections']} detections" \
+            in printed
+
+        table = tmp_path / "table"
+        assert main(["compare", "--config", config, "--out", str(table)]) == EXIT_OK
+        rows = json.loads((table / "table.json").read_text())
+        assert rows["seeds"] == [2]
+        assert sorted(rows["methods"]) == sorted(bleto.bench.METHODS)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "cannot read config"),
+        (json.dumps({"mission": {"time_budget": 30.0}, "colour": 1}), "colour"),
+        (None, "cannot read config"),
+    ], ids=["malformed", "unknown-key", "missing-file"])
+    def test_bad_config_exits_with_config_status(self, tmp_path, capsys,
+                                                 command, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_offset_noise_mission_completes(self, tmp_path, capsys):
+        # elevation noise used to lift detection rays above the horizon and
+        # stop this mission with a ValueError
+        config = write_config(tmp_path, {"camera": {"offset_noise": 0.3},
+                                         "mission": {"time_budget": 600.0}})
+        assert main(["run", "--config", config, "--seed", "2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["sim_time_s"] >= 600.0
+
+    def test_trace_is_the_missions_first_coarse_plan(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, {"mission": {"time_budget": 30.0}})
+        trial = tmp_path / "trial"
+        assert main(["run", "--config", config, "--out", str(trial),
+                     "--trace"]) == EXIT_OK
+        trace = (trial / "solver_trace.csv").read_text()
+        mission = BiLevelConfig()
+        rows = trace.splitlines()[1:]
+        assert 0 < len(rows) <= mission.coarse_outer_rounds * (mission.coarse_inner_cap + 1)
+
+        # trace every solve of the same mission; its first is the initial
+        # coarse plan
+        traces = []
+        real_solve = bleto.planner.solve
+
+        def traced_solve(problem, warm_start=None):
+            traces.append(tmp_path / f"solve_{len(traces)}.csv")
+            return real_solve(problem, warm_start=warm_start, trace_path=traces[-1])
+
+        monkeypatch.setattr(bleto.planner, "solve", traced_solve)
+        run_trial(ExperimentConfig.from_dict({"mission": {"time_budget": 30.0}}), 1)
+        assert traces[0].read_text() == trace

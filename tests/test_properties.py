@@ -1,0 +1,82 @@
+"""Property tests: the coverage-memory identity and the map invariants.
+
+Example counts are capped so that the module costs a few seconds.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bleto.ergodic import (CoverageCost, FourierBasis, Workspace, ergodic_metric,
+                           trajectory_coefficients)
+from bleto.infomap import (DetectionEvent, InfoMap, init_coarse,
+                           register_detection, update_fine)
+from bleto.planner import DEFAULT_EPICENTERS, CoverageMemory
+
+COARSE = Workspace((100.0, 100.0))
+FINE = Workspace((math.radians(270.0), math.radians(120.0)),
+                 (math.radians(-135.0), math.radians(-90.0)))
+BASIS = FourierBasis(COARSE, 10)
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def points(n):
+    """n points of the coarse workspace, as (n, 2) arrays."""
+    return arrays(np.float64, (n, 2), elements=unit).map(lambda a: a * COARSE.lengths)
+
+
+@st.composite
+def history_and_plan(draw):
+    past = draw(st.integers(1, 60).flatmap(points))
+    plan = draw(st.integers(2, 48).flatmap(points))
+    phi = draw(arrays(np.float64, len(BASIS),
+                      elements=st.floats(-0.02, 0.02, allow_subnormal=False)))
+    return past, plan, phi
+
+
+class TestCoverageMemoryIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(history_and_plan())
+    def test_residual_target_scores_the_concatenated_trajectory(self, case):
+        # N past points averaging h and a T-point plan with coefficients c:
+        # the metric of the whole (N + T)-point trajectory against phi is
+        # (T / (N + T))^2 times the plan's metric against the residual target
+        past, plan, phi = case
+        N, T = past.shape[0], plan.shape[0]
+        memory = CoverageMemory(BASIS)
+        memory.add(past)
+        whole = (N * memory.average() + T * trajectory_coefficients(BASIS, plan)) / (N + T)
+        direct = ergodic_metric(BASIS, whole, phi)
+        folded = CoverageCost(BASIS, plan, memory.residual_target(phi, T)).cost
+        assert math.isclose(direct, (T / (N + T)) ** 2 * folded, rel_tol=1e-9)
+
+
+coarse_update = st.tuples(st.just("coarse"), unit, unit, st.booleans())
+fine_update = st.tuples(st.just("fine"), unit, unit, st.booleans())
+
+
+class TestMapInvariants:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(coarse_update, fine_update), min_size=1, max_size=25))
+    def test_mass_and_floor_hold_after_any_update_sequence(self, updates):
+        coarse = init_coarse(COARSE, (100, 100), DEFAULT_EPICENTERS)
+        fine = InfoMap.uniform(FINE, (54, 24))
+        for level, a, b, detected in updates:
+            if level == "coarse":
+                point = tuple(COARSE.lows + np.array([a, b]) * COARSE.lengths)
+                label = "igneous" if detected else "background"
+                event = DetectionEvent(0.0, (50.0, 50.0, 0.0), (0.0, -0.4), label,
+                                       point if detected else None)
+                before = coarse.density.copy()
+                updated = register_detection(coarse, event)
+                assert np.array_equal(coarse.density, before)
+                coarse = updated
+            else:
+                angles = tuple(FINE.lows + np.array([a, b]) * FINE.lengths)
+                fine = update_fine(fine, angles, detected)
+            coarse.check_invariants()
+            fine.check_invariants()

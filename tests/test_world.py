@@ -131,6 +131,30 @@ class TestClassifyView:
                          for _ in range(50)])
         assert outs[0] == outs[1]
 
+    def test_noisy_offset_stays_below_the_horizon(self):
+        # large elevation noise on rocks up to the range limit, with the
+        # camera pitched up to the horizon: every noisy ray must still hit
+        # the ground no farther out than the range limit
+        ws = Workspace((100.0, 100.0))
+        cam = CameraModel(true_positive_rate=1.0, offset_noise=0.5)
+        rng = np.random.default_rng(4)
+        lowest = math.atan2(-cam.mount_height, cam.max_range)
+        detections = 0
+        for _ in range(2000):
+            dist = rng.uniform(0.5, cam.max_range)
+            scenario = Scenario(ws, (Rock(50.0 + dist, 50.0, "igneous"),))
+            cam_pitch = rng.uniform(deg(-40.0), 0.0)
+            label, offset = classify_view(scenario, cam, (50.0, 50.0, 0.0),
+                                          (0.0, cam_pitch), rng)
+            if label == "background":
+                continue
+            detections += 1
+            assert cam_pitch + offset[1] < 0.0
+            assert cam_pitch + offset[1] <= lowest + 1e-12
+            pt = project_detection((50.0, 50.0, 0.0), (0.0, cam_pitch), cam, offset)
+            assert math.hypot(pt[0] - 50.0, pt[1] - 50.0) <= cam.max_range + 1e-9
+        assert detections > 500
+
 
 class TestProjectDetection:
     def test_forty_five_down_lands_one_meter_out(self, camera):
