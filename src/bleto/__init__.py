@@ -6,17 +6,15 @@ occupancy information maps, and a deterministic simulator plus benchmark
 harness for comparing fixed-, random-, and optimized-camera exploration.
 """
 
-from .dynamics import (BodyState, CameraState, ControlBounds,
-                       SingleIntegratorModel, UnicycleModel, integrator_step,
-                       rollout, unicycle_step)
+from .dynamics import (ControlBounds, SingleIntegratorModel, UnicycleModel,
+                       rollout)
 from .ergodic import (CoverageCost, FourierBasis, OutsideWorkspaceError,
                       Workspace, ergodic_metric, map_coefficients,
                       trajectory_coefficients)
 from .infomap import (DetectionEvent, InfoMap, init_coarse, project_to_fine,
                       register_detection, update_fine)
 from .planner import (BiLevelConfig, CoverageMemory, Mission, MissionLog,
-                      coarse_problem, ergodic_coarse_planner,
-                      ergodic_fine_planner)
+                      ergodic_coarse_planner, ergodic_fine_planner)
 from .solver import (ErgodicProblem, Trajectory, objective_and_gradient,
                      shift_warm_start, solve)
 from .world import (CameraModel, Rock, Scenario, classify_view,

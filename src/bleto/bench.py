@@ -7,15 +7,16 @@ in seconds to minutes of real time.
 
 Per-trial outputs: ``trajectory.csv``, ``detections.jsonl``, ``metrics.json``
 (deterministic; byte-identical across reruns of the same seed),
-``scenario.json``, ``map_final.pgm``/``map_final.csv`` and ``timing.txt``
-(wall-clock, deliberately kept out of metrics.json).  Comparisons add
-``table.json`` and ``table.txt``.
+``scenario.json``, ``map_final.pgm``/``map_final.csv``,
+``solver_trace.csv`` (one row per solver iteration of the mission's first
+coarse plan) and ``timing.txt`` (wall-clock, deliberately kept out of
+metrics.json).  Comparisons add ``table.json`` and ``table.txt``.
 """
 
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -50,18 +51,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class TrialMetrics:
+    """One trial's scores; its fields are the metrics.json schema."""
+
     method: str
     seed: int
     rocks_total: int
     rocks_found: int
     fraction_found: float
     detections: int
-    path_length: float
+    path_length_m: float
     final_ergodic_metric: Optional[float]
-    sim_time: float
+    sim_time_s: float
     body_steps: int
     images: int
-    runtime_s: float = 0.0  # wall clock; excluded from metrics.json
 
 
 @dataclass
@@ -132,9 +134,9 @@ def score(log, scenario, identification_radius=5.0, method="bl-eto", seed=0):
         rocks_found=found,
         fraction_found=(found / total) if total else 0.0,
         detections=len(detections),
-        path_length=log.path_length,
+        path_length_m=log.path_length,
         final_ergodic_metric=final_metric,
-        sim_time=log.sim_time,
+        sim_time_s=log.sim_time,
         body_steps=log.counters["body_steps"],
         images=log.counters["images"],
     )
@@ -142,19 +144,7 @@ def score(log, scenario, identification_radius=5.0, method="bl-eto", seed=0):
 
 def metrics_json_dict(metrics):
     """The documented, deterministic metrics schema (no wall-clock)."""
-    return {
-        "method": metrics.method,
-        "seed": metrics.seed,
-        "rocks_total": metrics.rocks_total,
-        "rocks_found": metrics.rocks_found,
-        "fraction_found": metrics.fraction_found,
-        "detections": metrics.detections,
-        "path_length_m": metrics.path_length,
-        "final_ergodic_metric": metrics.final_ergodic_metric,
-        "sim_time_s": metrics.sim_time,
-        "body_steps": metrics.body_steps,
-        "images": metrics.images,
-    }
+    return asdict(metrics)
 
 
 def _write_trajectory_csv(log, path):
@@ -171,6 +161,14 @@ def _write_trajectory_csv(log, path):
             f.write(",".join(repr(v) for v in (t, x, y, heading, cam[1], cam[2])) + "\n")
 
 
+def _write_solver_trace(rows, path):
+    """``SolveDiagnostics.trace`` rows, one per solver iteration."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("iter,J,E,defect_inf,grad_norm\n")
+        for row in rows:
+            f.write(",".join(repr(v) for v in row) + "\n")
+
+
 def run_trial(config, seed, out_dir=None):
     """Run one mission with the configured method on the seeded scenario."""
     scenario = build_scenario(config, seed)
@@ -181,7 +179,6 @@ def run_trial(config, seed, out_dir=None):
     runtime = time.perf_counter() - started
     metrics = score(log, scenario, config.identification_radius,
                     method=config.method, seed=seed)
-    metrics.runtime_s = runtime
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -195,6 +192,7 @@ def run_trial(config, seed, out_dir=None):
                                            encoding="utf-8")
         im.save_pgm(mission.coarse_map, out / "map_final.pgm")
         im.save_csv(mission.coarse_map, out / "map_final.csv")
+        _write_solver_trace(log.first_coarse_trace, out / "solver_trace.csv")
         (out / "timing.txt").write_text(f"wall_clock_s={runtime:.3f}\n",
                                         encoding="utf-8")
     return metrics
@@ -230,7 +228,7 @@ def compare(config, out_dir=None, methods=tuple(METHODS)):
     table = {"seeds": list(config.seeds), "methods": {}}
     for method, trials in results.items():
         fracs = np.array([t.fraction_found for t in trials])
-        paths = np.array([t.path_length for t in trials])
+        paths = np.array([t.path_length_m for t in trials])
         table["methods"][method] = {
             "fraction_found_mean": float(fracs.mean()),
             "fraction_found_std": float(fracs.std(ddof=1)) if len(fracs) > 1 else 0.0,

@@ -1,8 +1,9 @@
 """Command-line interface for running and comparing exploration missions.
 
-Subcommands: ``run`` (one method), ``compare`` (all three methods on paired
-seeds), ``inspect`` (summarize a trial directory).  Exit code 0 on success,
-2 on configuration errors.
+Subcommands: ``run`` (one method; with ``--out`` it writes the trial files
+``bench`` lists, ``solver_trace.csv`` of the first coarse plan among them),
+``compare`` (all three methods on paired seeds), ``inspect`` (summarize a
+trial directory).  Exit code 0 on success, 2 on configuration errors.
 """
 
 import argparse
@@ -13,8 +14,6 @@ from pathlib import Path
 from .bench import (METHODS, ConfigError, ExperimentConfig, compare,
                     format_table, metrics_json_dict, run_trial)
 from .infomap import load_detections_jsonl
-from .planner import CoverageMemory, coarse_problem
-from .solver import solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,28 +33,9 @@ def _cmd_run(args):
     if args.method:
         config = config.for_method(args.method)
     seed = args.seed if args.seed is not None else config.seeds[0]
-    out = Path(args.out) if args.out else None
-    if args.trace and out is None:
-        raise ConfigError("--trace needs --out to have somewhere to write")
-    metrics = run_trial(config, seed, out_dir=out)
-    if args.trace:
-        _write_demo_traces(config.mission, out)
+    metrics = run_trial(config, seed, out_dir=args.out or None)
     print(json.dumps(metrics_json_dict(metrics), sort_keys=True, indent=2))
     return EXIT_OK
-
-
-def _write_demo_traces(mission, out):
-    """Per-iteration solver trace of the trial's first coarse plan: the
-    problem the mission solves first, from the start pose against the
-    initial map, with the start position as the only coverage memory."""
-    basis = mission.coarse_basis()
-    memory = None
-    if mission.use_memory:
-        memory = CoverageMemory(basis)
-        memory.add([mission.start_pose[:2]])
-    problem = coarse_problem(mission.start_pose, mission.initial_coarse_map(),
-                             mission, memory, basis)
-    solve(problem, trace_path=out / "solver_trace.csv")
 
 
 def _cmd_compare(args):
@@ -82,7 +62,7 @@ def _cmd_inspect(args):
         for e in hits[: args.head]:
             print(f"  t={e.time:9.2f}  {e.label:<12} at "
                   f"({e.world_point[0]:.2f}, {e.world_point[1]:.2f})")
-    for name in ("trajectory.csv", "map_final.pgm", "table.json"):
+    for name in ("trajectory.csv", "map_final.pgm", "solver_trace.csv", "table.json"):
         p = trial / name
         if p.exists():
             print(f"artifact: {p}")
@@ -100,9 +80,6 @@ def build_parser():
     p_run.add_argument("--method", choices=sorted(METHODS))
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", help="trial output directory")
-    p_run.add_argument("--trace", action="store_true",
-                       help="also write the first coarse plan's per-iteration "
-                            "solver trace")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run all three methods, paired seeds")

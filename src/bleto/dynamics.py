@@ -1,51 +1,18 @@
 """Motion models for the body (unicycle) and the camera (single integrator).
 
-Models operate on plain numpy state vectors so the trajectory optimizer can
-use them directly; small dataclasses wrap the vectors for readability at the
-planner level.  All functions are pure and thread-safe.
+Models operate on plain state vectors (numpy arrays or tuples) so the
+trajectory optimizer and the mission loop can use them directly.  All
+functions are pure and thread-safe.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BodyState",
-    "CameraState",
     "ControlBounds",
     "UnicycleModel",
     "SingleIntegratorModel",
-    "unicycle_step",
-    "integrator_step",
     "rollout",
 ]
-
-
-@dataclass(frozen=True)
-class BodyState:
-    x: float
-    y: float
-    heading: float
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.heading])
-
-    @classmethod
-    def from_array(cls, arr):
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
-
-@dataclass(frozen=True)
-class CameraState:
-    yaw: float
-    pitch: float
-
-    def as_array(self):
-        return np.array([self.yaw, self.pitch])
-
-    @classmethod
-    def from_array(cls, arr):
-        return cls(float(arr[0]), float(arr[1]))
 
 
 class ControlBounds:
@@ -133,18 +100,6 @@ class SingleIntegratorModel:
 
     def workspace_points(self, states):
         return np.atleast_2d(states)
-
-
-def unicycle_step(state: BodyState, control, dt):
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return BodyState.from_array(UnicycleModel().step(state.as_array(), control, dt))
-
-
-def integrator_step(state: CameraState, control, dt):
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return CameraState.from_array(SingleIntegratorModel().step(state.as_array(), control, dt))
 
 
 def rollout(model, initial_state, controls, dt):

@@ -89,16 +89,14 @@ class DetectionEvent:
 class InfoMap:
     """Normalized, strictly positive density on a regular grid."""
 
-    def __init__(self, workspace, density, detection_log=None, _trusted=False):
+    def __init__(self, workspace, density, detection_log=None):
         self.workspace = workspace
         density = np.asarray(density, dtype=float)
         if density.ndim != workspace.dims:
             raise ValueError("density rank must match workspace dimensionality")
-        self.density = density
-        self.detection_log = list(detection_log) if detection_log else []
-        if not _trusted:
-            self.density = _normalize(workspace, density)
+        self.density = _normalize(workspace, density)
         self.density.flags.writeable = False
+        self.detection_log = list(detection_log) if detection_log else []
 
     # ---- constructors ----
 
@@ -123,10 +121,7 @@ class InfoMap:
 
     def axis_centers(self):
         """Cell-center coordinate per axis (workspace coordinates)."""
-        return [
-            self.workspace.lows[i] + (np.arange(n) + 0.5) * self.cell_sizes[i]
-            for i, n in enumerate(self.shape)
-        ]
+        return _axis_centers(self.workspace, self.shape)
 
     def cell_index(self, points):
         """Nearest-cell index per point, clipped to the grid."""
@@ -163,7 +158,7 @@ class InfoMap:
         log = self.detection_log
         if extra_log_point is not None:
             log = log + [tuple(float(x) for x in extra_log_point)]
-        return InfoMap(self.workspace, _normalize(self.workspace, values), log, _trusted=True)
+        return InfoMap(self.workspace, values, log)
 
     def add_bump(self, center, amplitude, sigma, clip_radius, clip_factor=0.1,
                  truncate_sigmas=3.0):
@@ -219,6 +214,13 @@ def _shape(workspace, resolution):
     return shape
 
 
+def _axis_centers(workspace, shape):
+    """Cell-center coordinate per axis of a ``shape`` grid on ``workspace``."""
+    sizes = workspace.lengths / np.asarray(shape, dtype=float)
+    return [workspace.lows[i] + (np.arange(n) + 0.5) * sizes[i]
+            for i, n in enumerate(shape)]
+
+
 def _normalize(workspace, values):
     """Clip, normalize, floor-mix, renormalize; returns a fresh array."""
     values = np.maximum(np.asarray(values, dtype=float), 0.0)
@@ -241,8 +243,7 @@ def init_coarse(workspace, resolution, epicenters=()):
     """
     shape = _shape(workspace, resolution)
     values = np.ones(shape)
-    imap = InfoMap(workspace, values, _trusted=False)
-    centers = imap.axis_centers()
+    centers = _axis_centers(workspace, shape)
     for rect, multiplier in epicenters:
         x0, y0, w, h = (float(v) for v in rect)
         if multiplier < 1.0:
@@ -294,8 +295,7 @@ def project_to_fine(coarse, body_pose, camera_model, fine_workspace, fine_resolu
     floor.  Yaw is measured from the body heading.
     """
     shape = _shape(fine_workspace, fine_resolution)
-    imap = InfoMap(fine_workspace, np.ones(shape))
-    yaw_c, pitch_c = imap.axis_centers()
+    yaw_c, pitch_c = _axis_centers(fine_workspace, shape)
     yaw_grid, pitch_grid = np.meshgrid(yaw_c, pitch_c, indexing="ij")
     values = np.zeros(shape)
     down = pitch_grid < 0.0

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import infomap as im
 from . import world as ws
-from .dynamics import (BodyState, CameraState, ControlBounds,
-                       SingleIntegratorModel, UnicycleModel)
+from .dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel
 from .ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
 from .solver import ErgodicProblem, shift_warm_start, solve
 
@@ -40,7 +39,6 @@ __all__ = [
     "CoverageMemory",
     "MissionLog",
     "Mission",
-    "coarse_problem",
     "ergodic_coarse_planner",
     "ergodic_fine_planner",
 ]
@@ -131,9 +129,8 @@ class BiLevelConfig:
 
     def _check_geometry(self):
         """Scalar checks of the workspaces, limits and start states, so that
-        a config that constructs can build its maps, bases and bounds.
-        ``replaced`` reruns this on every warm replan, so it builds none of
-        them."""
+        a config that constructs can build its maps, bases and bounds.  It
+        compares scalars only and builds none of them."""
         for name in ("body_speed_max", "body_turn_max", "body_step_cap",
                      "camera_rate_max", "camera_step_cap", "yaw_limit"):
             if not getattr(self, name) > 0:
@@ -249,6 +246,7 @@ class MissionLog:
     fine_replans_per_body_step: List[int] = field(default_factory=list)
     sweep_detections_per_body_step: List[int] = field(default_factory=list)
     coarse_replan_reasons: List[str] = field(default_factory=list)
+    first_coarse_trace: list = field(default_factory=list)  # initial plan's solver trace
     path_length: float = 0.0
     sim_time: float = 0.0
     charges: dict = field(default_factory=lambda: {
@@ -261,44 +259,46 @@ class MissionLog:
         return [e for e in self.events if e.is_detection]
 
 
-def _planner_problem(basis, model, x0, horizon, dt, weight, bounds, target,
-                     inner_cap, outer_rounds, optimality_tol):
-    R = weight * np.eye(model.control_dim)
-    return ErgodicProblem(basis=basis, target_coefficients=target, model=model,
-                          initial_state=np.asarray(x0, dtype=float),
-                          horizon=horizon, dt=dt, control_weight=R, bounds=bounds,
-                          inner_cap=inner_cap, outer_rounds=outer_rounds,
-                          optimality_tol=optimality_tol)
-
-
-def coarse_problem(body_pose, coarse_map, config, memory=None, basis=None, phi=None):
-    """The body's planning problem from ``body_pose`` against the coarse map
-    (optionally with mission-level coverage memory), at the config's coarse
-    solver effort.
-
-    ``phi``, when given, is the map's coefficients in ``basis``, so the map
-    need not be transformed again.
-    """
-    basis = basis or config.coarse_basis()
-    phi = map_coefficients(basis, coarse_map) if phi is None else phi
-    target = memory.residual_target(phi, config.coarse_horizon) if memory else phi
-    return _planner_problem(basis, UnicycleModel(), _pose_array(body_pose),
-                            config.coarse_horizon, config.coarse_dt,
-                            config.coarse_control_weight, config.body_bounds(), target,
-                            config.coarse_inner_cap, config.coarse_outer_rounds,
-                            config.coarse_optimality_tol)
+def _plan(basis, model, x0, phi, memory, warm_start, *, horizon, dt,
+          control_weight, bounds, inner_cap, outer_rounds, optimality_tol):
+    """Solve one level's problem: ``horizon`` steps from ``x0`` toward the
+    map coefficients ``phi``, or toward their residual target when the
+    level keeps coverage ``memory``.  ``control_weight`` is a scalar; the
+    other keywords are ``ErgodicProblem`` fields."""
+    target = memory.residual_target(phi, horizon) if memory else phi
+    problem = ErgodicProblem(basis=basis, target_coefficients=target, model=model,
+                             initial_state=np.asarray(x0, dtype=float),
+                             horizon=horizon, dt=dt,
+                             control_weight=control_weight * np.eye(model.control_dim),
+                             bounds=bounds, inner_cap=inner_cap,
+                             outer_rounds=outer_rounds, optimality_tol=optimality_tol)
+    return solve(problem, warm_start=warm_start)
 
 
 def ergodic_coarse_planner(body_pose, coarse_map, config, memory=None,
                            warm_start=None, basis=None, *, _phi=None):
-    """Plan a body trajectory: solve ``coarse_problem``.
+    """Plan a body trajectory from ``body_pose`` against the coarse map,
+    optionally with mission-level coverage memory.  A warm-started replan
+    runs at the config's ``coarse_warm_*`` effort, a cold plan at the full
+    coarse caps.
 
     ``_phi`` is internal to the mission loop: the map's coefficients in
     ``basis``, which the mission computes once per replan for its own
     coverage trace.
     """
-    problem = coarse_problem(body_pose, coarse_map, config, memory, basis, _phi)
-    return solve(problem, warm_start=warm_start)
+    basis = basis or config.coarse_basis()
+    phi = map_coefficients(basis, coarse_map) if _phi is None else _phi
+    if warm_start is None:
+        inner_cap, outer_rounds = config.coarse_inner_cap, config.coarse_outer_rounds
+    else:
+        inner_cap = config.coarse_warm_inner_cap
+        outer_rounds = config.coarse_warm_outer_rounds
+    return _plan(basis, UnicycleModel(), body_pose, phi, memory, warm_start,
+                 horizon=config.coarse_horizon, dt=config.coarse_dt,
+                 control_weight=config.coarse_control_weight,
+                 bounds=config.body_bounds(), inner_cap=inner_cap,
+                 outer_rounds=outer_rounds,
+                 optimality_tol=config.coarse_optimality_tol)
 
 
 def ergodic_fine_planner(camera_angles, fine_map, config, warm_start=None,
@@ -313,27 +313,13 @@ def ergodic_fine_planner(camera_angles, fine_map, config, warm_start=None,
     the same directions.
     """
     basis = basis or config.fine_basis()
-    phi = map_coefficients(basis, fine_map)
-    target = memory.residual_target(phi, config.fine_horizon) if memory else phi
-    problem = _planner_problem(basis, SingleIntegratorModel(),
-                               _angles_array(camera_angles), config.fine_horizon,
-                               config.fine_dt, config.fine_control_weight,
-                               config.camera_bounds(), target,
-                               config.fine_inner_cap, config.fine_outer_rounds,
-                               config.fine_optimality_tol)
-    return solve(problem, warm_start=warm_start)
-
-
-def _pose_array(pose):
-    if isinstance(pose, BodyState):
-        return pose.as_array()
-    return np.asarray(pose, dtype=float)
-
-
-def _angles_array(angles):
-    if isinstance(angles, CameraState):
-        return angles.as_array()
-    return np.asarray(angles, dtype=float)
+    return _plan(basis, SingleIntegratorModel(), camera_angles,
+                 map_coefficients(basis, fine_map), memory, warm_start,
+                 horizon=config.fine_horizon, dt=config.fine_dt,
+                 control_weight=config.fine_control_weight,
+                 bounds=config.camera_bounds(), inner_cap=config.fine_inner_cap,
+                 outer_rounds=config.fine_outer_rounds,
+                 optimality_tol=config.fine_optimality_tol)
 
 
 class Mission:
@@ -349,18 +335,17 @@ class Mission:
         self.coarse_basis = config.coarse_basis()
         self.fine_basis = config.fine_basis()
         self.body_model = UnicycleModel()
-        self.camera_model_dyn = SingleIntegratorModel()
 
         self.coarse_map = config.initial_coarse_map()
         self.fine_map = None
         self.memory = CoverageMemory(self.coarse_basis) if config.use_memory else None
         self.fine_memory = None
 
-        self.body = BodyState(*config.start_pose)
+        self.pose = tuple(config.start_pose)   # (x, y, heading)
         if config.camera_mode == "fixed":
-            self.camera = CameraState(0.0, config.fixed_pitch)
+            self.angles = (0.0, config.fixed_pitch)
         else:
-            self.camera = CameraState(*config.camera_start)
+            self.angles = tuple(config.camera_start)   # (yaw, pitch)
 
         self.log = MissionLog()
         self.coarse_plan = None
@@ -387,7 +372,7 @@ class Mission:
     def _refresh_fine_map(self):
         if self.config.camera_mode != "optimized":
             return
-        self.fine_map = im.project_to_fine(self.coarse_map, self._pose_tuple(),
+        self.fine_map = im.project_to_fine(self.coarse_map, self.pose,
                                            self.camera_model,
                                            self.config.fine_workspace(),
                                            self.config.fine_resolution)
@@ -395,25 +380,17 @@ class Mission:
         # fresh projection re-anchors; restart it together with the map
         if self.config.use_memory:
             self.fine_memory = CoverageMemory(self.fine_basis)
-            self.fine_memory.add([self._angles_tuple()])
-
-    def _pose_tuple(self):
-        return (self.body.x, self.body.y, self.body.heading)
-
-    def _angles_tuple(self):
-        return (self.camera.yaw, self.camera.pitch)
+            self.fine_memory.add([self.angles])
 
     # ---- planning ----
 
     def _plan_coarse(self, warm, reason):
-        cfg = self.config
-        if warm is not None:
-            cfg = cfg.replaced(coarse_inner_cap=cfg.coarse_warm_inner_cap,
-                               coarse_outer_rounds=cfg.coarse_warm_outer_rounds)
         self.coarse_phi = map_coefficients(self.coarse_basis, self.coarse_map)
-        traj = ergodic_coarse_planner(self.body, self.coarse_map, cfg,
+        traj = ergodic_coarse_planner(self.pose, self.coarse_map, self.config,
                                       memory=self.memory, warm_start=warm,
                                       basis=self.coarse_basis, _phi=self.coarse_phi)
+        if reason == "initial":
+            self.log.first_coarse_trace = traj.diagnostics.trace
         self._charge("planning", self.config.coarse_plan_time)
         self.log.counters["coarse_plans"] += 1
         self.log.coarse_replan_reasons.append(reason)
@@ -423,7 +400,7 @@ class Mission:
         return traj
 
     def _plan_fine(self, warm=None):
-        traj = ergodic_fine_planner(self.camera, self.fine_map, self.config,
+        traj = ergodic_fine_planner(self.angles, self.fine_map, self.config,
                                     warm_start=warm, basis=self.fine_basis,
                                     memory=self.fine_memory)
         self._charge("planning", self.config.fine_plan_time)
@@ -434,21 +411,17 @@ class Mission:
 
     def _take_image(self):
         label, offset = ws.classify_view(self.scenario, self.camera_model,
-                                         self._pose_tuple(), self._angles_tuple(),
-                                         self.rng)
+                                         self.pose, self.angles, self.rng)
         self._charge("images", self.config.image_time)
         self.log.counters["images"] += 1
         if self.fine_memory is not None:
-            self.fine_memory.add([self._angles_tuple()])
-        if label == "background":
-            event = im.DetectionEvent(self.log.sim_time, self._pose_tuple(),
-                                      self._angles_tuple(), label, None)
-        else:
-            point = ws.project_detection(self._pose_tuple(), self._angles_tuple(),
-                                         self.camera_model, offset,
-                                         workspace=self.scenario.workspace)
-            event = im.DetectionEvent(self.log.sim_time, self._pose_tuple(),
-                                      self._angles_tuple(), label, point)
+            self.fine_memory.add([self.angles])
+        point = None
+        if label != "background":
+            point = ws.project_detection(self.pose, self.angles, self.camera_model,
+                                         offset, workspace=self.scenario.workspace)
+        event = im.DetectionEvent(self.log.sim_time, self.pose, self.angles,
+                                  label, point)
         self.log.events.append(event)
         return event
 
@@ -460,7 +433,7 @@ class Mission:
             clip_factor=cfg.clip_factor)
         if self.fine_map is not None:
             self.fine_map = im.update_fine(
-                self.fine_map, self._angles_tuple(), True,
+                self.fine_map, self.angles, True,
                 amplitude=cfg.fine_bump_amplitude, sigma=cfg.fine_bump_sigma,
                 clip_radius=cfg.fine_clip_radius, clip_factor=cfg.clip_factor,
                 discount=cfg.view_discount,
@@ -470,7 +443,7 @@ class Mission:
     def _apply_background(self):
         if self.fine_map is not None:
             self.fine_map = im.update_fine(
-                self.fine_map, self._angles_tuple(), False,
+                self.fine_map, self.angles, False,
                 discount=self.config.view_discount,
                 view_half_widths=self._view_half_widths())
             self._check_maps()
@@ -479,11 +452,10 @@ class Mission:
         return (0.5 * self.camera_model.hfov, 0.5 * self.camera_model.vfov)
 
     def _slew_camera(self, target_state):
-        self.camera = CameraState(float(target_state[0]), float(target_state[1]))
+        self.angles = tuple(target_state.tolist())
         self._charge("camera", self.config.fine_dt)
         self.log.counters["camera_slews"] += 1
-        self.log.camera_states.append((self.log.sim_time, self.camera.yaw,
-                                       self.camera.pitch))
+        self.log.camera_states.append((self.log.sim_time, *self.angles))
 
     # ---- sweeps ----
 
@@ -541,9 +513,8 @@ class Mission:
             if j > 0:
                 self._slew_camera(angles)
             else:
-                self.camera = CameraState(float(angles[0]), float(angles[1]))
-                self.log.camera_states.append((self.log.sim_time, self.camera.yaw,
-                                               self.camera.pitch))
+                self.angles = tuple(angles.tolist())
+                self.log.camera_states.append((self.log.sim_time, *self.angles))
             event = self._take_image()
             images += 1
             if event.is_detection:
@@ -555,10 +526,10 @@ class Mission:
 
     def run(self):
         cfg = self.config
-        self.log.body_states.append((self.log.sim_time, *self._pose_tuple()))
-        self.log.camera_states.append((self.log.sim_time, *self._angles_tuple()))
+        self.log.body_states.append((self.log.sim_time, *self.pose))
+        self.log.camera_states.append((self.log.sim_time, *self.angles))
         if self.memory:
-            self.memory.add([[self.body.x, self.body.y]])
+            self.memory.add([self.pose[:2]])
         self._plan_coarse(warm=None, reason="initial")
 
         while not self._out_of_time():
@@ -578,19 +549,19 @@ class Mission:
                     self.rng.normal(0.0, cfg.track_noise, size=control.shape),
                     -3.0 * cfg.track_noise, 3.0 * cfg.track_noise)
                 control *= 1.0 + wobble
-            nxt = self.body_model.step(self.body.as_array(), control, cfg.coarse_dt)
+            nxt = self.body_model.step(self.pose, control, cfg.coarse_dt)
             nxt[:2] = self.coarse_basis.workspace.clamp(nxt[:2])
-            self.body = BodyState.from_array(nxt)
+            self.pose = tuple(nxt.tolist())
             self._charge("body", cfg.coarse_dt)
             self.log.path_length += abs(float(control[0])) * cfg.coarse_dt
             self.log.counters["body_steps"] += 1
             self.step_index += 1
-            self.log.body_states.append((self.log.sim_time, *self._pose_tuple()))
+            self.log.body_states.append((self.log.sim_time, *self.pose))
             self.log.images_per_body_step.append(images)
             self.log.fine_replans_per_body_step.append(replans)
             self.log.sweep_detections_per_body_step.append(detections)
             if self.memory:
-                self.memory.add([[self.body.x, self.body.y]])
+                self.memory.add([self.pose[:2]])
                 self.log.metric_trace.append(
                     (self.log.sim_time, self.memory.metric_against(self.coarse_phi)))
 

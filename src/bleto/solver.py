@@ -143,6 +143,9 @@ class SolveDiagnostics:
     initial_cost: float = float("nan")
     merit_rounds: list = field(default_factory=list)  # (start, end) per outer round
     multipliers: Optional[np.ndarray] = None  # final defect multipliers
+    # one (iteration, merit J, coverage cost E, defect_inf, projected-gradient
+    # norm) row per inner step
+    trace: list = field(default_factory=list)
 
 
 @dataclass
@@ -439,7 +442,7 @@ def _reroll(problem, controls, diag):
     return states, controls
 
 
-def solve(problem, warm_start=None, trace_path=None):
+def solve(problem, warm_start=None):
     """Minimize the coverage objective subject to dynamics and bounds.
 
     Returns a feasible trajectory: the final controls are clipped to their
@@ -447,6 +450,7 @@ def solve(problem, warm_start=None, trace_path=None):
     precision; the barrier keeps every free state inside the workspace and
     every position step below the cap.  If optimization fails to beat the
     initial guess the guess itself is returned flagged ``converged=False``.
+    The diagnostics record every inner step in ``trace``.
     """
     if warm_start is not None:
         if warm_start.horizon != problem.horizon:
@@ -480,7 +484,6 @@ def solve(problem, warm_start=None, trace_path=None):
     precond = _preconditioner(problem, sig)
 
     diag = SolveDiagnostics(initial_cost=init_objective)
-    trace_rows = [] if trace_path else None
     aborted = False
 
     fails = 0  # consecutive line-search failures, across rounds
@@ -504,8 +507,7 @@ def solve(problem, warm_start=None, trace_path=None):
             g_w = precond * g
             pg_norm = float(np.linalg.norm(
                 (z - np.clip(z - precond * g_w, lower, upper)) / precond))
-            if trace_rows is not None:
-                trace_rows.append((diag.iterations + it, f, aux[0], aux[1], pg_norm))
+            diag.trace.append((diag.iterations + it, f, aux[0], aux[1], pg_norm))
             if pg_norm <= inner_tol:
                 break
             window.append(f)
@@ -576,18 +578,11 @@ def solve(problem, warm_start=None, trace_path=None):
     # back to the initial guess if that does not beat it.
     _, us = problem.split(z)
     final_states, final_controls = _reroll(problem, us, diag)
-    final_objective = _objective(problem, problem.join(final_states[1:], final_controls))
-    if final_objective > init_objective + 1e-12:
+    cost, ctrl = _costs(problem, final_states, final_controls)
+    if cost.cost + ctrl > init_objective + 1e-12:
         final_states, final_controls = _reroll(problem, guess_controls, diag)
         diag.converged = False
-
-    if trace_path:
-        with open(trace_path, "w", encoding="utf-8") as f_out:
-            f_out.write("iter,J,E,defect_inf,grad_norm\n")
-            for row in trace_rows:
-                f_out.write(",".join(repr(x) for x in row) + "\n")
-
-    cost, ctrl = _costs(problem, final_states, final_controls)
+        cost, ctrl = _costs(problem, final_states, final_controls)
     return Trajectory(states=final_states, controls=final_controls,
                       ergodic_cost=cost.cost, control_cost=ctrl, diagnostics=diag)
 

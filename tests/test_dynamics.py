@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from bleto.dynamics import (BodyState, CameraState, ControlBounds,
-                            SingleIntegratorModel, UnicycleModel,
-                            integrator_step, rollout, unicycle_step)
+from bleto.dynamics import (ControlBounds, SingleIntegratorModel,
+                            UnicycleModel, rollout)
 
 
 class TestUnicycleStep:
+    # the mission steps its pose, a plain (x, y, heading) tuple
     def test_zero_control_fixed_point(self):
-        s = BodyState(3.0, 4.0, 0.7)
-        assert unicycle_step(s, (0.0, 0.0), 0.5) == s
+        s = (3.0, 4.0, 0.7)
+        assert np.array_equal(UnicycleModel().step(s, (0.0, 0.0), 0.5), s)
 
     def test_straight_line(self):
-        s = unicycle_step(BodyState(0.0, 0.0, 0.0), (1.0, 0.0), 0.5)
-        assert s == BodyState(0.5, 0.0, 0.0)
-
-    def test_bad_dt_rejected(self):
-        with pytest.raises(ValueError):
-            unicycle_step(BodyState(0, 0, 0), (1.0, 0.0), 0.0)
+        s = UnicycleModel().step((0.0, 0.0, 0.0), (1.0, 0.0), 0.5)
+        assert np.array_equal(s, (0.5, 0.0, 0.0))
 
     def test_constant_turn_traces_circle(self):
         # closed form of the Euler polygon: partial geometric sums of
@@ -64,12 +60,12 @@ class TestUnicycleStep:
 
 class TestIntegratorStep:
     def test_zero_control(self):
-        s = CameraState(0.4, -0.2)
-        assert integrator_step(s, (0.0, 0.0), 1.0) == s
+        s = (0.4, -0.2)
+        assert np.array_equal(SingleIntegratorModel().step(s, (0.0, 0.0), 1.0), s)
 
     def test_single_step(self):
-        s = integrator_step(CameraState(0.0, 0.0), (0.2, -0.1), 1.0)
-        assert s == CameraState(0.2, -0.1)
+        s = SingleIntegratorModel().step((0.0, 0.0), (0.2, -0.1), 1.0)
+        assert np.array_equal(s, (0.2, -0.1))
 
 
 class TestRollout:

@@ -3,8 +3,8 @@
 Short missions (30–120 s of simulated time) check the invariants the
 docstrings of ``planner``, ``bench`` and ``cli`` promise: the clock is the
 sum of its charges, sweeps take ``fine_horizon`` images, comparisons stay
-paired, bad input exits with status 2, and ``run --trace`` traces the
-mission's own first coarse plan.
+paired, bad input exits with status 2, and ``run --out`` writes the
+solver trace of the mission's own first coarse plan.
 """
 
 import json
@@ -13,8 +13,9 @@ import pytest
 
 import bleto.bench
 import bleto.planner
-from bleto.bench import ExperimentConfig, build_scenario, compare, run_trial
+from bleto.bench import ExperimentConfig, build_scenario, compare
 from bleto.cli import EXIT_CONFIG, EXIT_OK, main
+from bleto.dynamics import UnicycleModel
 from bleto.planner import BiLevelConfig, Mission
 
 SWEEP_BUDGET_S = 120.0
@@ -119,24 +120,31 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["sim_time_s"] >= 600.0
 
     def test_trace_is_the_missions_first_coarse_plan(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, {"mission": {"time_budget": 30.0}})
-        trial = tmp_path / "trial"
-        assert main(["run", "--config", config, "--out", str(trial),
-                     "--trace"]) == EXIT_OK
-        trace = (trial / "solver_trace.csv").read_text()
-        mission = BiLevelConfig()
-        rows = trace.splitlines()[1:]
-        assert 0 < len(rows) <= mission.coarse_outer_rounds * (mission.coarse_inner_cap + 1)
-
-        # trace every solve of the same mission; its first is the initial
-        # coarse plan
-        traces = []
+        # record every solve of the mission; its first is the initial coarse
+        # plan, and no other solve starts the body cold
+        solves = []
         real_solve = bleto.planner.solve
 
-        def traced_solve(problem, warm_start=None):
-            traces.append(tmp_path / f"solve_{len(traces)}.csv")
-            return real_solve(problem, warm_start=warm_start, trace_path=traces[-1])
+        def recording_solve(problem, warm_start=None):
+            solves.append((problem, warm_start, real_solve(problem, warm_start=warm_start)))
+            return solves[-1][2]
 
-        monkeypatch.setattr(bleto.planner, "solve", traced_solve)
-        run_trial(ExperimentConfig.from_dict({"mission": {"time_budget": 30.0}}), 1)
-        assert traces[0].read_text() == trace
+        monkeypatch.setattr(bleto.planner, "solve", recording_solve)
+        config = write_config(tmp_path, {"mission": {"time_budget": 30.0}})
+        trial = tmp_path / "trial"
+        assert main(["run", "--config", config, "--out", str(trial)]) == EXIT_OK
+        cold_coarse = [s for s in solves
+                       if s[1] is None and isinstance(s[0].model, UnicycleModel)]
+        assert len(cold_coarse) == 1 and cold_coarse[0] is solves[0]
+
+        lines = (trial / "solver_trace.csv").read_text().splitlines()
+        assert lines[0] == "iter,J,E,defect_inf,grad_norm"
+        first = solves[0][2].diagnostics.trace
+        assert lines[1:] == [",".join(repr(v) for v in row) for row in first]
+        mission = BiLevelConfig()
+        assert 0 < len(first) <= mission.coarse_outer_rounds * (mission.coarse_inner_cap + 1)
+
+        # the trace comes with every trial; the old flag is an unknown option
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--config", config, "--trace"])
+        assert exit_.value.code == EXIT_CONFIG

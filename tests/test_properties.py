@@ -1,4 +1,5 @@
-"""Property tests: the coverage-memory identity and the map invariants.
+"""Property tests: the coverage-memory identity, the map invariants and the
+detection round trip.
 
 Example counts are capped so that the module costs a few seconds.
 """
@@ -15,6 +16,8 @@ from bleto.ergodic import (CoverageCost, FourierBasis, Workspace, ergodic_metric
 from bleto.infomap import (DetectionEvent, InfoMap, init_coarse,
                            register_detection, update_fine)
 from bleto.planner import DEFAULT_EPICENTERS, CoverageMemory
+from bleto.world import (ROCK_CLASSES, CameraModel, Rock, Scenario,
+                         classify_view, project_detection)
 
 COARSE = Workspace((100.0, 100.0))
 FINE = Workspace((math.radians(270.0), math.radians(120.0)),
@@ -80,3 +83,40 @@ class TestMapInvariants:
                 fine = update_fine(fine, angles, detected)
             coarse.check_invariants()
             fine.check_invariants()
+
+
+# a noise-free camera that classifies every rock it sees
+CAMERA = CameraModel(true_positive_rate=1.0)
+
+
+@st.composite
+def rock_views(draw):
+    """A body pose, one to four rocks within range of it, and camera angles
+    that hold the first rock inside the frustum."""
+    x, y, heading = (draw(st.floats(10.0, 90.0)), draw(st.floats(10.0, 90.0)),
+                     draw(st.floats(-math.pi, math.pi)))
+    polar = draw(st.lists(st.tuples(st.floats(0.05, 0.999 * CAMERA.max_range),
+                                    st.floats(-0.95, 0.95).map(lambda f: f * CAMERA.yaw_limit),
+                                    st.sampled_from(ROCK_CLASSES)),
+                          min_size=1, max_size=4))
+    rocks = tuple(Rock(x + dist * math.cos(heading + bearing),
+                       y + dist * math.sin(heading + bearing), kind)
+                  for dist, bearing, kind in polar)
+    dist, bearing, _ = polar[0]
+    yaw = bearing + draw(st.floats(-0.45, 0.45)) * CAMERA.hfov
+    pitch = (math.atan2(-CAMERA.mount_height, dist)
+             + draw(st.floats(-0.45, 0.45)) * CAMERA.vfov)
+    return Scenario(COARSE, rocks), (x, y, heading), (yaw, pitch)
+
+
+class TestDetectionRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(rock_views())
+    def test_projected_detection_lands_on_the_classified_rock(self, view):
+        scenario, body, angles = view
+        label, offset = classify_view(scenario, CAMERA, body, angles,
+                                      np.random.default_rng(0))
+        assert label != "background"
+        x, y = project_detection(body, angles, CAMERA, offset, workspace=COARSE)
+        error, kind = min((math.hypot(x - r.x, y - r.y), r.kind) for r in scenario.rocks)
+        assert error <= 1e-9 and kind == label

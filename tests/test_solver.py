@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -61,6 +62,11 @@ class TestProblemValidation:
     def test_initial_state_outside_workspace(self):
         with pytest.raises(ValueError):
             coarse_problem(x0=(120.0, 50.0, 0.0))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.4])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dataclasses.replace(fine_problem(), dt=dt)
 
     def test_asymmetric_weight_rejected(self):
         ws = Workspace((100.0, 100.0))
@@ -246,15 +252,19 @@ class TestSolve:
         assert traj.diagnostics.converged
         assert traj.diagnostics.optimality_norm < 1e-3
 
-    def test_trace_written(self, tmp_path):
+    def test_trace_written(self):
         prob = coarse_problem(horizon=12, modes=5, inner_cap=40, outer_rounds=3)
-        path = tmp_path / "trace.csv"
-        solve(prob, trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,J,E,defect_inf,grad_norm"
-        assert len(lines) > 3
-        row = lines[1].split(",")
-        assert len(row) == 5
+        diag = solve(prob).diagnostics
+        rows = diag.trace
+        assert len(rows) > 3
+        assert all(len(row) == 5 for row in rows)
+        # one row per inner step, numbered across rounds, plus at most one
+        # per round for the check that ended it without a step
+        assert len(rows) <= diag.iterations + diag.outer_rounds
+        iters = [row[0] for row in rows]
+        assert iters[0] == 0 and iters == sorted(iters)
+        assert iters[-1] <= diag.iterations
+        assert np.all(np.isfinite(rows))
 
 
 class TestWarmStart:
