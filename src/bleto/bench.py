@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one trial seed")
         if self.rock_count < 0:
             raise ConfigError("rock_count must be nonnegative")
+        # the method decides where the mast camera points
+        self.mission = self.mission.replaced(camera_mode=METHODS[self.method])
 
     @classmethod
     def from_dict(cls, d):
@@ -98,10 +100,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def for_method(self, method):
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}")
-        return replace(self, method=method,
-                       mission=self.mission.replaced(camera_mode=METHODS[method]))
+        return replace(self, method=method)
 
 
 def build_scenario(config, seed):
@@ -172,9 +171,8 @@ def _write_solver_trace(rows, path):
 def run_trial(config, seed, out_dir=None):
     """Run one mission with the configured method on the seeded scenario."""
     scenario = build_scenario(config, seed)
-    mission_cfg = config.mission.replaced(camera_mode=METHODS[config.method])
     started = time.perf_counter()
-    mission = Mission(mission_cfg, scenario, seed, camera_model=config.camera)
+    mission = Mission(config.mission, scenario, seed, camera_model=config.camera)
     log = mission.run()
     runtime = time.perf_counter() - started
     metrics = score(log, scenario, config.identification_radius,

@@ -2,13 +2,19 @@
 imaging, and detection-driven map updates.
 
 The loop structure: plan a body trajectory against the coarse map, then for
-each body step run a camera sweep (plan a short camera trajectory against
-the fine map, image at every step, update both maps per image), then step
-the body.  A detection triggers an immediate camera replan; a sweep that
-identified at least one rock triggers a body replan once it completes; an
-exhausted body plan is replaced as well.  The simulated clock is charged
-for body motion, camera slews, image inference, and planning, so methods
-that image more drive less within the same mission budget.
+each body step run one camera sweep and step the body.  The three methods
+share that loop and the sweep; they differ only in the sweep's aim step
+before each image.  The optimized camera slews to the next state of a
+short camera plan against the fine map, replanning first when the last
+image was a detection; the random camera points at a uniform draw over
+its workspace; the fixed camera does not move and takes one image per
+sweep.  Each image updates the maps.  A sweep that identified at least
+one rock triggers a body replan once it completes; an exhausted body plan
+is replaced as well.  The simulated clock is charged for body motion,
+camera slews, image inference, and planning, so methods that image more
+drive less within the same mission budget.  One clock rule holds for every
+method: the mission stops at the first charge that exhausts the budget, so
+no image starts after it.
 
 Coverage memory: replans aim the ergodic metric at the whole mission's
 time-averaged statistics, not each plan's in isolation.  This is folded
@@ -123,8 +129,13 @@ class BiLevelConfig:
         for name in ("coarse_resolution", "fine_resolution"):
             if min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} needs at least one cell per axis")
-        if self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
+        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise ValueError("time_budget must be finite and positive")
+        for name in ("coarse_plan_time", "fine_plan_time", "image_time"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if self.replan_interval < 1:
+            raise ValueError("replan_interval must be at least 1")
         self._check_geometry()
 
     def _check_geometry(self):
@@ -275,19 +286,13 @@ def _plan(basis, model, x0, phi, memory, warm_start, *, horizon, dt,
     return solve(problem, warm_start=warm_start)
 
 
-def ergodic_coarse_planner(body_pose, coarse_map, config, memory=None,
-                           warm_start=None, basis=None, *, _phi=None):
-    """Plan a body trajectory from ``body_pose`` against the coarse map,
-    optionally with mission-level coverage memory.  A warm-started replan
-    runs at the config's ``coarse_warm_*`` effort, a cold plan at the full
-    coarse caps.
-
-    ``_phi`` is internal to the mission loop: the map's coefficients in
-    ``basis``, which the mission computes once per replan for its own
-    coverage trace.
+def ergodic_coarse_planner(body_pose, phi, basis, config, memory=None,
+                           warm_start=None):
+    """Plan a body trajectory from ``body_pose`` toward the coarse map's
+    coefficients ``phi`` in ``basis``, optionally with mission-level
+    coverage memory.  A warm-started replan runs at the config's
+    ``coarse_warm_*`` effort, a cold plan at the full coarse caps.
     """
-    basis = basis or config.coarse_basis()
-    phi = map_coefficients(basis, coarse_map) if _phi is None else _phi
     if warm_start is None:
         inner_cap, outer_rounds = config.coarse_inner_cap, config.coarse_outer_rounds
     else:
@@ -301,21 +306,20 @@ def ergodic_coarse_planner(body_pose, coarse_map, config, memory=None,
                  optimality_tol=config.coarse_optimality_tol)
 
 
-def ergodic_fine_planner(camera_angles, fine_map, config, warm_start=None,
-                         basis=None, memory=None):
-    """Plan a camera trajectory against a snapshot of the fine map.
+def ergodic_fine_planner(camera_angles, phi, basis, config, memory=None,
+                         warm_start=None):
+    """Plan a camera trajectory from ``camera_angles`` toward the fine map's
+    coefficients ``phi`` in ``basis``.
 
-    The coefficient target is computed once from the map passed in; updates
-    to the live map during the sweep never leak into a solve in progress.
-    With ``memory`` (the camera's own visitation statistics), the target is
-    the residual that drives the concatenated viewing history toward the
-    map, which is what makes consecutive sweeps pan instead of re-imaging
-    the same directions.
+    The caller transforms a snapshot of the fine map, so updates to the live
+    map during the sweep never leak into a solve in progress.  With
+    ``memory`` (the camera's own visitation statistics), the target is the
+    residual that drives the concatenated viewing history toward the map,
+    which is what makes consecutive sweeps pan instead of re-imaging the
+    same directions.
     """
-    basis = basis or config.fine_basis()
-    return _plan(basis, SingleIntegratorModel(), camera_angles,
-                 map_coefficients(basis, fine_map), memory, warm_start,
-                 horizon=config.fine_horizon, dt=config.fine_dt,
+    return _plan(basis, SingleIntegratorModel(), camera_angles, phi, memory,
+                 warm_start, horizon=config.fine_horizon, dt=config.fine_dt,
                  control_weight=config.fine_control_weight,
                  bounds=config.camera_bounds(), inner_cap=config.fine_inner_cap,
                  outer_rounds=config.fine_outer_rounds,
@@ -351,7 +355,8 @@ class Mission:
         self.coarse_plan = None
         self.fine_plan = None
         self.step_index = 0       # transition index within the active coarse plan
-        self.coarse_phi = None
+        self.coarse_phi = None    # coefficients the active coarse plan chases
+        self._phi_map = None      # the coarse map coarse_phi was computed from
 
     # ---- clock ----
 
@@ -362,50 +367,47 @@ class Mission:
     def _out_of_time(self):
         return self.log.sim_time >= self.config.time_budget
 
-    # ---- map plumbing ----
+    # ---- planning ----
 
-    def _check_maps(self):
-        self.coarse_map.check_invariants()
-        if self.fine_map is not None:
-            self.fine_map.check_invariants()
-
-    def _refresh_fine_map(self):
-        if self.config.camera_mode != "optimized":
+    def _plan_coarse(self, reason):
+        """Plan the body, warm from the active plan if there is one, and
+        project the new plan's map into the camera's workspace."""
+        cfg = self.config
+        # maps are immutable and the coarse map changes only on a detection,
+        # so most replans chase the coefficients of the plan before
+        if self.coarse_map is not self._phi_map:
+            self._phi_map = self.coarse_map
+            self.coarse_phi = map_coefficients(self.coarse_basis, self.coarse_map)
+        warm = self.coarse_plan and shift_warm_start(self.coarse_plan)
+        self.coarse_plan = ergodic_coarse_planner(self.pose, self.coarse_phi,
+                                                  self.coarse_basis, cfg,
+                                                  memory=self.memory, warm_start=warm)
+        if reason == "initial":
+            self.log.first_coarse_trace = self.coarse_plan.diagnostics.trace
+        self._charge("planning", cfg.coarse_plan_time)
+        self.log.counters["coarse_plans"] += 1
+        self.log.coarse_replan_reasons.append(reason)
+        self.step_index = 0
+        if cfg.camera_mode != "optimized":
             return
-        self.fine_map = im.project_to_fine(self.coarse_map, self.pose,
-                                           self.camera_model,
-                                           self.config.fine_workspace(),
-                                           self.config.fine_resolution)
+        self.fine_map = im.project_to_fine(self.coarse_map, self.pose, self.camera_model,
+                                           cfg.fine_workspace(), cfg.fine_resolution)
         # the camera's pan memory refers to body-relative directions, which a
         # fresh projection re-anchors; restart it together with the map
-        if self.config.use_memory:
+        if cfg.use_memory:
             self.fine_memory = CoverageMemory(self.fine_basis)
             self.fine_memory.add([self.angles])
 
-    # ---- planning ----
-
-    def _plan_coarse(self, warm, reason):
-        self.coarse_phi = map_coefficients(self.coarse_basis, self.coarse_map)
-        traj = ergodic_coarse_planner(self.pose, self.coarse_map, self.config,
-                                      memory=self.memory, warm_start=warm,
-                                      basis=self.coarse_basis, _phi=self.coarse_phi)
-        if reason == "initial":
-            self.log.first_coarse_trace = traj.diagnostics.trace
-        self._charge("planning", self.config.coarse_plan_time)
-        self.log.counters["coarse_plans"] += 1
-        self.log.coarse_replan_reasons.append(reason)
-        self.coarse_plan = traj
-        self.step_index = 0
-        self._refresh_fine_map()
-        return traj
-
-    def _plan_fine(self, warm=None):
-        traj = ergodic_fine_planner(self.angles, self.fine_map, self.config,
-                                    warm_start=warm, basis=self.fine_basis,
-                                    memory=self.fine_memory)
+    def _plan_fine(self):
+        """Plan the camera against the fine map as it is now, warm from the
+        last camera plan if there is one."""
+        phi = map_coefficients(self.fine_basis, self.fine_map)
+        warm = self.fine_plan and shift_warm_start(self.fine_plan)
+        self.fine_plan = ergodic_fine_planner(self.angles, phi, self.fine_basis,
+                                              self.config, memory=self.fine_memory,
+                                              warm_start=warm)
         self._charge("planning", self.config.fine_plan_time)
         self.log.counters["fine_plans"] += 1
-        return traj
 
     # ---- sensing ----
 
@@ -425,104 +427,73 @@ class Mission:
         self.log.events.append(event)
         return event
 
-    def _apply_detection(self, event):
+    def _update_maps(self, event):
+        """Fold one image into the maps and check each map it changed: a
+        detection bumps the coarse map, and the fine map (when the camera
+        plans against one) takes a bump or a discount of the imaged view."""
         cfg = self.config
-        self.coarse_map = im.register_detection(
-            self.coarse_map, event, amplitude=cfg.coarse_bump_amplitude,
-            sigma=cfg.coarse_bump_sigma, clip_radius=cfg.coarse_clip_radius,
-            clip_factor=cfg.clip_factor)
+        if event.is_detection:
+            self.coarse_map = im.register_detection(
+                self.coarse_map, event, amplitude=cfg.coarse_bump_amplitude,
+                sigma=cfg.coarse_bump_sigma, clip_radius=cfg.coarse_clip_radius,
+                clip_factor=cfg.clip_factor)
+            self.coarse_map.check_invariants()
         if self.fine_map is not None:
             self.fine_map = im.update_fine(
-                self.fine_map, self.angles, True,
+                self.fine_map, self.angles, event.is_detection,
                 amplitude=cfg.fine_bump_amplitude, sigma=cfg.fine_bump_sigma,
                 clip_radius=cfg.fine_clip_radius, clip_factor=cfg.clip_factor,
                 discount=cfg.view_discount,
-                view_half_widths=self._view_half_widths())
-        self._check_maps()
+                view_half_widths=(0.5 * self.camera_model.hfov,
+                                  0.5 * self.camera_model.vfov))
+            self.fine_map.check_invariants()
 
-    def _apply_background(self):
-        if self.fine_map is not None:
-            self.fine_map = im.update_fine(
-                self.fine_map, self.angles, False,
-                discount=self.config.view_discount,
-                view_half_widths=self._view_half_widths())
-            self._check_maps()
-
-    def _view_half_widths(self):
-        return (0.5 * self.camera_model.hfov, 0.5 * self.camera_model.vfov)
-
-    def _slew_camera(self, target_state):
+    def _slew_camera(self, target_state, charge=True):
         self.angles = tuple(target_state.tolist())
-        self._charge("camera", self.config.fine_dt)
-        self.log.counters["camera_slews"] += 1
+        if charge:
+            self._charge("camera", self.config.fine_dt)
+            self.log.counters["camera_slews"] += 1
         self.log.camera_states.append((self.log.sim_time, *self.angles))
 
-    # ---- sweeps ----
+    # ---- main loop ----
 
-    def _sweep_optimized(self):
-        """One camera sweep: exactly ``fine_horizon`` images unless the
-        mission clock runs out mid-sweep.
-
-        A detection updates both maps and triggers an immediate camera
-        replan; the sweep then continues along the new plan (slewing first,
-        so consecutive frames never sit still on the same target).
-        """
-        detections = 0
-        replans = 0
-        images = 0
-        plan = self._plan_fine(warm=self.fine_plan and shift_warm_start(self.fine_plan))
-        self.fine_plan = plan
-        next_state = 1   # plan state the next slew targets
+    def _sweep(self):
+        """One camera sweep: ``fine_horizon`` images (one for the fixed
+        camera), each after the method's aim step, until a charge exhausts
+        the budget.  The optimized camera slews along a sweep plan, replanned
+        after each detection; the random camera slews to a uniform draw, the
+        first of a sweep placed without a charge; the fixed camera stays."""
+        cfg = self.config
+        mode = cfg.camera_mode
+        per_sweep = 1 if mode == "fixed" else cfg.fine_horizon
+        if mode == "optimized":
+            self._plan_fine()
+            next_state = 1   # plan state the next slew targets
+        detections = images = replans = 0
         while not self._out_of_time():
-            event = self._take_image()
-            images += 1
-            if event.is_detection:
-                detections += 1
-                self._apply_detection(event)
-            else:
-                self._apply_background()
-            if images >= self.config.fine_horizon or self._out_of_time():
-                break
-            if event.is_detection:
-                plan = self._plan_fine(warm=shift_warm_start(plan))
-                self.fine_plan = plan
-                replans += 1
-                next_state = 1
-                if self._out_of_time():
-                    break
-            self._slew_camera(plan.states[min(next_state,
-                                              self.config.fine_horizon - 1)])
-            next_state += 1
-        return detections, images, replans
-
-    def _sweep_fixed(self):
-        event = self._take_image()
-        if event.is_detection:
-            self._apply_detection(event)
-            return 1, 1, 0
-        return 0, 1, 0
-
-    def _sweep_random(self):
-        detections = 0
-        images = 0
-        fine_ws = self.config.fine_workspace()
-        for j in range(self.config.fine_horizon):
+            if mode == "random":
+                fine_ws = self.fine_basis.workspace
+                self._slew_camera(fine_ws.lows + self.rng.random(2) * fine_ws.lengths,
+                                  charge=images > 0)
+            elif mode == "optimized" and images:
+                if event.is_detection:
+                    self._plan_fine()
+                    replans += 1
+                    next_state = 1
+                    if self._out_of_time():
+                        break
+                self._slew_camera(self.fine_plan.states[min(next_state,
+                                                            cfg.fine_horizon - 1)])
+                next_state += 1
             if self._out_of_time():
                 break
-            angles = fine_ws.lows + self.rng.random(2) * fine_ws.lengths
-            if j > 0:
-                self._slew_camera(angles)
-            else:
-                self.angles = tuple(angles.tolist())
-                self.log.camera_states.append((self.log.sim_time, *self.angles))
             event = self._take_image()
             images += 1
-            if event.is_detection:
-                detections += 1
-                self._apply_detection(event)
-        return detections, images, 0
-
-    # ---- main loop ----
+            detections += event.is_detection
+            self._update_maps(event)
+            if images == per_sweep:
+                break
+        return detections, images, replans
 
     def run(self):
         cfg = self.config
@@ -530,15 +501,10 @@ class Mission:
         self.log.camera_states.append((self.log.sim_time, *self.angles))
         if self.memory:
             self.memory.add([self.pose[:2]])
-        self._plan_coarse(warm=None, reason="initial")
+        self._plan_coarse("initial")
 
         while not self._out_of_time():
-            if cfg.camera_mode == "optimized":
-                detections, images, replans = self._sweep_optimized()
-            elif cfg.camera_mode == "fixed":
-                detections, images, replans = self._sweep_fixed()
-            else:
-                detections, images, replans = self._sweep_random()
+            detections, images, replans = self._sweep()
             if self._out_of_time():
                 # final partial sweep is not followed by a body step
                 break
@@ -564,18 +530,18 @@ class Mission:
                 self.memory.add([self.pose[:2]])
                 self.log.metric_trace.append(
                     (self.log.sim_time, self.memory.metric_against(self.coarse_phi)))
-
             if self._out_of_time():
                 break
-            if detections > 0:
-                self._plan_coarse(warm=shift_warm_start(self.coarse_plan),
-                                  reason="detections")
+
+            if detections:
+                reason = "detections"
             elif self.step_index >= cfg.coarse_horizon - 1:
-                self._plan_coarse(warm=shift_warm_start(self.coarse_plan),
-                                  reason="exhausted")
-            elif self.step_index % max(cfg.replan_interval, 1) == 0:
-                self._plan_coarse(warm=shift_warm_start(self.coarse_plan),
-                                  reason="receding")
+                reason = "exhausted"
+            elif self.step_index % cfg.replan_interval == 0:
+                reason = "receding"
+            else:
+                continue
+            self._plan_coarse(reason)
 
         self.log.counters["detections"] = len(self.log.detections())
         return self.log

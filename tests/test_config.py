@@ -35,7 +35,9 @@ class TestHorizons:
 
 
 # one bad value per field; each used to pass construction and then stop the
-# mission with a ValueError traceback and exit status 1
+# mission with a ValueError traceback and exit status 1, or, for the budget
+# and the charges, keep it running forever (a replan interval below 1 was
+# read as 1)
 BAD_FIELDS = [
     ("coarse_dt", 0.0, "coarse_dt must be positive"),
     ("fine_dt", -0.4, "fine_dt must be positive"),
@@ -43,7 +45,22 @@ BAD_FIELDS = [
     ("fine_modes", 0, "fine_modes must be at least 1"),
     ("coarse_resolution", [100, 0], "coarse_resolution needs at least one cell"),
     ("fine_resolution", [0, 24], "fine_resolution needs at least one cell"),
+    ("time_budget", float("nan"), "time_budget must be finite and positive"),
+    ("time_budget", float("inf"), "time_budget must be finite and positive"),
+    ("coarse_plan_time", -2.0, "coarse_plan_time must be nonnegative"),
+    ("fine_plan_time", -0.5, "fine_plan_time must be nonnegative"),
+    ("image_time", float("nan"), "image_time must be nonnegative"),
+    ("image_time", -0.139, "image_time must be nonnegative"),
+    ("replan_interval", 0, "replan_interval must be at least 1"),
 ]
+
+
+class TestMethod:
+    def test_method_sets_the_camera_mode(self):
+        config = ExperimentConfig.from_dict({"method": "eto-fixed-camera"})
+        assert config.mission.camera_mode == "fixed"
+        assert config.for_method("eto-random-camera").mission.camera_mode == "random"
+        assert ExperimentConfig().mission.camera_mode == "optimized"
 
 
 class TestFieldValidation:

@@ -2,13 +2,15 @@
 
 Short missions (30–120 s of simulated time) check the invariants the
 docstrings of ``planner``, ``bench`` and ``cli`` promise: the clock is the
-sum of its charges, sweeps take ``fine_horizon`` images, comparisons stay
+sum of its charges, sweeps take ``fine_horizon`` images, no image starts
+after the budget, each coarse map is transformed once, comparisons stay
 paired, bad input exits with status 2, and ``run --out`` writes the
 solver trace of the mission's own first coarse plan.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 import bleto.bench
@@ -58,6 +60,47 @@ class TestMissionInvariants:
         # only the final sweep, cut short by the clock, has no body step
         unstepped = log.counters["images"] - sum(log.images_per_body_step)
         assert 0 <= unstepped <= per_sweep
+
+    @pytest.mark.parametrize("method", sorted(bleto.bench.METHODS))
+    def test_no_image_starts_after_the_budget(self, method):
+        # at 100 s the random camera's last slew on seed 1 used to run out the
+        # clock and still be followed by an image, started at 100.092 s
+        budget = 100.0
+        log = run_mission(method, 1, time_budget=budget)
+        image_time = BiLevelConfig().image_time
+        assert log.events
+        assert all(e.time - image_time < budget for e in log.events)
+
+    def test_each_coarse_map_is_transformed_once(self, monkeypatch):
+        # a receding bl-eto mission that detects a rock: every coarse plan
+        # chases the coefficients of the map current at that plan, and no
+        # coarse map object is transformed twice
+        real_coefficients = bleto.planner.map_coefficients
+        real_planner = bleto.planner.ergodic_coarse_planner
+        transformed = []
+        plans = []
+
+        def recording_coefficients(basis, grid_map):
+            if grid_map.shape == tuple(mission.config.coarse_resolution):
+                transformed.append(grid_map)
+            return real_coefficients(basis, grid_map)
+
+        def checking_planner(pose, phi, basis, config, **kw):
+            plans.append(mission.coarse_map)
+            assert np.array_equal(phi, real_coefficients(basis, mission.coarse_map))
+            return real_planner(pose, phi, basis, config, **kw)
+
+        monkeypatch.setattr(bleto.planner, "map_coefficients", recording_coefficients)
+        monkeypatch.setattr(bleto.planner, "ergodic_coarse_planner", checking_planner)
+        config = ExperimentConfig(
+            mission=BiLevelConfig(time_budget=SWEEP_BUDGET_S)).for_method("bl-eto")
+        mission = Mission(config.mission, build_scenario(config, 1), 1,
+                          camera_model=config.camera)
+        log = mission.run()
+        assert log.detections() and "receding" in log.coarse_replan_reasons
+        assert len({id(m) for m in transformed}) == len(transformed)
+        assert [id(m) for m in transformed] == list(dict.fromkeys(id(m) for m in plans))
+        assert len(transformed) < len(plans) == log.counters["coarse_plans"]
 
     def test_track_noise_is_deterministic(self):
         noisy = [run_mission("bl-eto", 3, time_budget=60.0, track_noise=0.2)

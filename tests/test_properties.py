@@ -7,7 +7,7 @@ Example counts are capped so that the module costs a few seconds.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -112,11 +112,16 @@ def rock_views(draw):
 class TestDetectionRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(rock_views())
+    # two rocks of different classes at one point: no distance tie may
+    # decide which class the detection has to match
+    @example((Scenario(COARSE, (Rock(11.0, 10.0, "sedimentary"),
+                                Rock(11.0, 10.0, "igneous"))),
+              (10.0, 10.0, 0.0), (0.0, -math.pi / 4)))
     def test_projected_detection_lands_on_the_classified_rock(self, view):
         scenario, body, angles = view
         label, offset = classify_view(scenario, CAMERA, body, angles,
                                       np.random.default_rng(0))
         assert label != "background"
         x, y = project_detection(body, angles, CAMERA, offset, workspace=COARSE)
-        error, kind = min((math.hypot(x - r.x, y - r.y), r.kind) for r in scenario.rocks)
-        assert error <= 1e-9 and kind == label
+        assert any(math.hypot(x - r.x, y - r.y) <= 1e-9 and r.kind == label
+                   for r in scenario.rocks)
