@@ -9,8 +9,7 @@ harness for comparing fixed-, random-, and optimized-camera exploration.
 from .dynamics import (ControlBounds, SingleIntegratorModel, UnicycleModel,
                        rollout)
 from .ergodic import (CoverageCost, FourierBasis, OutsideWorkspaceError,
-                      Workspace, ergodic_metric, map_coefficients,
-                      trajectory_coefficients)
+                      Workspace, ergodic_metric, map_coefficients)
 from .infomap import (DetectionEvent, InfoMap, init_coarse, project_to_fine,
                       register_detection, update_fine)
 from .planner import (BiLevelConfig, CoverageMemory, Mission, MissionLog,

@@ -50,9 +50,10 @@ class UnicycleModel:
     def step_batch(self, states, controls, dt):
         h = states[:, 2]
         v = controls[:, 0]
+        dt_v = dt * v
         out = np.empty_like(states)
-        out[:, 0] = states[:, 0] + dt * v * np.cos(h)
-        out[:, 1] = states[:, 1] + dt * v * np.sin(h)
+        out[:, 0] = states[:, 0] + dt_v * np.cos(h)
+        out[:, 1] = states[:, 1] + dt_v * np.sin(h)
         out[:, 2] = h + dt * controls[:, 1]
         return out
 
@@ -63,13 +64,14 @@ class UnicycleModel:
         T = states.shape[0]
         h = states[:, 2]
         v = controls[:, 0]
-        A = np.empty((T, 3, 3))
-        A[:] = np.eye(3)
-        A[:, 0, 2] = -dt * v * np.sin(h)
-        A[:, 1, 2] = dt * v * np.cos(h)
+        sin_h, cos_h = np.sin(h), np.cos(h)
+        A = np.zeros((T, 3, 3))
+        A.reshape(T, 9)[:, ::4] = 1.0  # the identity: entries (0,0), (1,1), (2,2)
+        A[:, 0, 2] = -dt * v * sin_h
+        A[:, 1, 2] = dt * v * cos_h
         B = np.zeros((T, 3, 2))
-        B[:, 0, 0] = dt * np.cos(h)
-        B[:, 1, 0] = dt * np.sin(h)
+        B[:, 0, 0] = dt * cos_h
+        B[:, 1, 0] = dt * sin_h
         B[:, 2, 1] = dt
         return A, B
 
@@ -92,10 +94,10 @@ class SingleIntegratorModel:
 
     def jacobians(self, states, controls, dt):
         T = np.atleast_2d(states).shape[0]
-        A = np.empty((T, 2, 2))
-        A[:] = np.eye(2)
-        B = np.empty((T, 2, 2))
-        B[:] = dt * np.eye(2)
+        A = np.zeros((T, 2, 2))
+        A.reshape(T, 4)[:, ::3] = 1.0  # entries (0,0) and (1,1)
+        B = np.zeros((T, 2, 2))
+        B.reshape(T, 4)[:, ::3] = dt
         return A, B
 
     def workspace_points(self, states):

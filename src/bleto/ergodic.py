@@ -24,7 +24,6 @@ __all__ = [
     "OutsideWorkspaceError",
     "Workspace",
     "FourierBasis",
-    "trajectory_coefficients",
     "map_coefficients",
     "ergodic_metric",
     "CoverageCost",
@@ -151,22 +150,19 @@ class FourierBasis:
         self._axis_slots = tuple(
             tuple(slice(None) if j == i else None for j in range(v)) + (slice(None),)
             for i in range(v))
+        # what the table paths would otherwise rebuild on every call: the
+        # derivative's factor -omega per axis, the axis lows, and the
+        # normalizers as divisors of (nK, T) values and (nK, T, v) gradients
+        self._neg_frequencies = tuple(-omega for omega in self._axis_frequencies)
+        self._lows = tuple(workspace.lows)
+        self._value_normalizers = self.normalizers[:, None]
+        self._gradient_normalizers = self.normalizers[:, None, None]
         for arr in (self.modes, self.weights, self.normalizers, self.angular,
-                    *self._axis_frequencies):
+                    *self._axis_frequencies, *self._neg_frequencies):
             arr.flags.writeable = False
 
     def __len__(self):
         return self.modes.shape[0]
-
-    def mode_index(self, k):
-        """Flat index of an integer mode vector."""
-        k = tuple(int(i) for i in np.atleast_1d(k))
-        idx = 0
-        for ki, mi in zip(k, self.modes_per_axis):
-            if not 0 <= ki < mi:
-                raise ValueError(f"mode {k} not in basis")
-            idx = idx * mi + ki
-        return idx
 
     # ---- vectorized paths used by the metric and the solver ----
     #
@@ -176,10 +172,10 @@ class FourierBasis:
 
     def _axis_tables(self, axis_points):
         """Per-axis phase tables ω_{k,i} (w_i - low_i) and their cosines,
-        two lists of (m_i, n_i) arrays."""
-        phases = [omega * (np.asarray(pts_i, dtype=float) - low)
+        two lists of (m_i, n_i) arrays, from one float array per axis."""
+        phases = [omega * (pts_i - low)
                   for omega, pts_i, low in zip(self._axis_frequencies, axis_points,
-                                               self.workspace.lows)]
+                                               self._lows)]
         return phases, [np.cos(p) for p in phases]
 
     def _grid_product(self, tables, skip=None):
@@ -197,19 +193,20 @@ class FourierBasis:
 
         Built once, they serve both, so a caller that needs the gradient
         only later (the solver's line search) does not evaluate the point
-        twice.  ``check=False`` skips the containment test for callers that
-        already guarantee it (the solver's barrier keeps iterates inside).
+        twice.  ``check=False`` skips the conversion and the containment
+        test for callers that pass a (T, v) float array already inside the
+        workspace (the solver's barrier keeps iterates inside).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if check:
-            self.workspace.require_inside(pts, what="trajectory point")
-        return self._axis_tables(pts.T)
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+            self.workspace.require_inside(points, what="trajectory point")
+        return self._axis_tables(points.T)
 
     def table_values(self, tables):
         """Basis values from ``point_tables``, shape (n_modes, n_points)."""
         cos = tables[1]
         values = self._grid_product(cos)
-        return values.reshape(len(self), cos[0].shape[1]) / self.normalizers[:, None]
+        return values.reshape(-1, cos[0].shape[1]) / self._value_normalizers
 
     def table_gradients(self, tables):
         """Spatial gradients from ``point_tables``, shape (nK, T, v).
@@ -219,15 +216,15 @@ class FourierBasis:
         phases, cos = tables
         v, T = len(cos), cos[0].shape[1]
         grads = np.empty(self.modes_per_axis + (T, v))
-        for i, (omega, p) in enumerate(zip(self._axis_frequencies, phases)):
-            dcos = (-omega * np.sin(p))[self._axis_slots[i]]
+        for i, (neg_omega, p) in enumerate(zip(self._neg_frequencies, phases)):
+            dcos = (neg_omega * np.sin(p))[self._axis_slots[i]]
             others = self._grid_product(cos, skip=i)
             if others is None:
                 grads[..., i] = dcos
             else:
                 np.multiply(dcos, others, out=grads[..., i])
-        grads = grads.reshape(len(self), T, v)
-        grads /= self.normalizers[:, None, None]
+        grads = grads.reshape(-1, T, v)
+        grads /= self._gradient_normalizers
         return grads
 
     def eval_points(self, points, check=True):
@@ -246,15 +243,7 @@ class FourierBasis:
         the result is one (modes_per_axis[i], len(axis_points[i])) table
         per axis, *without* the 1/h_k normalization (applied by callers).
         """
-        return self._axis_tables(axis_points)[1]
-
-
-def trajectory_coefficients(basis, points):
-    """Time-averaged basis values c_k = (1/T) sum_t F_k(w_t)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValueError("trajectory must contain at least one point")
-    return basis.eval_points(pts).mean(axis=1)
+        return self._axis_tables([np.asarray(p, dtype=float) for p in axis_points])[1]
 
 
 def map_coefficients(basis, grid_map, normalization_tol=1e-6):
@@ -298,19 +287,21 @@ class CoverageCost:
     Construction evaluates the basis at the points once and keeps its
     per-axis tables (``FourierBasis.point_tables``); ``gradient`` finishes
     dE/dw_t from them only when asked, as the solver's line search needs.
-    ``check=False`` skips the containment test for callers that already
-    guarantee it.
+    ``check=False`` skips the conversion, the length check and the
+    containment test for callers that pass a nonempty (T, v) float array
+    already inside the workspace.
     """
 
     __slots__ = ("basis", "horizon", "tables", "coefficients", "residual", "cost")
 
     def __init__(self, basis, points, target_coefficients, check=True):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] < 1:
-            raise ValueError("trajectory must contain at least one point")
+        if check:
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+            if points.shape[0] < 1:
+                raise ValueError("trajectory must contain at least one point")
         self.basis = basis
-        self.horizon = pts.shape[0]
-        self.tables = basis.point_tables(pts, check)
+        self.horizon = points.shape[0]
+        self.tables = basis.point_tables(points, check)
         self.coefficients = basis.table_values(self.tables).sum(axis=1) / self.horizon
         self.residual = self.coefficients - target_coefficients
         r = self.residual

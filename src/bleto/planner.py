@@ -121,8 +121,13 @@ class BiLevelConfig:
         if self.coarse_horizon < 2 or self.fine_horizon < 2:
             raise ValueError("horizons must be at least 2 steps")
         for name in ("coarse_dt", "fine_dt"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("coarse_control_weight", "fine_control_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
         for name in ("coarse_modes", "fine_modes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -18,6 +18,27 @@ fraction-to-boundary rule.  Nothing is evaluated twice at the same point,
 except at the start of an outer round, whose new multipliers, penalty and
 barrier weight change the merit itself.
 
+Bit-for-bit rule.  A solve spends its time in per-call numpy overhead, not
+in arithmetic, so the inner loop is written for few numpy calls, but every
+float it produces comes from the same ufunc or BLAS call, on the same
+operands, in the same order as the plain form would compute it: 1-D dot
+products call ``ndarray.dot`` (the BLAS ddot that ``@`` reaches too),
+norms call ``_norm`` (numpy's own definition of ``np.linalg.norm`` for a
+1-D vector), projections call ``ndarray.clip`` (the ufunc behind
+``np.clip``), and ``_merit`` and ``_max_feasible_alpha`` slice ``z`` by its
+fixed layout instead of going through ``ErgodicProblem.split``.  Rewrites
+that change the bits are not speed-ups under this rule:
+
+* reassociating a sum or a product;
+* folding ``1/h_k`` into coefficients, or multiplying by a reciprocal
+  where the code divides;
+* merging separate ``.sum()`` calls;
+* replacing an ``einsum`` or a sequential dot with ``@``, ``tensordot`` or
+  a matrix product.
+
+``tests/test_solver.py::TestByteIdentity`` pins the outputs of three
+solves, and the golden mission digests pin whole missions.
+
 An ``ErgodicProblem`` sets only the optimality tolerance and the iteration
 caps.  Everything else is a module constant, the same for every problem:
 ``_DEFECT_TOL`` 1e-5, ``_PENALTY_INIT`` 10, ``_PENALTY_GROWTH`` 10,
@@ -29,6 +50,7 @@ identical inputs produce bit-identical outputs; independent solves can run
 in parallel.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -85,8 +107,8 @@ class ErgodicProblem:
         self.control_weight = np.asarray(self.control_weight, dtype=float)
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 steps")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.target_coefficients.shape != (len(self.basis),):
             raise ValueError("target coefficient length must match the basis")
         R = self.control_weight
@@ -241,9 +263,11 @@ def _merit(problem, z, lam, rho, mu, scale, sig):
     gradient is not formed here.
     """
     model, ws = problem.model, problem.workspace
-    xs, us = problem.split(z)
-    states = np.concatenate([problem.initial_state[None, :], xs])
-    pts = model.workspace_points(states)
+    k = problem.n_state_vars
+    states = np.concatenate([problem.initial_state[None, :],
+                             z[:k].reshape(problem.horizon - 1, model.state_dim)])
+    us = z[k:].reshape(problem.horizon, model.control_dim)
+    pts = states[:, :model.workspace_dims]
 
     rel = pts[1:] - ws.lows
     m_hi = ws.lengths - rel
@@ -317,7 +341,7 @@ class _MeritPoint:
         g_pts[1:] += g_step
         g_pts[:-1] -= g_step
 
-        g_states = np.zeros_like(states)
+        g_states = np.zeros(states.shape)
         g_states[:, :model.workspace_dims] = g_pts
         g_us = self.scale * 2.0 * self.Ru
         A, B = model.jacobians(states[:-1], us[:-1], problem.dt)
@@ -335,9 +359,9 @@ def _max_feasible_alpha(problem, point, step_z):
     the point whose merit evaluation is ``point``; its finite merit means
     it is strictly interior.  The margins are the ones the merit already
     computed."""
-    dxs, _ = problem.split(step_z)
-    v = problem.model.workspace_dims
-    dpts = dxs[:, :v]
+    model = problem.model
+    dxs = step_z[: problem.n_state_vars].reshape(problem.horizon - 1, model.state_dim)
+    dpts = dxs[:, :model.workspace_dims]
     with np.errstate(divide="ignore", invalid="ignore"):
         # distance to the face each coordinate moves toward, over its speed
         gap = np.where(dpts < 0.0, point.m_lo, point.m_hi)
@@ -355,21 +379,27 @@ def _max_feasible_alpha(problem, point, step_z):
         disc = np.sqrt(np.maximum(b ** 2 - 4.0 * a * c, 0.0))
         roots = (-b + disc) / (2.0 * a)
         alpha = roots.min(initial=alpha, where=(a > 0.0) & (roots > 0.0))
-    return float(alpha) if np.isfinite(alpha) else 1.0
+    return float(alpha) if math.isfinite(alpha) else 1.0
+
+
+def _norm(x):
+    """Euclidean norm of a 1-D float vector: numpy's own definition of
+    ``np.linalg.norm`` for one, without that function's dispatch."""
+    return math.sqrt(x.dot(x))
 
 
 def _two_loop(g, pairs):
     q = np.array(g)
     alphas = []
     for s, y, rho_i in reversed(pairs):
-        a = rho_i * (s @ q)
+        a = rho_i * s.dot(q)
         q -= a * y
         alphas.append(a)
     if pairs:
         s, y, _ = pairs[-1]
-        q *= (s @ y) / (y @ y)
+        q *= s.dot(y) / y.dot(y)
     for (s, y, rho_i), a in zip(pairs, reversed(alphas)):
-        b = rho_i * (y @ q)
+        b = rho_i * y.dot(q)
         q += (a - b) * s
     return q
 
@@ -505,8 +535,7 @@ def solve(problem, warm_start=None):
         while it < problem.inner_cap:
             # projected gradient in the preconditioned frame
             g_w = precond * g
-            pg_norm = float(np.linalg.norm(
-                (z - np.clip(z - precond * g_w, lower, upper)) / precond))
+            pg_norm = _norm((z - (z - precond * g_w).clip(lower, upper)) / precond)
             diag.trace.append((diag.iterations + it, f, aux[0], aux[1], pg_norm))
             if pg_norm <= inner_tol:
                 break
@@ -514,19 +543,19 @@ def solve(problem, warm_start=None):
             if len(window) == window.maxlen and window[0] - f <= 1e-9 * (1.0 + abs(f)):
                 break  # this round has flattened out; let the multipliers move
             direction = -_two_loop(g_w, pairs)
-            if direction @ g_w >= 0.0:
+            if direction.dot(g_w) >= 0.0:
                 direction = -g_w
                 pairs.clear()
             step_z = precond * direction
             alpha = min(1.0, 0.95 * _max_feasible_alpha(problem, point, step_z))
             accepted = None
             for _ in range(30):
-                z_new = np.clip(z + alpha * step_z, lower, upper)
+                z_new = (z + alpha * step_z).clip(lower, upper)
                 step = z_new - z
-                if float(np.linalg.norm(step)) == 0.0:
+                if _norm(step) == 0.0:
                     break
                 f_new, aux_new, trial = _merit(problem, z_new, lam, rho, mu, scale, sig)
-                if f_new <= f + _ARMIJO * min(0.0, float(g @ step)):
+                if f_new <= f + _ARMIJO * min(0.0, float(g.dot(step))):
                     accepted = trial
                     break
                 alpha *= 0.5
@@ -547,8 +576,8 @@ def solve(problem, warm_start=None):
             g_new = accepted.gradient()
             s_w = step / precond
             y_w = precond * (g_new - g)
-            sy = float(s_w @ y_w)
-            if sy > 1e-8 * float(np.linalg.norm(s_w) * np.linalg.norm(y_w)):
+            sy = float(s_w.dot(y_w))
+            if sy > 1e-8 * (_norm(s_w) * _norm(y_w)):
                 pairs.append((s_w, y_w, 1.0 / sy))
             z, f, g, aux, point = z_new, f_new, g_new, aux_new, accepted
         diag.iterations += it

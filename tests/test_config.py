@@ -52,6 +52,11 @@ BAD_FIELDS = [
     ("image_time", float("nan"), "image_time must be nonnegative"),
     ("image_time", -0.139, "image_time must be nonnegative"),
     ("replan_interval", 0, "replan_interval must be at least 1"),
+    ("coarse_dt", float("inf"), "coarse_dt must be positive and finite"),
+    ("fine_dt", float("inf"), "fine_dt must be positive and finite"),
+    ("coarse_control_weight", float("nan"),
+     "coarse_control_weight must be finite and nonnegative"),
+    ("fine_control_weight", -1.0, "fine_control_weight must be finite and nonnegative"),
 ]
 
 

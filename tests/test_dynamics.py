@@ -135,3 +135,81 @@ class TestWorkspaceMaps:
                 du[i] = eps
                 fd = (model.step(x, u + du, 0.7) - model.step(x, u - du, 0.7)) / (2 * eps)
                 assert np.allclose(B[0][:, i], fd, atol=1e-6)
+
+
+def reference_unicycle_jacobians(states, controls, dt):
+    """``UnicycleModel.jacobians`` as it was: sin and cos of the heading
+    taken twice each, the identity broadcast from ``np.eye``."""
+    states = np.atleast_2d(states)
+    controls = np.atleast_2d(controls)
+    T = states.shape[0]
+    h = states[:, 2]
+    v = controls[:, 0]
+    A = np.empty((T, 3, 3))
+    A[:] = np.eye(3)
+    A[:, 0, 2] = -dt * v * np.sin(h)
+    A[:, 1, 2] = dt * v * np.cos(h)
+    B = np.zeros((T, 3, 2))
+    B[:, 0, 0] = dt * np.cos(h)
+    B[:, 1, 0] = dt * np.sin(h)
+    B[:, 2, 1] = dt
+    return A, B
+
+
+def reference_unicycle_step_batch(states, controls, dt):
+    """``UnicycleModel.step_batch`` as it was: ``dt * v`` formed twice."""
+    h = states[:, 2]
+    v = controls[:, 0]
+    out = np.empty_like(states)
+    out[:, 0] = states[:, 0] + dt * v * np.cos(h)
+    out[:, 1] = states[:, 1] + dt * v * np.sin(h)
+    out[:, 2] = h + dt * controls[:, 1]
+    return out
+
+
+def reference_integrator_jacobians(states, controls, dt):
+    """``SingleIntegratorModel.jacobians`` as it was, from ``np.eye``."""
+    T = np.atleast_2d(states).shape[0]
+    A = np.empty((T, 2, 2))
+    A[:] = np.eye(2)
+    B = np.empty((T, 2, 2))
+    B[:] = dt * np.eye(2)
+    return A, B
+
+
+class TestBatchedForms:
+    """The models' batched steps and Jacobians match their earlier forms
+    to the bit."""
+
+    def test_unicycle_step_batch_matches_reference(self):
+        rng = np.random.default_rng(6)
+        model = UnicycleModel()
+        for T in (1, 4, 47):
+            for _ in range(100):
+                states = rng.normal(size=(T + 1, 3)) * 10.0
+                controls = rng.normal(size=(T + 1, 2))
+                dt = float(10.0 ** rng.uniform(-2, 2))
+                got = model.step_batch(states[:-1], controls[:-1], dt)
+                expect = reference_unicycle_step_batch(states[:-1], controls[:-1], dt)
+                assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("model,reference", [
+        (UnicycleModel(), reference_unicycle_jacobians),
+        (SingleIntegratorModel(), reference_integrator_jacobians),
+    ])
+    def test_jacobians_match_reference(self, model, reference):
+        rng = np.random.default_rng(5)
+        for T in (1, 4, 47):
+            for _ in range(100):
+                # views of a larger array, as the solver passes them
+                states = rng.normal(size=(T + 1, model.state_dim)) * 10.0
+                controls = rng.normal(size=(T + 1, model.control_dim))
+                dt = float(10.0 ** rng.uniform(-2, 2))
+                got = model.jacobians(states[:-1], controls[:-1], dt)
+                expect = reference(states[:-1], controls[:-1], dt)
+                for g, e in zip(got, expect):
+                    assert np.array_equal(g.view(np.int64), e.view(np.int64))
+        # one state given as a 1-D vector
+        x, u = states[0], controls[0]
+        for g, e in zip(model.jacobians(x, u, dt), reference(x, u, dt)):
+            assert np.array_equal(g, e)

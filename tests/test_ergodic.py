@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bleto.ergodic import (CoverageCost, FourierBasis, OutsideWorkspaceError,
-                           Workspace, ergodic_metric, map_coefficients,
-                           trajectory_coefficients)
+                           Workspace, ergodic_metric, map_coefficients)
 from bleto.infomap import InfoMap, init_coarse
+from oracles import mode_index, trajectory_coefficients
 
 
 def basis_value(basis, k_index, point):
@@ -82,11 +82,11 @@ class TestWorkspace:
 class TestBasisValue:
     def test_constant_mode_value(self, basis8, square100):
         # k = 0 basis is constant 1/h_0, h_0 = sqrt(100*100)
-        idx = basis8.mode_index((0, 0))
+        idx = mode_index(basis8, (0, 0))
         assert basis_value(basis8, idx, (12.3, 98.2)) == pytest.approx(0.01)
 
     def test_cosine_zero_crossing(self, basis8):
-        idx = basis8.mode_index((1, 0))
+        idx = mode_index(basis8, (1, 0))
         assert basis_value(basis8, idx, (50.0, 37.2)) == pytest.approx(0.0, abs=1e-15)
 
     def test_outside_point_raises(self, basis8):
@@ -126,19 +126,19 @@ class TestBasisValue:
             assert abs(val) < 1e-6
 
     def test_weights_follow_sobolev_rule(self, basis8):
-        idx = basis8.mode_index((1, 0))
+        idx = mode_index(basis8, (1, 0))
         assert basis8.weights[idx] == pytest.approx(2.0 ** -1.5)
-        idx = basis8.mode_index((3, 4))
+        idx = mode_index(basis8, (3, 4))
         assert basis8.weights[idx] == pytest.approx((1 + 25.0) ** -1.5)
 
 
 class TestBasisGradient:
     def test_constant_mode_gradient_zero(self, basis8):
-        g = basis_gradient(basis8, basis8.mode_index((0, 0)), (33.0, 44.0))
+        g = basis_gradient(basis8, mode_index(basis8, (0, 0)), (33.0, 44.0))
         assert np.allclose(g, 0.0)
 
     def test_gradient_zero_at_origin(self, basis8):
-        g = basis_gradient(basis8, basis8.mode_index((1, 0)), (0.0, 0.0))
+        g = basis_gradient(basis8, mode_index(basis8, (1, 0)), (0.0, 0.0))
         assert np.allclose(g, 0.0)
 
     def test_matches_central_differences(self, basis8):
@@ -230,6 +230,79 @@ class TestSeparableKernel:
         with pytest.raises(OutsideWorkspaceError):
             basis.eval_points_with_gradient(pts)
 
+    def test_tables_match_reference_forms(self, basis):
+        # the solver's unchecked path against the table code as it was
+        # before the basis kept its per-call constants
+        ws = basis.workspace
+        rng = np.random.default_rng(29)
+        for T in (1, 2, 5, 48):
+            states = rng.random((T, ws.dims + 1))
+            states[:, :ws.dims] = ws.lows + states[:, :ws.dims] * ws.lengths
+            pts = states[:, :ws.dims]  # a strided view, as the solver passes
+            tables = basis.point_tables(pts, check=False)
+            expect = reference_point_tables(basis, pts)
+            for got, ref in zip(tables, expect):
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+            assert np.array_equal(basis.table_values(tables),
+                                  reference_table_values(basis, expect))
+            assert np.array_equal(basis.table_gradients(tables),
+                                  reference_table_gradients(basis, expect))
+
+
+def reference_axis_frequencies(basis):
+    """Per-axis (m_i, 1) frequency columns, built as the basis builds them."""
+    return [(np.arange(m) * np.pi / basis.workspace.lengths[i])[:, None]
+            for i, m in enumerate(basis.modes_per_axis)]
+
+
+def reference_grid_product(basis, tables, skip=None):
+    """Left-to-right product of per-axis tables over the mode grid."""
+    v = basis.workspace.dims
+    out = None
+    for i, table in enumerate(tables):
+        if i == skip:
+            continue
+        slot = tuple(slice(None) if j == i else None for j in range(v)) + (slice(None),)
+        out = table[slot] if out is None else out * table[slot]
+    return out
+
+
+def reference_point_tables(basis, points):
+    """``FourierBasis.point_tables`` as it was: every axis converted and
+    offset by the workspace's own lows on each call."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    phases = [omega * (np.asarray(pts_i, dtype=float) - low)
+              for omega, pts_i, low in zip(reference_axis_frequencies(basis), pts.T,
+                                           basis.workspace.lows)]
+    return phases, [np.cos(p) for p in phases]
+
+
+def reference_table_values(basis, tables):
+    """``FourierBasis.table_values`` as it was: the normalizer column built
+    on each call."""
+    cos = tables[1]
+    values = reference_grid_product(basis, cos)
+    return values.reshape(len(basis), cos[0].shape[1]) / basis.normalizers[:, None]
+
+
+def reference_table_gradients(basis, tables):
+    """``FourierBasis.table_gradients`` as it was: each frequency column
+    negated and the normalizers broadcast on each call."""
+    phases, cos = tables
+    v, T = len(cos), cos[0].shape[1]
+    grads = np.empty(basis.modes_per_axis + (T, v))
+    for i, (omega, p) in enumerate(zip(reference_axis_frequencies(basis), phases)):
+        slot = tuple(slice(None) if j == i else None for j in range(v)) + (slice(None),)
+        dcos = (-omega * np.sin(p))[slot]
+        others = reference_grid_product(basis, cos, skip=i)
+        if others is None:
+            grads[..., i] = dcos
+        else:
+            np.multiply(dcos, others, out=grads[..., i])
+    grads = grads.reshape(len(basis), T, v)
+    grads /= basis.normalizers[:, None, None]
+    return grads
+
 
 class TestTrajectoryCoefficients:
     def test_stationary_point(self, basis8):
@@ -319,7 +392,7 @@ class TestErgodicMetric:
     def test_single_mode_arithmetic(self, basis8):
         c = np.zeros(len(basis8))
         p = np.zeros(len(basis8))
-        c[basis8.mode_index((1, 0))] = 0.1
+        c[mode_index(basis8, (1, 0))] = 0.1
         expect = (2.0 ** -1.5) * 0.01
         assert ergodic_metric(basis8, c, p) == pytest.approx(expect, rel=1e-12)
 
@@ -409,6 +482,14 @@ class TestCoverageCost:
         coeff = weight * 2.0 * basis.weights * r / pts.shape[0]
         expect = np.einsum("k,ktv->tv", coeff, grads)
         assert np.array_equal(CoverageCost(basis, pts, phi).gradient(weight), expect)
+
+    def test_unchecked_cost_matches_checked(self, case):
+        basis, pts, phi = case
+        checked = CoverageCost(basis, pts, phi)
+        unchecked = CoverageCost(basis, pts, phi, check=False)
+        assert np.array_equal(unchecked.coefficients, checked.coefficients)
+        assert unchecked.cost == checked.cost
+        assert np.array_equal(unchecked.gradient(0.37), checked.gradient(0.37))
 
     def test_rejects_empty_and_outside_points(self, basis8):
         phi = np.zeros(len(basis8))

@@ -1,8 +1,10 @@
 """Golden mission outputs: short missions must reproduce pinned bytes.
 
-Each case runs one trial through ``bench.run_trial`` at a 120 s simulated
-budget and compares the sha256 of its deterministic artifacts,
-``metrics.json`` and ``detections.jsonl``, with digests pinned here.  A
+Each ``GOLDEN`` case runs one trial through ``bench.run_trial`` at a 120 s
+simulated budget and compares the sha256 of its deterministic artifacts,
+``metrics.json`` and ``detections.jsonl``, with digests pinned here; each
+``BENCHMARK_WORKLOADS`` case runs one of the benchmark's missions at its
+own, longer budget and compares ``metrics.json``.  A
 change that is meant to be a pure refactor or speed-up must keep every
 digest; a change that alters behaviour on purpose must update the digests
 and say why.
@@ -53,6 +55,31 @@ GOLDEN = {
         "detections.jsonl": "8ddcb7f5727c75c05bb6e8e3ccee4fe7c084a558e29bc25b5c0713f2b986aaea",
     },
 }
+
+
+# The seed-1 missions of the benchmark's three workloads at its own budgets,
+# configured as perfbench/workloads.py configures them, with the metrics.json
+# digests of perfbench/baseline.json (recorded at commit d490cd6).  The
+# receding mission makes 12 detections; the open-loop one covers the cold
+# solve, many fine solves and replans after an exhausted plan.
+BENCHMARK_WORKLOADS = {
+    "receding": ("bl-eto", 300.0, False,
+                 "ff2218f9e4ec4d21306e118caea34df362ddc5727fe7074e3af257fd9fd6187e"),
+    "open-loop": ("bl-eto", 2700.0, True,
+                  "e4fa91d5cc3cdb2eec3af334e5d56942a4523946c6b9e32296ac68d60ecac9d4"),
+    "fixed-camera": ("eto-fixed-camera", 300.0, False,
+                     "aed3ba6068146f551bc573bd08468356d462878e17acaf9106879f786ca7b61f"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_workload_matches_baseline_digest(workload, tmp_path):
+    method, budget, open_loop, digest = BENCHMARK_WORKLOADS[workload]
+    mission = BiLevelConfig(time_budget=budget)
+    if open_loop:  # the body replans only on detections or an exhausted plan
+        mission = mission.replaced(replan_interval=mission.coarse_horizon)
+    run_trial(ExperimentConfig(mission=mission).for_method(method), 1, out_dir=tmp_path)
+    assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("method,seed", sorted(GOLDEN))

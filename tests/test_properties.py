@@ -11,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bleto.ergodic import (CoverageCost, FourierBasis, Workspace, ergodic_metric,
-                           trajectory_coefficients)
+from bleto.ergodic import CoverageCost, FourierBasis, Workspace, ergodic_metric
 from bleto.infomap import (DetectionEvent, InfoMap, init_coarse,
                            register_detection, update_fine)
 from bleto.planner import DEFAULT_EPICENTERS, CoverageMemory
 from bleto.world import (ROCK_CLASSES, CameraModel, Rock, Scenario,
                          classify_view, project_detection)
+from oracles import trajectory_coefficients
 
 COARSE = Workspace((100.0, 100.0))
 FINE = Workspace((math.radians(270.0), math.radians(120.0)),

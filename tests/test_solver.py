@@ -2,18 +2,20 @@ import dataclasses
 import hashlib
 import math
 import struct
+from collections import deque
 
 import numpy as np
 import pytest
 
 from bleto.dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel
-from bleto.ergodic import (FourierBasis, Workspace, ergodic_metric,
-                           map_coefficients, trajectory_coefficients)
+from bleto.ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
 from bleto.infomap import InfoMap, init_coarse
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
                           objective_and_gradient, shift_warm_start, solve)
-from bleto.solver import (_max_feasible_alpha, _merit, _objective_scale,
-                          _preconditioner, _wavelength_scales)
+from bleto.solver import (_LBFGS_MEMORY, _max_feasible_alpha, _merit, _norm,
+                          _objective_scale, _preconditioner, _two_loop,
+                          _wavelength_scales)
+from oracles import trajectory_coefficients
 
 
 def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
@@ -63,7 +65,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             coarse_problem(x0=(120.0, 50.0, 0.0))
 
-    @pytest.mark.parametrize("dt", [0.0, -0.4])
+    @pytest.mark.parametrize("dt", [0.0, -0.4, math.inf, math.nan])
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
             dataclasses.replace(fine_problem(), dt=dt)
@@ -460,3 +462,70 @@ class TestByteIdentity:
                     == reference_max_feasible_alpha(prob, z, step_z))
             checked += 1
         assert checked == n
+
+
+def reference_two_loop(g, pairs):
+    """The L-BFGS two-loop recursion with ``@`` dot products, as the solver
+    wrote it before it called ``ndarray.dot``; kept as the reference for
+    ``_two_loop``."""
+    q = np.array(g)
+    alphas = []
+    for s, y, rho_i in reversed(pairs):
+        a = rho_i * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho_i), a in zip(pairs, reversed(alphas)):
+        b = rho_i * (y @ q)
+        q += (a - b) * s
+    return q
+
+
+class TestLeanForms:
+    """The inner loop's call-saving forms give the floats of the forms
+    they replaced, on random inputs of the solver's sizes (18 entries for
+    the default fine problem, 237 for the default coarse one)."""
+
+    SIZES = (1, 2, 18, 33, 237, 400)
+
+    @pytest.mark.parametrize("n_pairs", [0, 1, _LBFGS_MEMORY])
+    def test_two_loop_matches_reference(self, n_pairs):
+        rng = np.random.default_rng(60 + n_pairs)
+        for n in self.SIZES:
+            for _ in range(50):
+                pairs = deque(maxlen=_LBFGS_MEMORY)
+                for _ in range(n_pairs):
+                    s = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 2)
+                    y = s * rng.uniform(0.1, 10.0, n) + 1e-3 * rng.normal(size=n)
+                    pairs.append((s, y, 1.0 / float(s @ y)))
+                g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)
+                assert np.array_equal(_two_loop(g, pairs), reference_two_loop(g, pairs))
+
+    def test_norm_matches_numpy(self):
+        rng = np.random.default_rng(61)
+        for n in self.SIZES:
+            for _ in range(200):
+                x = rng.normal(size=n) * 10.0 ** rng.uniform(-160, 150, n)
+                x[rng.random(n) < 0.1] = 0.0
+                assert _norm(x) == float(np.linalg.norm(x))
+            # zero, and entries whose squares underflow: both read zero
+            for x in (np.zeros(n), np.full(n, 1e-170), np.full(n, -0.0)):
+                assert _norm(x) == float(np.linalg.norm(x)) == 0.0
+
+    def test_clip_form_matches_np_clip(self):
+        # the solver's bounds: -inf/+inf on the states, the boxes on the
+        # controls; a speed box starting at zero makes signed-zero ties
+        prob = dataclasses.replace(
+            coarse_problem(horizon=12, modes=4),
+            bounds=ControlBounds((0.0, -0.5), (0.3, 0.5), 6.75))
+        lower, upper = prob.decision_bounds()
+        rng = np.random.default_rng(62)
+        special = np.array([0.0, -0.0, 0.3, -0.5, 0.5, np.inf, -np.inf, np.nan])
+        for _ in range(500):
+            x = rng.normal(size=lower.size) * 10.0 ** rng.uniform(-3, 1)
+            pick = rng.random(x.size) < 0.3
+            x[pick] = rng.choice(special, pick.sum())
+            got, expect = x.clip(lower, upper), np.clip(x, lower, upper)
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
