@@ -5,16 +5,19 @@ so the three camera policies face identical worlds seed for seed.  The
 simulated clock is decoupled from the wall clock: a 90-minute mission runs
 in seconds to minutes of real time.
 
-Per-trial outputs: ``trajectory.csv``, ``detections.jsonl``, ``metrics.json``
-(deterministic; byte-identical across reruns of the same seed),
-``scenario.json``, ``map_final.pgm``/``map_final.csv``,
-``solver_trace.csv`` (one row per solver iteration of the mission's first
-coarse plan) and ``timing.txt`` (wall-clock, deliberately kept out of
-metrics.json).  Comparisons add ``table.json`` and ``table.txt``.
+Per-trial outputs: ``trajectory.csv`` (a row at the start and after each
+body step: the pose at time ``t`` and the camera angles held during the
+step), ``detections.jsonl``, ``metrics.json`` (deterministic; byte-identical
+across reruns of the same seed), ``scenario.json``,
+``map_final.pgm``/``map_final.csv``, ``solver_trace.csv`` (one row per
+solver iteration of the mission's first coarse plan) and ``timing.txt``
+(wall-clock, deliberately kept out of metrics.json).  Comparisons add
+``table.json`` and ``table.txt``.
 """
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -82,8 +85,14 @@ class ExperimentConfig:
                               f"choose from {sorted(METHODS)}")
         if not self.seeds:
             raise ConfigError("need at least one trial seed")
-        if self.rock_count < 0:
-            raise ConfigError("rock_count must be nonnegative")
+        if not (isinstance(self.rock_count, numbers.Integral) and self.rock_count >= 0):
+            raise ConfigError("rock_count must be a nonnegative integer")
+        if self.placement not in ws.PLACEMENTS:
+            raise ConfigError(f"unknown placement {self.placement!r}; "
+                              f"choose from {list(ws.PLACEMENTS)}")
+        if not (isinstance(self.identification_radius, numbers.Real)
+                and self.identification_radius >= 0):
+            raise ConfigError("identification_radius must be a nonnegative number")
         # the method decides where the mast camera points
         self.mission = self.mission.replaced(camera_mode=METHODS[self.method])
 
@@ -136,8 +145,8 @@ def score(log, scenario, identification_radius=5.0, method="bl-eto", seed=0):
         path_length_m=log.path_length,
         final_ergodic_metric=final_metric,
         sim_time_s=log.sim_time,
-        body_steps=log.counters["body_steps"],
-        images=log.counters["images"],
+        body_steps=len(log.body_states) - 1,
+        images=len(log.events),
     )
 
 
@@ -146,24 +155,10 @@ def metrics_json_dict(metrics):
     return asdict(metrics)
 
 
-def _write_trajectory_csv(log, path):
-    """One row per body step with the camera pose current at that time."""
+def _write_csv(path, header, rows):
+    """A header line, then one line per row with each value as its ``repr``."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("t,x,y,heading,yaw,pitch\n")
-        cam_idx = 0
-        cam = log.camera_states[0] if log.camera_states else (0.0, 0.0, 0.0)
-        for t, x, y, heading in log.body_states:
-            while (cam_idx + 1 < len(log.camera_states)
-                   and log.camera_states[cam_idx + 1][0] <= t):
-                cam_idx += 1
-                cam = log.camera_states[cam_idx]
-            f.write(",".join(repr(v) for v in (t, x, y, heading, cam[1], cam[2])) + "\n")
-
-
-def _write_solver_trace(rows, path):
-    """``SolveDiagnostics.trace`` rows, one per solver iteration."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("iter,J,E,defect_inf,grad_norm\n")
+        f.write(header + "\n")
         for row in rows:
             f.write(",".join(repr(v) for v in row) + "\n")
 
@@ -181,7 +176,7 @@ def run_trial(config, seed, out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_trajectory_csv(log, out / "trajectory.csv")
+        _write_csv(out / "trajectory.csv", "t,x,y,heading,yaw,pitch", log.body_states)
         im.save_detections_jsonl(log.events, out / "detections.jsonl")
         (out / "metrics.json").write_text(
             json.dumps(metrics_json_dict(metrics), sort_keys=True, indent=2) + "\n",
@@ -190,7 +185,8 @@ def run_trial(config, seed, out_dir=None):
                                            encoding="utf-8")
         im.save_pgm(mission.coarse_map, out / "map_final.pgm")
         im.save_csv(mission.coarse_map, out / "map_final.csv")
-        _write_solver_trace(log.first_coarse_trace, out / "solver_trace.csv")
+        _write_csv(out / "solver_trace.csv", "iter,J,E,defect_inf,grad_norm",
+                   log.first_coarse_trace)
         (out / "timing.txt").write_text(f"wall_clock_s={runtime:.3f}\n",
                                         encoding="utf-8")
     return metrics

@@ -29,8 +29,9 @@ run independent missions concurrently if you need parallelism.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+import numbers
+from dataclasses import dataclass, field, fields, replace
+from typing import List, Tuple, get_args, get_origin
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from . import infomap as im
 from . import world as ws
 from .dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel
 from .ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
-from .solver import ErgodicProblem, shift_warm_start, solve
+from .solver import ErgodicProblem, _least_step_cap, shift_warm_start, solve
 
 __all__ = [
     "BiLevelConfig",
@@ -51,6 +52,7 @@ __all__ = [
 
 DEFAULT_EPICENTERS = (((20.0, 60.0, 15.0, 20.0), 5.0),
                       ((70.0, 25.0, 15.0, 20.0), 5.0))
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 @dataclass
@@ -116,6 +118,7 @@ class BiLevelConfig:
     track_noise: float = 0.0
 
     def __post_init__(self):
+        self._check_types()
         if self.camera_mode not in ("optimized", "fixed", "random"):
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
         if self.coarse_horizon < 2 or self.fine_horizon < 2:
@@ -143,6 +146,23 @@ class BiLevelConfig:
             raise ValueError("replan_interval must be at least 1")
         self._check_geometry()
 
+    def _check_types(self):
+        """Each ``int`` field holds an integer and each ``float`` field a
+        number; each ``Tuple`` field is a list of one such entry per axis,
+        so that no check, map or plan meets a string or a short vector."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _KINDS:
+                kind, noun = _KINDS[f.type]
+                if not isinstance(value, kind):
+                    raise ValueError(f"{f.name} must be {noun}")
+            elif get_origin(f.type) is tuple:
+                size = len(get_args(f.type))
+                kind, noun = _KINDS[get_args(f.type)[0]]
+                if not (isinstance(value, (tuple, list)) and len(value) == size
+                        and all(isinstance(v, kind) for v in value)):
+                    raise ValueError(f"{f.name} needs {size} entries, each {noun}")
+
     def _check_geometry(self):
         """Scalar checks of the workspaces, limits and start states, so that
         a config that constructs can build its maps, bases and bounds.  It
@@ -167,6 +187,17 @@ class BiLevelConfig:
             raise ValueError("start_pose lies outside the coarse workspace")
         if not inside(self.camera_start, fine_box):
             raise ValueError("camera_start lies outside the fine workspace")
+        # a cap that an initial guess of the solver can step past leaves it
+        # no feasible start (``solver._least_step_cap``)
+        body_longest = self.coarse_dt * self.body_speed_max
+        camera_longest = self.fine_dt * math.hypot(self.camera_rate_max, self.camera_rate_max)
+        for name, longest, lengths in (
+                ("body_step_cap", body_longest, self.coarse_lengths),
+                ("camera_step_cap", camera_longest, (2.0 * self.yaw_limit, pitch_hi - pitch_lo))):
+            least = _least_step_cap(longest, lengths)
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least!r}: the longest step "
+                                 "of the control box plus the solver's guess offsets")
         for rect, multiplier in self.epicenters:
             x0, y0, w, h = rect
             if not (inside((x0, y0), coarse_box) and inside((x0 + w, y0 + h), coarse_box)):
@@ -252,24 +283,23 @@ class CoverageMemory:
 
 @dataclass
 class MissionLog:
-    """Everything a mission did, at the fidelity the scorer and audits need."""
+    """Everything a mission did, each fact kept once: ``body_states``, one
+    ``(t, x, y, heading, yaw, pitch)`` row at the start and after each body
+    step, with the camera angles held during the step; ``events``, one per
+    image; ``metric_trace`` and ``images_per_body_step``, one per body step;
+    ``coarse_replan_reasons``, one per coarse plan; the first coarse plan's
+    solver trace; the path length, the clock and the charges summing to it."""
 
-    body_states: List[Tuple[float, float, float, float]] = field(default_factory=list)
-    camera_states: List[Tuple[float, float, float]] = field(default_factory=list)
+    body_states: List[Tuple[float, ...]] = field(default_factory=list)
     events: List[im.DetectionEvent] = field(default_factory=list)
     metric_trace: List[Tuple[float, float]] = field(default_factory=list)
     images_per_body_step: List[int] = field(default_factory=list)
-    fine_replans_per_body_step: List[int] = field(default_factory=list)
-    sweep_detections_per_body_step: List[int] = field(default_factory=list)
     coarse_replan_reasons: List[str] = field(default_factory=list)
     first_coarse_trace: list = field(default_factory=list)  # initial plan's solver trace
     path_length: float = 0.0
     sim_time: float = 0.0
     charges: dict = field(default_factory=lambda: {
         "body": 0.0, "camera": 0.0, "images": 0.0, "planning": 0.0})
-    counters: dict = field(default_factory=lambda: {
-        "images": 0, "body_steps": 0, "camera_slews": 0,
-        "coarse_plans": 0, "fine_plans": 0})
 
     def detections(self):
         return [e for e in self.events if e.is_detection]
@@ -339,7 +369,6 @@ class Mission:
         self.scenario = scenario
         self.camera_model = camera_model or ws.CameraModel()
         self.rng = np.random.default_rng(seed)
-        self.seed = seed
 
         self.coarse_basis = config.coarse_basis()
         self.fine_basis = config.fine_basis()
@@ -390,13 +419,12 @@ class Mission:
         if reason == "initial":
             self.log.first_coarse_trace = self.coarse_plan.diagnostics.trace
         self._charge("planning", cfg.coarse_plan_time)
-        self.log.counters["coarse_plans"] += 1
         self.log.coarse_replan_reasons.append(reason)
         self.step_index = 0
         if cfg.camera_mode != "optimized":
             return
         self.fine_map = im.project_to_fine(self.coarse_map, self.pose, self.camera_model,
-                                           cfg.fine_workspace(), cfg.fine_resolution)
+                                           self.fine_basis.workspace, cfg.fine_resolution)
         # the camera's pan memory refers to body-relative directions, which a
         # fresh projection re-anchors; restart it together with the map
         if cfg.use_memory:
@@ -412,7 +440,6 @@ class Mission:
                                               self.config, memory=self.fine_memory,
                                               warm_start=warm)
         self._charge("planning", self.config.fine_plan_time)
-        self.log.counters["fine_plans"] += 1
 
     # ---- sensing ----
 
@@ -420,7 +447,6 @@ class Mission:
         label, offset = ws.classify_view(self.scenario, self.camera_model,
                                          self.pose, self.angles, self.rng)
         self._charge("images", self.config.image_time)
-        self.log.counters["images"] += 1
         if self.fine_memory is not None:
             self.fine_memory.add([self.angles])
         point = None
@@ -457,8 +483,6 @@ class Mission:
         self.angles = tuple(target_state.tolist())
         if charge:
             self._charge("camera", self.config.fine_dt)
-            self.log.counters["camera_slews"] += 1
-        self.log.camera_states.append((self.log.sim_time, *self.angles))
 
     # ---- main loop ----
 
@@ -474,7 +498,7 @@ class Mission:
         if mode == "optimized":
             self._plan_fine()
             next_state = 1   # plan state the next slew targets
-        detections = images = replans = 0
+        detections = images = 0
         while not self._out_of_time():
             if mode == "random":
                 fine_ws = self.fine_basis.workspace
@@ -483,7 +507,6 @@ class Mission:
             elif mode == "optimized" and images:
                 if event.is_detection:
                     self._plan_fine()
-                    replans += 1
                     next_state = 1
                     if self._out_of_time():
                         break
@@ -498,18 +521,17 @@ class Mission:
             self._update_maps(event)
             if images == per_sweep:
                 break
-        return detections, images, replans
+        return detections, images
 
     def run(self):
         cfg = self.config
-        self.log.body_states.append((self.log.sim_time, *self.pose))
-        self.log.camera_states.append((self.log.sim_time, *self.angles))
+        self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
         if self.memory:
             self.memory.add([self.pose[:2]])
         self._plan_coarse("initial")
 
         while not self._out_of_time():
-            detections, images, replans = self._sweep()
+            detections, images = self._sweep()
             if self._out_of_time():
                 # final partial sweep is not followed by a body step
                 break
@@ -525,12 +547,9 @@ class Mission:
             self.pose = tuple(nxt.tolist())
             self._charge("body", cfg.coarse_dt)
             self.log.path_length += abs(float(control[0])) * cfg.coarse_dt
-            self.log.counters["body_steps"] += 1
             self.step_index += 1
-            self.log.body_states.append((self.log.sim_time, *self.pose))
+            self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
             self.log.images_per_body_step.append(images)
-            self.log.fine_replans_per_body_step.append(replans)
-            self.log.sweep_detections_per_body_step.append(detections)
             if self.memory:
                 self.memory.add([self.pose[:2]])
                 self.log.metric_trace.append(
@@ -548,5 +567,4 @@ class Mission:
                 continue
             self._plan_coarse(reason)
 
-        self.log.counters["detections"] = len(self.log.detections())
         return self.log

@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 _INTERIOR_MARGIN = 1e-3  # fraction of each axis length used to nudge guesses inside
+_GUESS_WIGGLE = 1e-3     # alternating offset of the cold guess's positions, per axis
 _DEFECT_TOL = 1e-5       # largest raw dynamics defect of a converged solve
 _PENALTY_INIT = 10.0     # augmented-Lagrangian penalty of the first round
 _PENALTY_GROWTH = 10.0   # penalty factor when a round leaves the defect high
@@ -419,7 +420,7 @@ def default_initial_guess(problem):
         u0[0] = 0.5 * problem.bounds.upper[0]
     controls = np.tile(u0, (problem.horizon, 1))
     states = rollout(problem.model, problem.initial_state, controls, problem.dt)
-    wiggle = 1e-3 * np.where(np.arange(problem.horizon) % 2 == 0, 1.0, -1.0)
+    wiggle = _GUESS_WIGGLE * np.where(np.arange(problem.horizon) % 2 == 0, 1.0, -1.0)
     states = np.array(states)
     states[1:, : problem.model.workspace_dims] += wiggle[1:, None]
     return states, controls
@@ -449,12 +450,23 @@ def _nudge_interior(problem, states):
     return out
 
 
-def _objective(problem, z):
-    """The objective E + sum u'Ru of ``objective_and_gradient``, without
-    the gradient."""
-    xs, us = problem.split(z)
-    cost, ctrl = _costs(problem, np.vstack([problem.initial_state, xs]), us)
-    return cost.cost + ctrl
+def _least_step_cap(longest_step, workspace_lengths):
+    """The smallest position-step cap at which every initial iterate of
+    ``solve`` lies inside the barrier, for a control box whose longest
+    position step over one ``dt`` is ``longest_step``:
+
+        longest_step + 2 _GUESS_WIGGLE sqrt(dims) + _INTERIOR_MARGIN |lengths|
+
+    A warm guess rolls out clipped controls, so it steps at most
+    ``longest_step``; the cold guess steps at most half of it, and its
+    wiggle can lengthen a step by ``2 _GUESS_WIGGLE`` per axis.
+    ``_nudge_interior`` clamps the free positions into a box, which shortens
+    the steps between them and lengthens the first, from the unclamped
+    initial position, by at most the margin vector's length.  Every step
+    stays strictly below the returned cap.
+    """
+    return (longest_step + 2.0 * _GUESS_WIGGLE * math.sqrt(len(workspace_lengths))
+            + _INTERIOR_MARGIN * math.hypot(*workspace_lengths))
 
 
 def _reroll(problem, controls, diag):
@@ -496,7 +508,8 @@ def solve(problem, warm_start=None):
     guess_states = _nudge_interior(problem, guess_states)
     lower, upper = problem.decision_bounds()
     z = np.clip(problem.join(guess_states[1:], guess_controls), lower, upper)
-    init_objective = _objective(problem, z)
+    cost, ctrl = _costs(problem, guess_states, guess_controls)
+    init_objective = cost.cost + ctrl
 
     # a warm start is already interior and near-optimal: rerunning the full
     # barrier continuation would drag it away before polishing it back, and

@@ -13,7 +13,8 @@ Scenario and CameraModel are immutable after construction; the rng used by
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .ergodic import Workspace
 
 __all__ = [
     "ROCK_CLASSES",
+    "PLACEMENTS",
     "Rock",
     "CameraModel",
     "Scenario",
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 ROCK_CLASSES = ("igneous", "sedimentary")
+PLACEMENTS = ("uniform", "epicenter-biased")
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,9 @@ class CameraModel:
     offset_noise: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), numbers.Real):
+                raise ValueError(f"{f.name} must be a number")
         if not (0.0 < self.hfov < math.pi and 0.0 < self.vfov < math.pi):
             raise ValueError("fields of view must lie in (0, pi)")
         if self.max_range <= 0.0 or self.mount_height <= 0.0:
@@ -100,7 +106,7 @@ def generate_scenario(seed, rock_count=21, placement="uniform", workspace=None,
     """
     if rock_count < 0:
         raise ValueError("rock_count must be nonnegative")
-    if placement not in ("uniform", "epicenter-biased"):
+    if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement mode {placement!r}")
     if workspace is None:
         workspace = Workspace((100.0, 100.0))

@@ -2,12 +2,14 @@
 fail mid-mission, and the CLI turns a rejected config into exit status 2."""
 
 import json
+import math
 
 import pytest
 
-from bleto.bench import ConfigError, ExperimentConfig
+from bleto.bench import ConfigError, ExperimentConfig, run_trial
 from bleto.cli import EXIT_CONFIG, main
 from bleto.planner import BiLevelConfig
+from bleto.world import CameraModel
 
 
 class TestHorizons:
@@ -140,3 +142,101 @@ class TestGeometryValidation:
                             camera_start=(-BiLevelConfig.yaw_limit, 0.5),
                             epicenters=(((0.0, 0.0, 100.0, 100.0), 1.0),))
         assert cfg.replaced(coarse_inner_cap=60).start_pose == (100.0, 0.0, 1.0)
+
+
+# configs that passed validation and then stopped with a traceback and exit
+# status 1: a wrong type or vector length, or a step cap below the longest
+# step of the solver's initial guess ("initial iterate infeasible for the
+# barrier"); each row is (section, field, value, message)
+CRASHING_CONFIGS = [
+    pytest.param(None, "rock_count", 1.5, "rock_count must be a nonnegative integer",
+                 id="rock_count"),
+    pytest.param(None, "placement", "clustered", "unknown placement 'clustered'",
+                 id="placement"),
+    pytest.param(None, "identification_radius", "5",
+                 "identification_radius must be a nonnegative number",
+                 id="identification_radius"),
+    pytest.param("camera", "true_positive_rate", "x", "true_positive_rate must be a number",
+                 id="true_positive_rate"),
+    pytest.param("mission", "coarse_resolution", [100],
+                 "coarse_resolution needs 2 entries, each an integer",
+                 id="coarse_resolution"),
+    pytest.param("mission", "fine_resolution", [54, 24, 3],
+                 "fine_resolution needs 2 entries, each an integer", id="fine_resolution"),
+    pytest.param("mission", "start_pose", [50, 50],
+                 "start_pose needs 3 entries, each a number", id="start_pose"),
+    pytest.param("mission", "camera_start", [0.0],
+                 "camera_start needs 2 entries, each a number", id="camera_start"),
+    pytest.param("mission", "coarse_lows", [0], "coarse_lows needs 2 entries, each a number",
+                 id="coarse_lows"),
+    pytest.param("mission", "coarse_horizon", 2.5, "coarse_horizon must be an integer",
+                 id="coarse_horizon"),
+    pytest.param("mission", "body_step_cap", 4.0, "body_step_cap must be at least",
+                 id="body_step_cap"),
+    pytest.param("mission", "camera_step_cap", 0.2, "camera_step_cap must be at least",
+                 id="camera_step_cap"),
+]
+CONSTRUCTORS = {None: ExperimentConfig, "camera": CameraModel, "mission": BiLevelConfig}
+
+
+def nested(section, field, value):
+    return {field: value} if section is None else {section: {field: value}}
+
+
+class TestCrashingConfigs:
+    @pytest.mark.parametrize("section,field,value,message", CRASHING_CONFIGS)
+    def test_constructor_rejects(self, section, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            CONSTRUCTORS[section](**{field: value})
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(nested(section, field, value))
+
+    @pytest.mark.parametrize("section,field,value,message", CRASHING_CONFIGS)
+    def test_cli_run_exits_with_config_status(self, section, field, value, message,
+                                              tmp_path, capsys):
+        config = nested(section, field, value)
+        config.setdefault("mission", {})["time_budget"] = 300.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "trial"
+        assert main(["run", "--config", str(path), "--seed", "1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStepCaps:
+    """The least accepted caps: the longest step of the control box (the
+    body's speed limit over ``coarse_dt``, the camera's rate box diagonal
+    over ``fine_dt``), plus the cold guess's wiggle of 1 mm per axis twice,
+    plus the interior nudge, 1e-3 of the workspace diagonal."""
+
+    @staticmethod
+    def least_caps():
+        cfg = BiLevelConfig()
+        fine_lengths = (2.0 * cfg.yaw_limit, cfg.pitch_bounds[1] - cfg.pitch_bounds[0])
+        body = (cfg.coarse_dt * cfg.body_speed_max + 2.0 * 1e-3 * math.sqrt(2)
+                + 1e-3 * math.hypot(*cfg.coarse_lengths))
+        camera = (cfg.fine_dt * math.hypot(cfg.camera_rate_max, cfg.camera_rate_max)
+                  + 2.0 * 1e-3 * math.sqrt(2) + 1e-3 * math.hypot(*fine_lengths))
+        return body, camera
+
+    def test_least_caps_are_the_boundary(self):
+        body, camera = self.least_caps()
+        assert 4.5 < body < BiLevelConfig.body_step_cap
+        assert 0.6 * 0.4 * math.sqrt(2) < camera < BiLevelConfig.camera_step_cap
+        BiLevelConfig(body_step_cap=body, camera_step_cap=camera)
+        for field, cap in (("body_step_cap", body), ("camera_step_cap", camera)):
+            with pytest.raises(ValueError, match=f"{field} must be at least"):
+                BiLevelConfig(**{field: math.nextafter(cap, 0.0)})
+
+    def test_mission_at_the_least_caps_completes(self):
+        # from corners of both workspaces, where the nudge moves the first
+        # free position of every guess the most
+        body, camera = self.least_caps()
+        mission = BiLevelConfig(time_budget=120.0, body_step_cap=body,
+                                camera_step_cap=camera, start_pose=(100.0, 0.0, 0.0),
+                                camera_start=(-BiLevelConfig.yaw_limit,
+                                              BiLevelConfig.pitch_bounds[0]))
+        metrics = run_trial(ExperimentConfig(mission=mission), 1)
+        assert metrics.sim_time_s >= 120.0 and metrics.body_steps > 0

@@ -58,7 +58,7 @@ class TestMissionInvariants:
         assert log.images_per_body_step
         assert all(n == expected for n in log.images_per_body_step)
         # only the final sweep, cut short by the clock, has no body step
-        unstepped = log.counters["images"] - sum(log.images_per_body_step)
+        unstepped = len(log.events) - sum(log.images_per_body_step)
         assert 0 <= unstepped <= per_sweep
 
     @pytest.mark.parametrize("method", sorted(bleto.bench.METHODS))
@@ -100,7 +100,7 @@ class TestMissionInvariants:
         assert log.detections() and "receding" in log.coarse_replan_reasons
         assert len({id(m) for m in transformed}) == len(transformed)
         assert [id(m) for m in transformed] == list(dict.fromkeys(id(m) for m in plans))
-        assert len(transformed) < len(plans) == log.counters["coarse_plans"]
+        assert len(transformed) < len(plans) == len(log.coarse_replan_reasons)
 
     def test_track_noise_is_deterministic(self):
         noisy = [run_mission("bl-eto", 3, time_budget=60.0, track_noise=0.2)
@@ -108,6 +108,39 @@ class TestMissionInvariants:
         assert noisy[0] == noisy[1]
         quiet = run_mission("bl-eto", 3, time_budget=60.0)
         assert noisy[0].body_states != quiet.body_states
+
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("method,mission_kw", [
+        ("bl-eto", {}),
+        ("eto-fixed-camera", {}),
+        ("eto-random-camera", {}),
+        # each sweep's first random aim costs no time; without a coarse
+        # replan between the body step and that aim they share a timestamp,
+        # and the aim must not show on the body step's row
+        ("eto-random-camera", {"replan_interval": BiLevelConfig().coarse_horizon}),
+    ], ids=["bl-eto", "fixed", "random", "random-open-loop"])
+    def test_rows_hold_the_angles_of_the_last_image(self, tmp_path, method, mission_kw):
+        config = ExperimentConfig(
+            mission=BiLevelConfig(time_budget=SWEEP_BUDGET_S, **mission_kw)
+        ).for_method(method)
+        metrics = bleto.bench.run_trial(config, 1, tmp_path)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x,y,heading,yaw,pitch"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == metrics.body_steps + 1
+        events = [json.loads(line) for line in
+                  (tmp_path / "detections.jsonl").read_text().splitlines()]
+        assert len(events) == metrics.images
+
+        mission = config.mission
+        start = ((0.0, mission.fixed_pitch) if mission.camera_mode == "fixed"
+                 else tuple(mission.camera_start))
+        assert tuple(rows[0][4:]) == start
+        for t, *_, yaw, pitch in rows[1:]:
+            last = [e["camera_angles"] for e in events if e["time"] < t][-1]
+            assert [yaw, pitch] == last
 
 
 class TestCompare:
