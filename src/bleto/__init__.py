@@ -14,8 +14,7 @@ from .infomap import (DetectionEvent, InfoMap, init_coarse, project_to_fine,
                       register_detection, update_fine)
 from .planner import (BiLevelConfig, CoverageMemory, Mission, MissionLog,
                       ergodic_coarse_planner, ergodic_fine_planner)
-from .solver import (ErgodicProblem, Trajectory, objective_and_gradient,
-                     shift_warm_start, solve)
+from .solver import ErgodicProblem, Trajectory, shift_warm_start, solve
 from .world import (CameraModel, Rock, Scenario, classify_view,
                     generate_scenario, project_detection)
 

@@ -83,8 +83,11 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {sorted(METHODS)}")
-        if not self.seeds:
-            raise ConfigError("need at least one trial seed")
+        if not (isinstance(self.seeds, (tuple, list)) and self.seeds
+                and all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                        for s in self.seeds)):
+            raise ConfigError("seeds must be a nonempty list of integers")
+        self.seeds = tuple(self.seeds)
         if not (isinstance(self.rock_count, numbers.Integral) and self.rock_count >= 0):
             raise ConfigError("rock_count must be a nonnegative integer")
         if self.placement not in ws.PLACEMENTS:
@@ -100,10 +103,12 @@ class ExperimentConfig:
     def from_dict(cls, d):
         d = dict(d)
         try:
-            mission = BiLevelConfig.from_dict(d.pop("mission", {}))
+            mission = d.pop("mission", {})
+            if "camera_mode" in mission:
+                raise ConfigError("mission.camera_mode is chosen by method; "
+                                  "set method instead")
+            mission = BiLevelConfig.from_dict(mission)
             camera = ws.CameraModel(**d.pop("camera", {}))
-            if "seeds" in d:
-                d["seeds"] = tuple(int(s) for s in d["seeds"])
             return cls(mission=mission, camera=camera, **d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc

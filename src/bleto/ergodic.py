@@ -1,7 +1,7 @@
 """Cosine-basis spectral machinery for coverage objectives.
 
 The coverage error of a trajectory against a target density is measured in
-a truncated cosine Fourier basis over a rectangular workspace: the basis is
+a truncated cosine Fourier basis over a planar rectangular workspace: the basis is
 unit-normalized in L2, every mode carries a Sobolev-style weight, and the
 metric is the weighted squared distance between the trajectory's
 time-averaged basis values and the density's basis coefficients.  Because
@@ -11,8 +11,9 @@ trajectory, which is what the trajectory optimizer needs.
 ``CoverageCost`` is the one place that turns trajectory points into that
 cost: it builds the per-axis basis tables of the points once, averages them
 into the trajectory's coefficients, and from the same tables finishes the
-gradient with respect to every point on demand.  The solver's merit, its
-reported costs and ``solver.objective_and_gradient`` all go through it.
+gradient with respect to every point on demand.  The solver's merit
+(``solver._merit``) and the costs a solve reports (``solver._costs``) both
+go through it.
 
 Everything in this module is a pure function of immutable inputs and is
 safe to call concurrently from multiple threads.
@@ -103,61 +104,56 @@ class Workspace:
 
 
 class FourierBasis:
-    """All integer modes k with 0 <= k_i < modes_per_axis on a workspace.
+    """All integer modes (k_0, k_1) with 0 <= k_i < modes_per_axis[i] on a
+    planar workspace: the body's (x, y) or the mast camera's (yaw, pitch).
 
     Per mode the basis function, its weight and its normalizer are
 
-        F_k(w)   = prod_i cos((w_i - low_i) k_i pi / L_i) / h_k
-        weight_k = (1 + |k|^2) ** (-(v + 1) / 2)
-        h_k      = sqrt(prod_i l_i),  l_i = L_i if k_i == 0 else L_i / 2
+        F_k(w)   = cos(ω_{k,0} (w_0 - low_0)) cos(ω_{k,1} (w_1 - low_1)) / h_k
+        ω_{k,i}  = k_i pi / L_i
+        weight_k = (1 + k_0^2 + k_1^2) ** (-3/2)
+        h_k      = sqrt(l_0 l_1),  l_i = L_i if k_i == 0 else L_i / 2
 
     so that the L2 norm of every F_k over the workspace is exactly one.
-    Mode order is row-major in (k_0, ..., k_{v-1}).
+    Mode order is row-major in (k_0, k_1).
 
     The vectorized paths (``eval_points``, ``eval_points_with_gradient``
     and the ``point_tables`` / ``table_values`` / ``table_gradients`` split
-    they are made of) build one cosine and one sine table per axis,
-    (modes_per_axis[i], T) each, and form values and gradients as broadcast
-    outer products of them.  They multiply in the same order as the direct
-    product form above, so their results are bit-identical to it.
+    they are made of) take (m_0 + m_1)·T cosines and sines, one
+    (modes_per_axis[i], T) table each, and form every value or gradient
+    entry as one product of two table entries divided by h_k last: the
+    floating-point order of the form above, so the bits are equal to it.
     """
 
     def __init__(self, workspace, modes_per_axis):
+        if workspace.dims != 2:
+            raise ValueError("the cosine basis needs a planar workspace (two axes)")
         self.workspace = workspace
-        v = workspace.dims
         if np.ndim(modes_per_axis) == 0:
-            per_axis = (int(modes_per_axis),) * v
+            per_axis = (int(modes_per_axis),) * 2
         else:
             per_axis = tuple(int(m) for m in modes_per_axis)
-        if len(per_axis) != v or any(m < 1 for m in per_axis):
+        if len(per_axis) != 2 or any(m < 1 for m in per_axis):
             raise ValueError("modes_per_axis must be >= 1 for every axis")
         self.modes_per_axis = per_axis
 
-        grids = np.meshgrid(*[np.arange(m) for m in per_axis], indexing="ij")
-        self.modes = np.stack([g.ravel() for g in grids], axis=1)  # (nK, v)
+        self.modes = np.indices(per_axis).reshape(2, -1).T  # (nK, 2)
         ksq = np.sum(self.modes**2, axis=1)
-        self.weights = (1.0 + ksq) ** (-(v + 1) / 2.0)
+        self.weights = (1.0 + ksq) ** -1.5
         ell = np.where(self.modes == 0, workspace.lengths, workspace.lengths / 2.0)
         self.normalizers = np.sqrt(np.prod(ell, axis=1))
-        # spatial frequency per axis, omega_{k,i} = k_i pi / L_i
-        self.angular = self.modes * np.pi / workspace.lengths
-        # the same frequencies as one (m_i, 1) column per axis, and the index
-        # that views an axis's (m_i, T) table as (1, .., m_i, .., 1, T) over
-        # the mode grid
+        # what the table paths would otherwise rebuild on every call: the
+        # frequencies ω_{k,i} and their negatives as one (m_i, 1) column per
+        # axis, the axis lows, and the normalizers as divisors of (nK, T)
+        # values and (nK, T, 2) gradients
         self._axis_frequencies = tuple(
             (np.arange(m) * np.pi / workspace.lengths[i])[:, None]
             for i, m in enumerate(per_axis))
-        self._axis_slots = tuple(
-            tuple(slice(None) if j == i else None for j in range(v)) + (slice(None),)
-            for i in range(v))
-        # what the table paths would otherwise rebuild on every call: the
-        # derivative's factor -omega per axis, the axis lows, and the
-        # normalizers as divisors of (nK, T) values and (nK, T, v) gradients
         self._neg_frequencies = tuple(-omega for omega in self._axis_frequencies)
         self._lows = tuple(workspace.lows)
         self._value_normalizers = self.normalizers[:, None]
         self._gradient_normalizers = self.normalizers[:, None, None]
-        for arr in (self.modes, self.weights, self.normalizers, self.angular,
+        for arr in (self.modes, self.weights, self.normalizers,
                     *self._axis_frequencies, *self._neg_frequencies):
             arr.flags.writeable = False
 
@@ -165,10 +161,6 @@ class FourierBasis:
         return self.modes.shape[0]
 
     # ---- vectorized paths used by the metric and the solver ----
-    #
-    # Σ m_i·T cos/sin calls instead of nK·T·v.  Tables are multiplied left to
-    # right in axis order and divided by h_k last: that is the floating-point
-    # order of  prod_i cos(ω_{k,i} w_i) / h_k,  which keeps the bits equal.
 
     def _axis_tables(self, axis_points):
         """Per-axis phase tables ω_{k,i} (w_i - low_i) and their cosines,
@@ -178,15 +170,6 @@ class FourierBasis:
                                                self._lows)]
         return phases, [np.cos(p) for p in phases]
 
-    def _grid_product(self, tables, skip=None):
-        """Left-to-right product of per-axis (m_i, T) tables, all but axis
-        ``skip``, broadcast over the mode grid; None if no table is left."""
-        out = None
-        for i, (table, slot) in enumerate(zip(tables, self._axis_slots)):
-            if i != skip:
-                out = table[slot] if out is None else out * table[slot]
-        return out
-
     def point_tables(self, points, check=True):
         """Per-axis phase and cosine tables of many points, the input of
         ``table_values`` and ``table_gradients``.
@@ -194,7 +177,7 @@ class FourierBasis:
         Built once, they serve both, so a caller that needs the gradient
         only later (the solver's line search) does not evaluate the point
         twice.  ``check=False`` skips the conversion and the containment
-        test for callers that pass a (T, v) float array already inside the
+        test for callers that pass a (T, 2) float array already inside the
         workspace (the solver's barrier keeps iterates inside).
         """
         if check:
@@ -204,26 +187,22 @@ class FourierBasis:
 
     def table_values(self, tables):
         """Basis values from ``point_tables``, shape (n_modes, n_points)."""
-        cos = tables[1]
-        values = self._grid_product(cos)
-        return values.reshape(-1, cos[0].shape[1]) / self._value_normalizers
+        cx, cy = tables[1]
+        return (cx[:, None] * cy[None]).reshape(-1, cx.shape[1]) / self._value_normalizers
 
     def table_gradients(self, tables):
-        """Spatial gradients from ``point_tables``, shape (nK, T, v).
+        """Spatial gradients from ``point_tables``, shape (nK, T, 2).
 
-        dF_k/dw_i = (-ω_{k,i} sin(ω_{k,i} w_i)) · prod_{j≠i} cos(ω_{k,j} w_j) / h_k
+        dF_k/dw_0 = (-ω_{k,0} sin(ω_{k,0} w_0)) cos(ω_{k,1} w_1) / h_k, and
+        dF_k/dw_1 = (-ω_{k,1} sin(ω_{k,1} w_1)) cos(ω_{k,0} w_0) / h_k
         """
-        phases, cos = tables
-        v, T = len(cos), cos[0].shape[1]
-        grads = np.empty(self.modes_per_axis + (T, v))
-        for i, (neg_omega, p) in enumerate(zip(self._neg_frequencies, phases)):
-            dcos = (neg_omega * np.sin(p))[self._axis_slots[i]]
-            others = self._grid_product(cos, skip=i)
-            if others is None:
-                grads[..., i] = dcos
-            else:
-                np.multiply(dcos, others, out=grads[..., i])
-        grads = grads.reshape(-1, T, v)
+        (px, py), (cx, cy) = tables
+        neg_x, neg_y = self._neg_frequencies
+        T = cx.shape[1]
+        grads = np.empty(self.modes_per_axis + (T, 2))
+        np.multiply((neg_x * np.sin(px))[:, None], cy[None], out=grads[..., 0])
+        np.multiply((neg_y * np.sin(py))[None], cx[:, None], out=grads[..., 1])
+        grads = grads.reshape(-1, T, 2)
         grads /= self._gradient_normalizers
         return grads
 
@@ -232,7 +211,7 @@ class FourierBasis:
         return self.table_values(self.point_tables(points, check))
 
     def eval_points_with_gradient(self, points, check=True):
-        """Values and spatial gradients, shapes (nK, T) and (nK, T, v)."""
+        """Values and spatial gradients, shapes (nK, T) and (nK, T, 2)."""
         tables = self.point_tables(points, check)
         return self.table_values(tables), self.table_gradients(tables)
 
@@ -255,15 +234,9 @@ def map_coefficients(basis, grid_map, normalization_tol=1e-6):
     integral = grid_map.integral()
     if abs(integral - 1.0) > normalization_tol:
         raise ValueError(f"map is not normalized (integral {integral!r})")
-    tables = basis.axis_cosines(grid_map.axis_centers())
+    cx, cy = basis.axis_cosines(grid_map.axis_centers())
     weighted = grid_map.density * grid_map.cell_area
-    if basis.workspace.dims == 2:
-        coeffs = np.einsum("ai,bj,ij->ab", tables[0], tables[1], weighted).ravel()
-    else:
-        coeffs = weighted
-        for t in tables:
-            coeffs = np.tensordot(t, coeffs, axes=([1], [0]))
-        coeffs = coeffs.ravel()
+    coeffs = np.einsum("ai,bj,ij->ab", cx, cy, weighted).ravel()
     return coeffs / basis.normalizers
 
 
@@ -288,7 +261,7 @@ class CoverageCost:
     per-axis tables (``FourierBasis.point_tables``); ``gradient`` finishes
     dE/dw_t from them only when asked, as the solver's line search needs.
     ``check=False`` skips the conversion, the length check and the
-    containment test for callers that pass a nonempty (T, v) float array
+    containment test for callers that pass a nonempty (T, 2) float array
     already inside the workspace.
     """
 
@@ -308,7 +281,7 @@ class CoverageCost:
         self.cost = float((basis.weights * r * r).sum())
 
     def gradient(self, weight=1.0):
-        """``weight`` times dE/dw_t for every point, shape (T, v).
+        """``weight`` times dE/dw_t for every point, shape (T, 2).
 
         Row t is  weight (2/T) sum_k weight_k r_k grad F_k(w_t).
         """

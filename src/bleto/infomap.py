@@ -98,13 +98,6 @@ class InfoMap:
         self.density.flags.writeable = False
         self.detection_log = list(detection_log) if detection_log else []
 
-    # ---- constructors ----
-
-    @classmethod
-    def uniform(cls, workspace, resolution):
-        shape = _shape(workspace, resolution)
-        return cls(workspace, np.ones(shape))
-
     # ---- geometry ----
 
     @property
@@ -147,6 +140,8 @@ class InfoMap:
 
     def check_invariants(self, mass_tol=1e-9):
         err = abs(self.integral() - 1.0)
+        if not math.isfinite(err):
+            raise AssertionError("map density is not finite")
         if err > mass_tol:
             raise AssertionError(f"map mass off by {err:.3e}")
         if float(self.density.min()) < self.floor_level():

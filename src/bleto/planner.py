@@ -55,6 +55,13 @@ DEFAULT_EPICENTERS = (((20.0, 60.0, 15.0, 20.0), 5.0),
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
+def _is_epicenter(entry):
+    """An [x, y, width, height] rectangle of numbers and a number multiplier."""
+    return (isinstance(entry, (tuple, list)) and len(entry) == 2
+            and isinstance(entry[0], (tuple, list)) and len(entry[0]) == 4
+            and all(isinstance(v, numbers.Real) for v in (*entry[0], entry[1])))
+
+
 @dataclass
 class BiLevelConfig:
     """All knobs of a mission; defaults are the desk-scale scenario."""
@@ -123,11 +130,11 @@ class BiLevelConfig:
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
         if self.coarse_horizon < 2 or self.fine_horizon < 2:
             raise ValueError("horizons must be at least 2 steps")
-        for name in ("coarse_dt", "fine_dt"):
+        for name in ("coarse_dt", "fine_dt", "coarse_bump_sigma", "fine_bump_sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("coarse_control_weight", "fine_control_weight"):
+        for name in ("coarse_control_weight", "fine_control_weight", "track_noise"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -149,7 +156,8 @@ class BiLevelConfig:
     def _check_types(self):
         """Each ``int`` field holds an integer and each ``float`` field a
         number; each ``Tuple`` field is a list of one such entry per axis,
-        so that no check, map or plan meets a string or a short vector."""
+        and each epicenter a 4-number rectangle and a multiplier, so that no
+        check, map or plan meets a string or a short vector."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in _KINDS:
@@ -162,6 +170,10 @@ class BiLevelConfig:
                 if not (isinstance(value, (tuple, list)) and len(value) == size
                         and all(isinstance(v, kind) for v in value)):
                     raise ValueError(f"{f.name} needs {size} entries, each {noun}")
+        if not (isinstance(self.epicenters, (tuple, list))
+                and all(map(_is_epicenter, self.epicenters))):
+            raise ValueError("epicenters must be a list of "
+                             "[[x, y, width, height], multiplier] entries of numbers")
 
     def _check_geometry(self):
         """Scalar checks of the workspaces, limits and start states, so that

@@ -64,7 +64,6 @@ __all__ = [
     "ErgodicProblem",
     "SolveDiagnostics",
     "Trajectory",
-    "objective_and_gradient",
     "default_initial_guess",
     "solve",
     "shift_warm_start",
@@ -197,24 +196,13 @@ def _defects(problem, states, controls):
     return states[1:] - pred
 
 
-def objective_and_gradient(problem, z):
-    """Cost and gradient of the unconstrained objective E + sum u'Ru.
-
-    This is the public surface checked against finite differences; the
-    solver adds multiplier and barrier terms on top of it internally.
-    """
-    z = np.asarray(z, dtype=float)
-    xs, us = problem.split(z)
-    states = np.vstack([problem.initial_state, xs])
-    cost, ctrl = _costs(problem, states, us)
-    g_states = np.zeros_like(states)
-    g_states[:, : problem.model.workspace_dims] = cost.gradient()
-    grad = problem.join(g_states[1:], 2.0 * (us @ problem.control_weight))
-    return cost.cost + ctrl, grad
-
-
 def _costs(problem, states, controls):
-    """The ``CoverageCost`` of a state sequence and the control cost sum u'Ru."""
+    """The ``CoverageCost`` of a state sequence and the control cost sum u'Ru.
+
+    ``solve`` calls it for the objective of its initial guess and for the
+    cost breakdown of the trajectory it returns; the merit (``_merit``)
+    builds the same two terms inline for every trial point.
+    """
     cost = CoverageCost(problem.basis, problem.model.workspace_points(states),
                         problem.target_coefficients)
     return cost, float(np.sum(controls * (controls @ problem.control_weight)))

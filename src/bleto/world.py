@@ -89,11 +89,6 @@ class Scenario:
         for rock in self.rocks:
             self.workspace.require_inside((rock.x, rock.y), what="rock")
 
-    def rock_positions(self):
-        if not self.rocks:
-            return np.zeros((0, 2))
-        return np.array([[r.x, r.y] for r in self.rocks])
-
 
 def generate_scenario(seed, rock_count=21, placement="uniform", workspace=None,
                       epicenters=(), epicenter_fraction=0.5):

@@ -59,6 +59,15 @@ BAD_FIELDS = [
     ("coarse_control_weight", float("nan"),
      "coarse_control_weight must be finite and nonnegative"),
     ("fine_control_weight", -1.0, "fine_control_weight must be finite and nonnegative"),
+    # a sigma of zero divided by zero and a negative one gave an empty
+    # window: either way no bump was ever added, and a negative track noise
+    # ran without noise, all with exit status 0
+    ("coarse_bump_sigma", 0.0, "coarse_bump_sigma must be positive and finite"),
+    ("coarse_bump_sigma", -1.5, "coarse_bump_sigma must be positive and finite"),
+    ("fine_bump_sigma", 0.0, "fine_bump_sigma must be positive and finite"),
+    ("fine_bump_sigma", float("inf"), "fine_bump_sigma must be positive and finite"),
+    ("track_noise", -0.2, "track_noise must be finite and nonnegative"),
+    ("track_noise", float("nan"), "track_noise must be finite and nonnegative"),
 ]
 
 
@@ -201,6 +210,44 @@ class TestCrashingConfigs:
         out = tmp_path / "trial"
         assert main(["run", "--config", str(path), "--seed", "1",
                      "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+# configs that ran with a value silently rewritten and exit status 0 (a
+# float or bool seed became seed 1, a mission camera mode gave way to the
+# method's), or exited 2 with a conversion or unpack error that named no
+# field; each row is (config, message)
+UNNAMED_FIELDS = [
+    pytest.param({"seeds": [1.5]}, "seeds must be a nonempty list of integers",
+                 id="seeds_float"),
+    pytest.param({"seeds": [True]}, "seeds must be a nonempty list of integers",
+                 id="seeds_bool"),
+    pytest.param({"seeds": ["x"]}, "seeds must be a nonempty list of integers",
+                 id="seeds_string"),
+    pytest.param({"seeds": 3}, "seeds must be a nonempty list of integers",
+                 id="seeds_scalar"),
+    pytest.param({"mission": {"epicenters": [[1, 2]]}}, "epicenters must be a list of",
+                 id="epicenter_numbers"),
+    pytest.param({"mission": {"epicenters": [[[10, 10, 5, 5]]]}},
+                 "epicenters must be a list of", id="epicenter_without_multiplier"),
+    pytest.param({"mission": {"camera_mode": "fixed"}},
+                 "mission.camera_mode is chosen by method", id="camera_mode"),
+]
+
+
+class TestUnnamedFields:
+    @pytest.mark.parametrize("config,message", UNNAMED_FIELDS)
+    def test_from_dict_rejects(self, config, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(config)
+
+    @pytest.mark.parametrize("config,message", UNNAMED_FIELDS)
+    def test_cli_run_exits_with_config_status(self, config, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "trial"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
 

@@ -9,18 +9,24 @@ from bleto.infomap import InfoMap, init_coarse
 from oracles import mode_index, trajectory_coefficients
 
 
+def frequencies(basis):
+    """Oracle: omega_{k,i} = k_i pi / L_i, one (nK, 2) row per mode."""
+    return basis.modes * np.pi / basis.workspace.lengths
+
+
 def basis_value(basis, k_index, point):
     """Oracle: F_k at a single point (raises if the point is outside)."""
     basis.workspace.require_inside(point)
     rel = basis.workspace.to_local(point)
-    return float(np.prod(np.cos(basis.angular[k_index] * rel)) / basis.normalizers[k_index])
+    om = frequencies(basis)[k_index]
+    return float(np.prod(np.cos(om * rel)) / basis.normalizers[k_index])
 
 
 def basis_gradient(basis, k_index, point):
     """Oracle: analytic spatial gradient of F_k at a single point."""
     basis.workspace.require_inside(point)
     rel = basis.workspace.to_local(point)
-    om = basis.angular[k_index]
+    om = frequencies(basis)[k_index]
     c = np.cos(om * rel)
     s = np.sin(om * rel)
     v = basis.workspace.dims
@@ -80,6 +86,12 @@ class TestWorkspace:
 
 
 class TestBasisValue:
+    def test_rejects_non_planar_workspace(self):
+        for workspace, modes in ((Workspace((7.0,), (1.5,)), 6),
+                                 (Workspace((3.0, 5.0, 2.0), (-1.0, 0.5, 2.0)), (4, 5, 3))):
+            with pytest.raises(ValueError, match="planar workspace"):
+                FourierBasis(workspace, modes)
+
     def test_constant_mode_value(self, basis8, square100):
         # k = 0 basis is constant 1/h_0, h_0 = sqrt(100*100)
         idx = mode_index(basis8, (0, 0))
@@ -161,30 +173,29 @@ class TestBasisGradient:
 def product_form_values(basis, points):
     """Reference: prod_i cos(omega_{k,i} w_i) / h_k over every (mode, point, axis)."""
     rel = np.atleast_2d(points) - basis.workspace.lows
-    phases = basis.angular[:, None, :] * rel[None, :, :]
+    phases = frequencies(basis)[:, None, :] * rel[None, :, :]
     return np.prod(np.cos(phases), axis=2) / basis.normalizers[:, None]
 
 
 def product_form_gradients(basis, points):
     """Reference gradients: -omega_i sin_i times the other axes' cosines."""
+    omega = frequencies(basis)
     rel = np.atleast_2d(points) - basis.workspace.lows
-    phases = basis.angular[:, None, :] * rel[None, :, :]
+    phases = omega[:, None, :] * rel[None, :, :]
     cos = np.cos(phases)
     sin = np.sin(phases)
     grads = np.empty(cos.shape)
     for i in range(basis.workspace.dims):
         others = np.prod(np.delete(cos, i, axis=2), axis=2)
-        grads[:, :, i] = -basis.angular[:, i:i + 1] * sin[:, :, i] * others
+        grads[:, :, i] = -omega[:, i:i + 1] * sin[:, :, i] * others
     grads /= basis.normalizers[:, None, None]
     return grads
 
 
 SEPARABLE_CASES = {
-    "1d": (Workspace((7.0,), (1.5,)), 6),
     "coarse-10x10": (Workspace((100.0, 100.0)), 10),
     "fine-8x8": (Workspace((2.0 * math.radians(135.0), math.radians(120.0)),
                            (-math.radians(135.0), math.radians(-90.0))), 8),
-    "3d-uneven": (Workspace((3.0, 5.0, 2.0), (-1.0, 0.5, 2.0)), (4, 5, 3)),
 }
 
 
@@ -337,7 +348,7 @@ class TestTrajectoryCoefficients:
 
 class TestMapCoefficients:
     def test_uniform_map(self, basis8, square100):
-        imap = InfoMap.uniform(square100, (100, 100))
+        imap = InfoMap(square100, np.ones((100, 100)))
         phi = map_coefficients(basis8, imap)
         assert phi[0] == pytest.approx(0.01, abs=1e-12)
         assert np.max(np.abs(phi[1:])) < 1e-12
@@ -374,7 +385,7 @@ class TestMapCoefficients:
         assert np.max(np.abs(phi - direct)) < 1e-4
 
     def test_unnormalized_map_rejected(self, basis8, square100):
-        imap = InfoMap.uniform(square100, (50, 50))
+        imap = InfoMap(square100, np.ones((50, 50)))
         broken = object.__new__(InfoMap)
         broken.workspace = square100
         broken.density = imap.density * 2.0
@@ -397,7 +408,7 @@ class TestErgodicMetric:
         assert ergodic_metric(basis8, c, p) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_direct_summation(self, basis8, square100):
-        imap = InfoMap.uniform(square100, (100, 100))
+        imap = InfoMap(square100, np.ones((100, 100)))
         phi = map_coefficients(basis8, imap)
         pts = np.tile([25.0, 25.0], (12, 1))
         c = trajectory_coefficients(basis8, pts)
@@ -427,7 +438,7 @@ class TestMetricGradient:
 
     def test_matches_central_differences(self, basis8, square100):
         rng = np.random.default_rng(11)
-        imap = InfoMap.uniform(square100, (50, 50))
+        imap = InfoMap(square100, np.ones((50, 50)))
         phi = map_coefficients(basis8, imap)
         eps = 1e-6
         pts = rng.uniform(10.0, 90.0, (10, 2))
@@ -445,7 +456,7 @@ class TestMetricGradient:
         assert rel < 1e-4
 
     def test_duplicating_points_halves_rows(self, basis8, square100):
-        imap = InfoMap.uniform(square100, (50, 50))
+        imap = InfoMap(square100, np.ones((50, 50)))
         phi = map_coefficients(basis8, imap)
         rng = np.random.default_rng(2)
         pts = rng.uniform(5.0, 95.0, (6, 2))

@@ -127,6 +127,13 @@ class TestFloorAndNormalization:
             imap.check_invariants()
             assert imap.density.min() >= imap.floor_level()
 
+    def test_check_rejects_non_finite_density(self, ws):
+        # a NaN used to pass both checks: every comparison with NaN is false
+        values = np.ones((10, 10))
+        values[3, 4] = math.nan
+        with pytest.raises(AssertionError, match="not finite"):
+            InfoMap(ws, values).check_invariants()
+
     def test_density_forbidden_to_mutate(self, ws):
         imap = init_coarse(ws, (10, 10))
         with pytest.raises(ValueError):
@@ -135,7 +142,7 @@ class TestFloorAndNormalization:
 
 class TestUpdateFine:
     def test_discount_halves_viewed_window(self, fine_ws):
-        imap = InfoMap.uniform(fine_ws, (54, 24))
+        imap = InfoMap(fine_ws, np.ones((54, 24)))
         out = update_fine(imap, (0.0, math.radians(-30.0)), detected=False,
                           discount=0.5)
         ratio = out.density / imap.density
@@ -145,7 +152,7 @@ class TestUpdateFine:
         assert abs(out.integral() - 1.0) < 1e-9
 
     def test_detection_bump_is_argmax(self, fine_ws):
-        imap = InfoMap.uniform(fine_ws, (54, 24))
+        imap = InfoMap(fine_ws, np.ones((54, 24)))
         angles = (0.0, math.radians(-20.0))
         out = update_fine(imap, angles, detected=True)
         idx = np.unravel_index(np.argmax(out.density), out.shape)
@@ -154,7 +161,7 @@ class TestUpdateFine:
         assert abs(centers[1][idx[1]] - angles[1]) <= math.radians(5.0)
 
     def test_repeat_detection_clipped(self, fine_ws):
-        imap = InfoMap.uniform(fine_ws, (54, 24))
+        imap = InfoMap(fine_ws, np.ones((54, 24)))
         angles = (0.3, math.radians(-25.0))
         one = update_fine(imap, angles, detected=True)
         two = update_fine(one, angles, detected=True)

@@ -67,7 +67,7 @@ class TestMapInvariants:
     @given(st.lists(st.one_of(coarse_update, fine_update), min_size=1, max_size=25))
     def test_mass_and_floor_hold_after_any_update_sequence(self, updates):
         coarse = init_coarse(COARSE, (100, 100), DEFAULT_EPICENTERS)
-        fine = InfoMap.uniform(FINE, (54, 24))
+        fine = InfoMap(FINE, np.ones((54, 24)))
         for level, a, b, detected in updates:
             if level == "coarse":
                 point = tuple(COARSE.lows + np.array([a, b]) * COARSE.lengths)

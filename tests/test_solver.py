@@ -11,8 +11,8 @@ from bleto.dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel
 from bleto.ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
 from bleto.infomap import InfoMap, init_coarse
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
-                          objective_and_gradient, shift_warm_start, solve)
-from bleto.solver import (_LBFGS_MEMORY, _max_feasible_alpha, _merit, _norm,
+                          shift_warm_start, solve)
+from bleto.solver import (_LBFGS_MEMORY, _costs, _max_feasible_alpha, _merit, _norm,
                           _objective_scale, _preconditioner, _two_loop,
                           _wavelength_scales)
 from oracles import trajectory_coefficients
@@ -35,7 +35,7 @@ def fine_problem(x0=(0.0, -0.35), horizon=5, modes=8, **kw):
     ws = Workspace((math.radians(270.0), math.radians(120.0)),
                    (math.radians(-135.0), math.radians(-90.0)))
     basis = FourierBasis(ws, modes)
-    phi = map_coefficients(basis, InfoMap.uniform(ws, (54, 24)))
+    phi = map_coefficients(basis, InfoMap(ws, np.ones((54, 24))))
     return ErgodicProblem(
         basis=basis, target_coefficients=phi, model=SingleIntegratorModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=0.4,
@@ -90,58 +90,6 @@ class TestProblemValidation:
         assert prob.workspace.contains(pts).all()
 
 
-class TestObjectiveAndGradient:
-    def test_zero_weight_leaves_pure_metric(self):
-        prob = coarse_problem(horizon=12, modes=6, weight=0.0)
-        rng = np.random.default_rng(0)
-        z = random_feasible_z(prob, rng)
-        xs, us = prob.split(z)
-        J, _ = objective_and_gradient(prob, z)
-        states = np.vstack([prob.initial_state, xs])
-        c = trajectory_coefficients(prob.basis, states[:, :2])
-        E = ergodic_metric(prob.basis, c, prob.target_coefficients)
-        assert J == pytest.approx(E, rel=1e-12)
-
-    def test_zero_controls_zero_control_term(self):
-        prob = coarse_problem(horizon=10, modes=5, weight=3.0)
-        rng = np.random.default_rng(1)
-        z = random_feasible_z(prob, rng)
-        xs, us = prob.split(z)
-        z0 = prob.join(xs, np.zeros_like(us))
-        J0, _ = objective_and_gradient(prob, z0)
-        xs_only = np.vstack([prob.initial_state, xs])
-        c = trajectory_coefficients(prob.basis, xs_only[:, :2])
-        assert J0 == pytest.approx(
-            ergodic_metric(prob.basis, c, prob.target_coefficients), rel=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        prob = coarse_problem(horizon=10, modes=5)
-        with pytest.raises(ValueError):
-            objective_and_gradient(prob, np.zeros(7))
-
-    @pytest.mark.parametrize("make,seed", [("coarse", 3), ("coarse", 4),
-                                           ("fine", 5)])
-    def test_gradient_matches_central_differences(self, make, seed):
-        rng = np.random.default_rng(seed)
-        if make == "coarse":
-            prob = coarse_problem(horizon=int(rng.integers(10, 20)),
-                                  modes=int(rng.integers(4, 8)))
-        else:
-            prob = fine_problem(horizon=6)
-        z = random_feasible_z(prob, rng)
-        _, g = objective_and_gradient(prob, z)
-        eps = 1e-6
-        fd = np.zeros_like(z)
-        for i in range(z.size):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            fd[i] = (objective_and_gradient(prob, zp)[0]
-                     - objective_and_gradient(prob, zm)[0]) / (2 * eps)
-        rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
-        assert rel < 1e-4
-
-
 def random_walk_z(problem, rng):
     """Decision vector whose states form a bounded random walk, so the
     per-step position-change barrier stays feasible."""
@@ -158,6 +106,66 @@ def random_walk_z(problem, rng):
             xs[t, v:] = rng.uniform(-math.pi, math.pi, n - v)
     us = rng.uniform(problem.bounds.lower, problem.bounds.upper, (T, m))
     return problem.join(xs, us)
+
+
+class TestObjectiveAndGradient:
+    """The objective E + sum u'Ru as ``solve`` reports it (``_costs``), and
+    the gradient of the merit built on it (``_merit``, ``point.gradient``)."""
+
+    def test_zero_weight_leaves_pure_metric(self):
+        prob = coarse_problem(horizon=12, modes=6, weight=0.0)
+        rng = np.random.default_rng(0)
+        z = random_feasible_z(prob, rng)
+        xs, us = prob.split(z)
+        states = np.vstack([prob.initial_state, xs])
+        cost, ctrl = _costs(prob, states, us)
+        c = trajectory_coefficients(prob.basis, states[:, :2])
+        E = ergodic_metric(prob.basis, c, prob.target_coefficients)
+        assert ctrl == 0.0
+        assert cost.cost + ctrl == pytest.approx(E, rel=1e-12)
+
+    def test_zero_controls_zero_control_term(self):
+        prob = coarse_problem(horizon=10, modes=5, weight=3.0)
+        rng = np.random.default_rng(1)
+        z = random_feasible_z(prob, rng)
+        xs, us = prob.split(z)
+        xs_only = np.vstack([prob.initial_state, xs])
+        cost, ctrl = _costs(prob, xs_only, np.zeros_like(us))
+        c = trajectory_coefficients(prob.basis, xs_only[:, :2])
+        assert ctrl == 0.0
+        assert cost.cost + ctrl == pytest.approx(
+            ergodic_metric(prob.basis, c, prob.target_coefficients), rel=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        prob = coarse_problem(horizon=10, modes=5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            prob.split(np.zeros(7))
+
+    @pytest.mark.parametrize("make,seed", [("coarse", 3), ("coarse", 4),
+                                           ("fine", 5)])
+    def test_gradient_matches_central_differences(self, make, seed):
+        # the coarse problem steps a unicycle, the fine one a single integrator
+        rng = np.random.default_rng(seed)
+        if make == "coarse":
+            prob = coarse_problem(horizon=int(rng.integers(10, 20)),
+                                  modes=int(rng.integers(4, 8)))
+        else:
+            prob = fine_problem(horizon=6)
+        z = random_walk_z(prob, rng)
+        lam = rng.normal(size=(prob.horizon - 1, prob.model.state_dim))
+        args = (lam, 25.0, 0.3, _objective_scale(prob), _wavelength_scales(prob))
+        f, _, point = _merit(prob, z, *args)
+        assert math.isfinite(f)
+        g = point.gradient()
+        eps = 1e-6
+        fd = np.zeros_like(z)
+        for i in range(z.size):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += eps
+            zm[i] -= eps
+            fd[i] = (_merit(prob, zp, *args)[0] - _merit(prob, zm, *args)[0]) / (2 * eps)
+        rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
+        assert rel < 1e-4
 
 
 class TestMeritGradient:

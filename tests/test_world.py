@@ -34,7 +34,7 @@ class TestGenerateScenario:
     def test_quadrant_counts_uniform(self):
         # chi-square style check: each quadrant within 3 sigma of 25%
         s = generate_scenario(123, rock_count=100_000)
-        pos = s.rock_positions()
+        pos = np.array([[r.x, r.y] for r in s.rocks])
         n = pos.shape[0]
         p = 0.25
         sigma = math.sqrt(n * p * (1 - p))
