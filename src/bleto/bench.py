@@ -88,12 +88,14 @@ class ExperimentConfig:
                         for s in self.seeds)):
             raise ConfigError("seeds must be a nonempty list of integers")
         self.seeds = tuple(self.seeds)
-        if not (isinstance(self.rock_count, numbers.Integral) and self.rock_count >= 0):
+        if not (isinstance(self.rock_count, numbers.Integral)
+                and not isinstance(self.rock_count, bool) and self.rock_count >= 0):
             raise ConfigError("rock_count must be a nonnegative integer")
         if self.placement not in ws.PLACEMENTS:
             raise ConfigError(f"unknown placement {self.placement!r}; "
                               f"choose from {list(ws.PLACEMENTS)}")
         if not (isinstance(self.identification_radius, numbers.Real)
+                and not isinstance(self.identification_radius, bool)
                 and self.identification_radius >= 0):
             raise ConfigError("identification_radius must be a nonnegative number")
         # the method decides where the mast camera points

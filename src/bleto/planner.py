@@ -13,8 +13,8 @@ one rock triggers a body replan once it completes; an exhausted body plan
 is replaced as well.  The simulated clock is charged for body motion,
 camera slews, image inference, and planning, so methods that image more
 drive less within the same mission budget.  One clock rule holds for every
-method: the mission stops at the first charge that exhausts the budget, so
-no image starts after it.
+method: every action charges the clock before it acts, and the first charge
+made at or after the budget ends the mission, so no action starts after it.
 
 Coverage memory: replans aim the ergodic metric at the whole mission's
 time-averaged statistics, not each plan's in isolation.  This is folded
@@ -52,14 +52,21 @@ __all__ = [
 
 DEFAULT_EPICENTERS = (((20.0, 60.0, 15.0, 20.0), 5.0),
                       ((70.0, 25.0, 15.0, 20.0), 5.0))
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          bool: (bool, "true or false")}
+
+
+def _is_kind(value, kind):
+    """``isinstance``, except that a bool is of no kind but ``bool``: JSON's
+    ``true`` is not a count or a length."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _is_epicenter(entry):
     """An [x, y, width, height] rectangle of numbers and a number multiplier."""
     return (isinstance(entry, (tuple, list)) and len(entry) == 2
             and isinstance(entry[0], (tuple, list)) and len(entry[0]) == 4
-            and all(isinstance(v, numbers.Real) for v in (*entry[0], entry[1])))
+            and all(_is_kind(v, numbers.Real) for v in (*entry[0], entry[1])))
 
 
 @dataclass
@@ -134,10 +141,15 @@ class BiLevelConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("coarse_control_weight", "fine_control_weight", "track_noise"):
+        for name in ("coarse_control_weight", "fine_control_weight", "track_noise",
+                     "coarse_bump_amplitude", "fine_bump_amplitude",
+                     "coarse_clip_radius", "fine_clip_radius"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative")
+        for name in ("clip_factor", "view_discount"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("coarse_modes", "fine_modes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -154,21 +166,22 @@ class BiLevelConfig:
         self._check_geometry()
 
     def _check_types(self):
-        """Each ``int`` field holds an integer and each ``float`` field a
-        number; each ``Tuple`` field is a list of one such entry per axis,
-        and each epicenter a 4-number rectangle and a multiplier, so that no
-        check, map or plan meets a string or a short vector."""
+        """Each ``int`` field holds an integer, each ``float`` field a number
+        and each ``bool`` field a bool, with no bool taken as a number; each
+        ``Tuple`` field is a list of one such entry per axis, and each
+        epicenter a 4-number rectangle and a multiplier, so that no check,
+        map or plan meets a string or a short vector."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in _KINDS:
                 kind, noun = _KINDS[f.type]
-                if not isinstance(value, kind):
+                if not _is_kind(value, kind):
                     raise ValueError(f"{f.name} must be {noun}")
             elif get_origin(f.type) is tuple:
                 size = len(get_args(f.type))
                 kind, noun = _KINDS[get_args(f.type)[0]]
                 if not (isinstance(value, (tuple, list)) and len(value) == size
-                        and all(isinstance(v, kind) for v in value)):
+                        and all(_is_kind(v, kind) for v in value)):
                     raise ValueError(f"{f.name} needs {size} entries, each {noun}")
         if not (isinstance(self.epicenters, (tuple, list))
                 and all(map(_is_epicenter, self.epicenters))):
@@ -188,6 +201,8 @@ class BiLevelConfig:
         pitch_lo, pitch_hi = self.pitch_bounds
         if not pitch_lo < pitch_hi:
             raise ValueError("pitch_bounds must be increasing")
+        if not pitch_lo <= self.fixed_pitch <= pitch_hi:
+            raise ValueError("fixed_pitch lies outside pitch_bounds")
         coarse_box = tuple((lo, lo + n) for lo, n in zip(self.coarse_lows,
                                                          self.coarse_lengths))
         fine_box = ((-self.yaw_limit, self.yaw_limit), (pitch_lo, pitch_hi))
@@ -212,6 +227,8 @@ class BiLevelConfig:
                                  "of the control box plus the solver's guess offsets")
         for rect, multiplier in self.epicenters:
             x0, y0, w, h = rect
+            if not (w > 0 and h > 0):
+                raise ValueError(f"epicenter {list(rect)} needs a positive width and height")
             if not (inside((x0, y0), coarse_box) and inside((x0 + w, y0 + h), coarse_box)):
                 raise ValueError(f"epicenter {list(rect)} lies outside the coarse workspace")
             if not multiplier >= 1:
@@ -298,14 +315,14 @@ class MissionLog:
     """Everything a mission did, each fact kept once: ``body_states``, one
     ``(t, x, y, heading, yaw, pitch)`` row at the start and after each body
     step, with the camera angles held during the step; ``events``, one per
-    image; ``metric_trace`` and ``images_per_body_step``, one per body step;
-    ``coarse_replan_reasons``, one per coarse plan; the first coarse plan's
-    solver trace; the path length, the clock and the charges summing to it."""
+    image, a full sweep's worth between consecutive rows; ``metric_trace``,
+    one per body step; ``coarse_replan_reasons``, one per coarse plan; the
+    first coarse plan's solver trace; the path length, the clock and the
+    charges summing to it."""
 
     body_states: List[Tuple[float, ...]] = field(default_factory=list)
     events: List[im.DetectionEvent] = field(default_factory=list)
     metric_trace: List[Tuple[float, float]] = field(default_factory=list)
-    images_per_body_step: List[int] = field(default_factory=list)
     coarse_replan_reasons: List[str] = field(default_factory=list)
     first_coarse_trace: list = field(default_factory=list)  # initial plan's solver trace
     path_length: float = 0.0
@@ -373,6 +390,10 @@ def ergodic_fine_planner(camera_angles, phi, basis, config, memory=None,
                  optimality_tol=config.fine_optimality_tol)
 
 
+class _BudgetSpent(Exception):
+    """The clock reached the mission budget before an action could start."""
+
+
 class Mission:
     """One simulated exploration run; deterministic for a given seed."""
 
@@ -407,11 +428,12 @@ class Mission:
     # ---- clock ----
 
     def _charge(self, kind, amount):
+        """Book ``amount`` seconds of ``kind`` for the action about to start,
+        or end the mission if the clock has reached the budget."""
+        if self.log.sim_time >= self.config.time_budget:
+            raise _BudgetSpent
         self.log.charges[kind] += amount
         self.log.sim_time += amount
-
-    def _out_of_time(self):
-        return self.log.sim_time >= self.config.time_budget
 
     # ---- planning ----
 
@@ -419,6 +441,7 @@ class Mission:
         """Plan the body, warm from the active plan if there is one, and
         project the new plan's map into the camera's workspace."""
         cfg = self.config
+        self._charge("planning", cfg.coarse_plan_time)
         # maps are immutable and the coarse map changes only on a detection,
         # so most replans chase the coefficients of the plan before
         if self.coarse_map is not self._phi_map:
@@ -428,9 +451,6 @@ class Mission:
         self.coarse_plan = ergodic_coarse_planner(self.pose, self.coarse_phi,
                                                   self.coarse_basis, cfg,
                                                   memory=self.memory, warm_start=warm)
-        if reason == "initial":
-            self.log.first_coarse_trace = self.coarse_plan.diagnostics.trace
-        self._charge("planning", cfg.coarse_plan_time)
         self.log.coarse_replan_reasons.append(reason)
         self.step_index = 0
         if cfg.camera_mode != "optimized":
@@ -446,19 +466,19 @@ class Mission:
     def _plan_fine(self):
         """Plan the camera against the fine map as it is now, warm from the
         last camera plan if there is one."""
+        self._charge("planning", self.config.fine_plan_time)
         phi = map_coefficients(self.fine_basis, self.fine_map)
         warm = self.fine_plan and shift_warm_start(self.fine_plan)
         self.fine_plan = ergodic_fine_planner(self.angles, phi, self.fine_basis,
                                               self.config, memory=self.fine_memory,
                                               warm_start=warm)
-        self._charge("planning", self.config.fine_plan_time)
 
     # ---- sensing ----
 
     def _take_image(self):
+        self._charge("images", self.config.image_time)
         label, offset = ws.classify_view(self.scenario, self.camera_model,
                                          self.pose, self.angles, self.rng)
-        self._charge("images", self.config.image_time)
         if self.fine_memory is not None:
             self.fine_memory.add([self.angles])
         point = None
@@ -491,92 +511,74 @@ class Mission:
                                   0.5 * self.camera_model.vfov))
             self.fine_map.check_invariants()
 
-    def _slew_camera(self, target_state, charge=True):
+    def _slew_camera(self, target_state, duration):
+        self._charge("camera", duration)
         self.angles = tuple(target_state.tolist())
-        if charge:
-            self._charge("camera", self.config.fine_dt)
 
     # ---- main loop ----
 
     def _sweep(self):
         """One camera sweep: ``fine_horizon`` images (one for the fixed
-        camera), each after the method's aim step, until a charge exhausts
-        the budget.  The optimized camera slews along a sweep plan, replanned
+        camera), each after the method's aim step; only the clock cuts it
+        short.  The optimized camera slews along a sweep plan, replanned
         after each detection; the random camera slews to a uniform draw, the
-        first of a sweep placed without a charge; the fixed camera stays."""
+        first of a sweep placed free of charge; the fixed camera stays.
+        Returns the number of detections."""
         cfg = self.config
         mode = cfg.camera_mode
-        per_sweep = 1 if mode == "fixed" else cfg.fine_horizon
         if mode == "optimized":
             self._plan_fine()
             next_state = 1   # plan state the next slew targets
-        detections = images = 0
-        while not self._out_of_time():
+        detections = 0
+        for shot in range(1 if mode == "fixed" else cfg.fine_horizon):
             if mode == "random":
                 fine_ws = self.fine_basis.workspace
                 self._slew_camera(fine_ws.lows + self.rng.random(2) * fine_ws.lengths,
-                                  charge=images > 0)
-            elif mode == "optimized" and images:
+                                  cfg.fine_dt if shot else 0.0)
+            elif mode == "optimized" and shot:
                 if event.is_detection:
                     self._plan_fine()
                     next_state = 1
-                    if self._out_of_time():
-                        break
-                self._slew_camera(self.fine_plan.states[min(next_state,
-                                                            cfg.fine_horizon - 1)])
+                self._slew_camera(self.fine_plan.states[next_state], cfg.fine_dt)
                 next_state += 1
-            if self._out_of_time():
-                break
             event = self._take_image()
-            images += 1
             detections += event.is_detection
             self._update_maps(event)
-            if images == per_sweep:
-                break
-        return detections, images
+        return detections
 
     def run(self):
         cfg = self.config
         self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
         if self.memory:
             self.memory.add([self.pose[:2]])
-        self._plan_coarse("initial")
-
-        while not self._out_of_time():
-            detections, images = self._sweep()
-            if self._out_of_time():
-                # final partial sweep is not followed by a body step
-                break
-
-            control = np.array(self.coarse_plan.controls[self.step_index])
-            if cfg.track_noise > 0.0:
-                wobble = np.clip(
-                    self.rng.normal(0.0, cfg.track_noise, size=control.shape),
-                    -3.0 * cfg.track_noise, 3.0 * cfg.track_noise)
-                control *= 1.0 + wobble
-            nxt = self.body_model.step(self.pose, control, cfg.coarse_dt)
-            nxt[:2] = self.coarse_basis.workspace.clamp(nxt[:2])
-            self.pose = tuple(nxt.tolist())
-            self._charge("body", cfg.coarse_dt)
-            self.log.path_length += abs(float(control[0])) * cfg.coarse_dt
-            self.step_index += 1
-            self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
-            self.log.images_per_body_step.append(images)
-            if self.memory:
-                self.memory.add([self.pose[:2]])
-                self.log.metric_trace.append(
-                    (self.log.sim_time, self.memory.metric_against(self.coarse_phi)))
-            if self._out_of_time():
-                break
-
-            if detections:
-                reason = "detections"
-            elif self.step_index >= cfg.coarse_horizon - 1:
-                reason = "exhausted"
-            elif self.step_index % cfg.replan_interval == 0:
-                reason = "receding"
-            else:
-                continue
-            self._plan_coarse(reason)
-
+        try:
+            self._plan_coarse("initial")
+            self.log.first_coarse_trace = self.coarse_plan.diagnostics.trace
+            while True:
+                detections = self._sweep()
+                self._charge("body", cfg.coarse_dt)
+                control = np.array(self.coarse_plan.controls[self.step_index])
+                if cfg.track_noise > 0.0:
+                    wobble = np.clip(
+                        self.rng.normal(0.0, cfg.track_noise, size=control.shape),
+                        -3.0 * cfg.track_noise, 3.0 * cfg.track_noise)
+                    control *= 1.0 + wobble
+                nxt = self.body_model.step(self.pose, control, cfg.coarse_dt)
+                nxt[:2] = self.coarse_basis.workspace.clamp(nxt[:2])
+                self.pose = tuple(nxt.tolist())
+                self.log.path_length += abs(float(control[0])) * cfg.coarse_dt
+                self.step_index += 1
+                self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
+                if self.memory:
+                    self.memory.add([self.pose[:2]])
+                    self.log.metric_trace.append(
+                        (self.log.sim_time, self.memory.metric_against(self.coarse_phi)))
+                if detections:
+                    self._plan_coarse("detections")
+                elif self.step_index >= cfg.coarse_horizon - 1:
+                    self._plan_coarse("exhausted")
+                elif self.step_index % cfg.replan_interval == 0:
+                    self._plan_coarse("receding")
+        except _BudgetSpent:
+            pass
         return self.log

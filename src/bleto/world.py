@@ -69,12 +69,23 @@ class CameraModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if not isinstance(getattr(self, f.name), numbers.Real):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{f.name} must be a number")
-        if not (0.0 < self.hfov < math.pi and 0.0 < self.vfov < math.pi):
-            raise ValueError("fields of view must lie in (0, pi)")
-        if self.max_range <= 0.0 or self.mount_height <= 0.0:
-            raise ValueError("range and mount height must be positive")
+        for name in ("hfov", "vfov"):
+            if not 0.0 < getattr(self, name) < math.pi:
+                raise ValueError(f"{name} must lie in (0, pi)")
+        for name in ("mount_height", "max_range"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 < self.yaw_limit <= math.pi:
+            raise ValueError("yaw_limit must lie in (0, pi]")
+        for name in ("true_positive_rate", "false_positive_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if not (math.isfinite(self.offset_noise) and self.offset_noise >= 0.0):
+            raise ValueError("offset_noise must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

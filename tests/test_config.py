@@ -68,6 +68,14 @@ BAD_FIELDS = [
     ("fine_bump_sigma", float("inf"), "fine_bump_sigma must be positive and finite"),
     ("track_noise", -0.2, "track_noise must be finite and nonnegative"),
     ("track_noise", float("nan"), "track_noise must be finite and nonnegative"),
+    # a bool read as a number or an int as a bool, and negative map-update
+    # values, all ran with exit status 0
+    ("coarse_dt", True, "coarse_dt must be a number"),
+    ("use_memory", 1, "use_memory must be true or false"),
+    ("coarse_bump_amplitude", -50.0, "coarse_bump_amplitude must be finite and nonnegative"),
+    ("coarse_clip_radius", -2.0, "coarse_clip_radius must be finite and nonnegative"),
+    ("clip_factor", -0.1, "clip_factor must lie in"),
+    ("view_discount", -1.0, "view_discount must lie in"),
 ]
 
 
@@ -125,6 +133,12 @@ BAD_GEOMETRY = [
     pytest.param("camera_start", [3.0, 0.0],
                  "camera_start lies outside the fine workspace", id="camera_start"),
     pytest.param("yaw_limit", 0.0, "yaw_limit must be positive", id="yaw_limit"),
+    # these two ran with exit status 0: a flat prior map with rocks drawn in
+    # the empty rectangle, and a fixed camera looking above the horizon
+    pytest.param("epicenters", [[[30.0, 30.0, -10.0, -10.0], 5.0]],
+                 "needs a positive width and height", id="epicenter_size"),
+    pytest.param("fixed_pitch", 2.0, "fixed_pitch lies outside pitch_bounds",
+                 id="fixed_pitch"),
 ]
 
 
@@ -156,7 +170,8 @@ class TestGeometryValidation:
 # configs that passed validation and then stopped with a traceback and exit
 # status 1: a wrong type or vector length, or a step cap below the longest
 # step of the solver's initial guess ("initial iterate infeasible for the
-# barrier"); each row is (section, field, value, message)
+# barrier"); from the bool rows on, configs that ran with exit status 0 on a
+# wrong value; each row is (section, field, value, message)
 CRASHING_CONFIGS = [
     pytest.param(None, "rock_count", 1.5, "rock_count must be a nonnegative integer",
                  id="rock_count"),
@@ -184,6 +199,28 @@ CRASHING_CONFIGS = [
                  id="body_step_cap"),
     pytest.param("mission", "camera_step_cap", 0.2, "camera_step_cap must be at least",
                  id="camera_step_cap"),
+    pytest.param(None, "rock_count", True, "rock_count must be a nonnegative integer",
+                 id="rock_count_bool"),
+    pytest.param(None, "identification_radius", True,
+                 "identification_radius must be a nonnegative number",
+                 id="identification_radius_bool"),
+    # a NaN range saw rocks at any distance, a NaN or negative offset noise
+    # switched the noise off, a negative occlusion limit hid every rock
+    pytest.param("camera", "max_range", float("nan"), "max_range must be finite and positive",
+                 id="camera_max_range"),
+    pytest.param("camera", "offset_noise", float("nan"),
+                 "offset_noise must be finite and nonnegative", id="camera_offset_noise_nan"),
+    pytest.param("camera", "offset_noise", -0.3,
+                 "offset_noise must be finite and nonnegative",
+                 id="camera_offset_noise_negative"),
+    pytest.param("camera", "hfov", True, "hfov must be a number", id="camera_hfov"),
+    pytest.param("camera", "mount_height", True, "mount_height must be a number",
+                 id="camera_mount_height"),
+    pytest.param("camera", "true_positive_rate", 2.0, "true_positive_rate must lie in",
+                 id="camera_true_positive_rate"),
+    pytest.param("camera", "false_positive_rate", -0.5, "false_positive_rate must lie in",
+                 id="camera_false_positive_rate"),
+    pytest.param("camera", "yaw_limit", -1.0, "yaw_limit must lie in", id="camera_yaw_limit"),
 ]
 CONSTRUCTORS = {None: ExperimentConfig, "camera": CameraModel, "mission": BiLevelConfig}
 

@@ -1,13 +1,15 @@
 """The mission executive, the experiment harness and the CLI.
 
-Short missions (30–120 s of simulated time) check the invariants the
+Short missions (30–300 s of simulated time) check the invariants the
 docstrings of ``planner``, ``bench`` and ``cli`` promise: the clock is the
-sum of its charges, sweeps take ``fine_horizon`` images, no image starts
-after the budget, each coarse map is transformed once, comparisons stay
-paired, bad input exits with status 2, and ``run --out`` writes the
-solver trace of the mission's own first coarse plan.
+sum of its charges, sweeps take ``fine_horizon`` images, the first charge
+at or after the budget ends the mission whichever action it pays for, each
+coarse map is transformed once, comparisons stay paired, bad input exits
+with status 2, and ``run --out`` writes the solver trace of the mission's
+own first coarse plan.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -29,6 +31,47 @@ def run_mission(method, seed, **mission_kw):
     mission = Mission(config.mission, build_scenario(config, seed), seed,
                       camera_model=config.camera)
     return mission.run()
+
+
+# the charge each action books before it starts: (kind, config field)
+ACTIONS = {
+    "coarse plan": ("planning", "coarse_plan_time"),
+    "fine plan": ("planning", "fine_plan_time"),
+    "slew": ("camera", "fine_dt"),
+    "image": ("images", "image_time"),
+    "body step": ("body", "coarse_dt"),
+}
+CLOCK_CASES = [(method, action) for method in sorted(bleto.bench.METHODS)
+               for action in ACTIONS
+               if not (action == "fine plan" and method != "bl-eto")
+               and not (action == "slew" and method == "eto-fixed-camera")]
+
+
+class BookingMission(Mission):
+    """A mission that records each charge it books as (kind, amount, start)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.booked = []
+
+    def _charge(self, kind, amount):
+        start = self.log.sim_time
+        super()._charge(kind, amount)
+        self.booked.append((kind, amount, start))
+
+
+def booked_run(method, budget):
+    """(charges booked, log) of a seed-1 mission at ``budget``."""
+    config = ExperimentConfig(mission=BiLevelConfig(time_budget=budget)).for_method(method)
+    mission = BookingMission(config.mission, build_scenario(config, 1), 1,
+                             camera_model=config.camera)
+    log = mission.run()
+    return mission.booked, log
+
+
+@functools.lru_cache(maxsize=None)
+def reference_bookings(method):
+    return booked_run(method, 60.0)[0]
 
 
 def write_config(tmp_path, data):
@@ -53,12 +96,31 @@ class TestMissionInvariants:
 
     def test_every_sweep_takes_a_full_set_of_images(self, sweep_case):
         method, log = sweep_case
-        per_sweep = BiLevelConfig().fine_horizon
-        expected = 1 if method == "eto-fixed-camera" else per_sweep
-        assert log.images_per_body_step
-        assert all(n == expected for n in log.images_per_body_step)
+        per_sweep = 1 if method == "eto-fixed-camera" else BiLevelConfig().fine_horizon
+        # a sweep's images fall between the body-state rows around it
+        ends = np.searchsorted([e.time for e in log.events],
+                               [row[0] for row in log.body_states], side="right")
+        assert len(ends) > 1 and ends[0] == 0
+        assert all(np.diff(ends) == per_sweep)
         # only the final sweep, cut short by the clock, has no body step
-        unstepped = len(log.events) - sum(log.images_per_body_step)
+        assert 0 <= len(log.events) - ends[-1] <= per_sweep
+
+    @pytest.mark.parametrize("method,action", CLOCK_CASES)
+    def test_the_budget_ends_the_mission_within_any_action(self, method, action):
+        # a budget halfway through the last such charge of a 60 s mission
+        # replays that mission up to the charge, which must then be its last
+        cfg = BiLevelConfig()
+        kind, name = ACTIONS[action]
+        amount = getattr(cfg, name)
+        start = [s for k, a, s in reference_bookings(method) if (k, a) == (kind, amount)][-1]
+        budget = start + 0.5 * amount
+        booked, log = booked_run(method, budget)
+        assert booked[-1] == (kind, amount, start)
+        largest = max(getattr(cfg, field) for _, field in ACTIONS.values())
+        assert budget <= log.sim_time < budget + largest
+        assert all(e.time - cfg.image_time < budget for e in log.events)
+        per_sweep = 1 if method == "eto-fixed-camera" else cfg.fine_horizon
+        unstepped = len(log.events) - per_sweep * (len(log.body_states) - 1)
         assert 0 <= unstepped <= per_sweep
 
     @pytest.mark.parametrize("method", sorted(bleto.bench.METHODS))
@@ -108,6 +170,35 @@ class TestMissionInvariants:
         assert noisy[0] == noisy[1]
         quiet = run_mission("bl-eto", 3, time_budget=60.0)
         assert noisy[0].body_states != quiet.body_states
+
+    @pytest.mark.parametrize("overrides", [
+        {"mission": {"use_memory": False}},
+        {"camera": {"false_positive_rate": 0.5}},
+    ], ids=["without-memory", "false-positives"])
+    def test_rarely_run_paths_are_deterministic_and_inside(self, tmp_path, overrides):
+        # no benchmark workload runs a mission without coverage memory or a
+        # camera that reports rocks where there are none
+        config = ExperimentConfig.from_dict({
+            **overrides, "mission": {"time_budget": 300.0, **overrides.get("mission", {})}})
+        first, second = tmp_path / "first", tmp_path / "second"
+        metrics = bleto.bench.run_trial(config, 1, first)
+        assert bleto.bench.run_trial(config, 1, second) == metrics
+        for path in first.iterdir():
+            if path.name != "timing.txt":
+                assert path.read_bytes() == (second / path.name).read_bytes(), path.name
+
+        workspace = config.mission.coarse_workspace()
+        rows = (first / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == metrics.body_steps + 1
+        assert all(workspace.contains([float(v) for v in row.split(",")[1:3]])
+                   for row in rows)
+        events = [json.loads(line) for line in
+                  (first / "detections.jsonl").read_text().splitlines()]
+        hits = [e["world_point"] for e in events if e["label"] != "background"]
+        assert len(hits) == metrics.detections > 0
+        assert all(workspace.contains(point) for point in hits)
+        recorded = json.loads((first / "metrics.json").read_text())
+        assert (recorded["final_ergodic_metric"] is None) == (not config.mission.use_memory)
 
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bleto.ergodic import Workspace
-from bleto.world import (CameraModel, Rock, Scenario, classify_view,
+from bleto.world import (ROCK_CLASSES, CameraModel, Rock, Scenario, classify_view,
                          generate_scenario, project_detection,
                          scenario_from_json, scenario_to_json)
 
@@ -154,6 +154,18 @@ class TestClassifyView:
             pt = project_detection((50.0, 50.0, 0.0), (0.0, cam_pitch), cam, offset)
             assert math.hypot(pt[0] - 50.0, pt[1] - 50.0) <= cam.max_range + 1e-9
         assert detections > 500
+
+    def test_false_positive_only_below_the_horizon(self):
+        # an empty field: every downward image is a false positive on the
+        # camera axis, and no ray at or above the horizon reports a rock
+        empty = Scenario(Workspace((100.0, 100.0)), ())
+        cam = CameraModel(false_positive_rate=1.0)
+        rng = np.random.default_rng(5)
+        label, offset = classify_view(empty, cam, (50.0, 50.0, 0.0), (0.0, deg(-30.0)), rng)
+        assert label in ROCK_CLASSES and offset == (0.0, 0.0)
+        for pitch in (0.0, deg(20.0)):
+            assert classify_view(empty, cam, (50.0, 50.0, 0.0), (0.0, pitch),
+                                 rng) == ("background", None)
 
 
 class TestProjectDetection:
