@@ -17,6 +17,7 @@ solver iteration of the mission's first coarse plan) and ``timing.txt``
 
 import hashlib
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -54,7 +55,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class TrialMetrics:
-    """One trial's scores; its fields are the metrics.json schema."""
+    """One trial's scores; its fields are the metrics.json schema.
+
+    The field set is exactly the schema the benchmark enforces
+    (``perfbench/checks.py::METRICS_KEYS``): a new key in metrics.json fails
+    every benchmark mission, so further per-trial figures belong in a file
+    of their own.
+    """
 
     method: str
     seed: int
@@ -94,29 +101,39 @@ class ExperimentConfig:
         if self.placement not in ws.PLACEMENTS:
             raise ConfigError(f"unknown placement {self.placement!r}; "
                               f"choose from {list(ws.PLACEMENTS)}")
+        # an infinite radius credits every rock to the first detection
         if not (isinstance(self.identification_radius, numbers.Real)
                 and not isinstance(self.identification_radius, bool)
-                and self.identification_radius >= 0):
-            raise ConfigError("identification_radius must be a nonnegative number")
+                and 0 <= self.identification_radius < math.inf):
+            raise ConfigError("identification_radius must be a nonnegative number "
+                              "and finite")
         # the method decides where the mast camera points
         self.mission = self.mission.replaced(camera_mode=METHODS[self.method])
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
+        d = dict(_json_object(d, "the config"))
         try:
-            mission = d.pop("mission", {})
+            mission = _json_object(d.pop("mission", {}), "mission")
             if "camera_mode" in mission:
                 raise ConfigError("mission.camera_mode is chosen by method; "
                                   "set method instead")
             mission = BiLevelConfig.from_dict(mission)
-            camera = ws.CameraModel(**d.pop("camera", {}))
+            camera = ws.CameraModel(**_json_object(d.pop("camera", {}), "camera"))
             return cls(mission=mission, camera=camera, **d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def for_method(self, method):
         return replace(self, method=method)
+
+
+def _json_object(value, name):
+    """``value`` if it is a JSON object (a dict), else a ``ConfigError``
+    naming the part of the config that is not one."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return value
 
 
 def build_scenario(config, seed):

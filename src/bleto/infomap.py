@@ -1,11 +1,13 @@
 """Occupancy-grid information maps and their detection-driven updates.
 
-A map is a strictly positive density over a rectangular workspace,
+A map is a strictly positive density over a planar rectangular workspace,
 discretized on a regular grid and normalized to unit mass.  The coarse map
 lives on the planar body workspace (meters); the fine map lives on the
 camera's angular workspace (yaw, pitch in radians).  Updates are
 value-semantic: every operation returns a new map and never mutates its
-input, so a planner can hand snapshots around freely.
+input, so a planner can hand snapshots around freely.  Maps hold no
+history: a map is its density and nothing else, and whoever keeps the
+record of past detections (the mission) decides each bump's weight.
 
 Normalization discipline: after every mutation the density is renormalized
 and then mixed with a small uniform component so that the total mass is one
@@ -87,16 +89,15 @@ class DetectionEvent:
 
 
 class InfoMap:
-    """Normalized, strictly positive density on a regular grid."""
+    """Normalized, strictly positive density on a regular planar grid."""
 
-    def __init__(self, workspace, density, detection_log=None):
+    def __init__(self, workspace, density):
         self.workspace = workspace
         density = np.asarray(density, dtype=float)
-        if density.ndim != workspace.dims:
-            raise ValueError("density rank must match workspace dimensionality")
+        if density.ndim != 2 or workspace.dims != 2:
+            raise ValueError("a map is a planar density on a planar workspace")
         self.density = _normalize(workspace, density)
         self.density.flags.writeable = False
-        self.detection_log = list(detection_log) if detection_log else []
 
     # ---- geometry ----
 
@@ -149,60 +150,36 @@ class InfoMap:
 
     # ---- derived maps ----
 
-    def replaced(self, values, extra_log_point=None):
-        log = self.detection_log
-        if extra_log_point is not None:
-            log = log + [tuple(float(x) for x in extra_log_point)]
-        return InfoMap(self.workspace, values, log)
-
-    def add_bump(self, center, amplitude, sigma, clip_radius, clip_factor=0.1,
-                 truncate_sigmas=3.0):
-        """Add a truncated Gaussian bump and log the center point.
-
-        ``amplitude`` is the peak height relative to the uniform level.  If a
-        previously logged point lies within ``clip_radius`` of the center the
-        bump is attenuated by ``clip_factor`` (repeat sightings of the same
-        object must not re-spike the map).
-        """
+    def add_bump(self, center, amplitude, sigma, factor=1.0, truncate_sigmas=3.0):
+        """Add a Gaussian bump, truncated at ``truncate_sigmas`` sigmas, whose
+        peak is ``amplitude`` times the uniform level times ``factor``."""
         center = np.asarray(center, dtype=float)
         self.workspace.require_inside(center, what="bump center")
-        peak = amplitude * self.uniform_level()
-        for prior in self.detection_log:
-            if np.linalg.norm(center - np.asarray(prior)) <= clip_radius:
-                peak *= clip_factor
-                break
-        values = np.array(self.density)
-        centers = self.axis_centers()
-        lo_hi = []
-        for i, n in enumerate(self.shape):
-            half = truncate_sigmas * sigma
-            lo = int(np.clip(np.floor((center[i] - half - self.workspace.lows[i]) / self.cell_sizes[i]), 0, n))
-            hi = int(np.clip(np.ceil((center[i] + half - self.workspace.lows[i]) / self.cell_sizes[i]) + 1, 0, n))
-            lo_hi.append((lo, hi))
-        window = tuple(slice(lo, hi) for lo, hi in lo_hi)
-        local = np.meshgrid(*[centers[i][lo:hi] for i, (lo, hi) in enumerate(lo_hi)], indexing="ij")
-        dist_sq = sum((g - center[i]) ** 2 for i, g in enumerate(local))
+        peak = amplitude * self.uniform_level() * factor
+        half = truncate_sigmas * sigma
+        lows, sizes = self.workspace.lows, self.cell_sizes
+        lo = np.clip(np.floor((center - half - lows) / sizes), 0, self.shape).astype(int)
+        hi = np.clip(np.ceil((center + half - lows) / sizes) + 1, 0, self.shape).astype(int)
+        cx, cy = self.axis_centers()
+        dx_sq = (cx[lo[0]:hi[0]] - center[0]) ** 2
+        dy_sq = (cy[lo[1]:hi[1]] - center[1]) ** 2
+        dist_sq = dx_sq[:, None] + dy_sq[None, :]
         bump = peak * np.exp(-0.5 * dist_sq / sigma**2)
-        bump[dist_sq > (truncate_sigmas * sigma) ** 2] = 0.0
-        values[window] += bump
-        return self.replaced(values, extra_log_point=center)
+        bump[dist_sq > half**2] = 0.0
+        values = np.array(self.density)
+        values[lo[0]:hi[0], lo[1]:hi[1]] += bump
+        return InfoMap(self.workspace, values)
 
     def discount_window(self, center, half_widths, factor):
         """Scale a rectangular neighborhood of cells by ``factor``."""
-        center = np.asarray(center, dtype=float)
+        cx, cy = self.axis_centers()
         values = np.array(self.density)
-        centers = self.axis_centers()
-        mask = np.ones(self.shape, dtype=bool)
-        for i in range(self.workspace.dims):
-            ax_mask = np.abs(centers[i] - center[i]) <= half_widths[i]
-            mask &= ax_mask.reshape([-1 if j == i else 1 for j in range(self.workspace.dims)])
-        values[mask] *= factor
-        return self.replaced(values)
+        values[np.ix_(np.abs(cx - center[0]) <= half_widths[0],
+                      np.abs(cy - center[1]) <= half_widths[1])] *= factor
+        return InfoMap(self.workspace, values)
 
 
 def _shape(workspace, resolution):
-    if np.ndim(resolution) == 0:
-        return (int(resolution),) * workspace.dims
     shape = tuple(int(n) for n in resolution)
     if len(shape) != workspace.dims or any(n < 1 for n in shape):
         raise ValueError("resolution needs one positive cell count per axis")
@@ -251,32 +228,30 @@ def init_coarse(workspace, resolution, epicenters=()):
     return InfoMap(workspace, values)
 
 
-def register_detection(imap, event, amplitude=50.0, sigma=1.5, clip_radius=2.0,
-                       clip_factor=0.1):
+def register_detection(imap, event, amplitude=50.0, sigma=1.5, factor=1.0):
     """Fold one detection into the coarse map.
 
     Background events are a no-op and return the input map unchanged.  A
     detection adds a truncated Gaussian bump at the projected world point,
-    attenuated if the detection log already holds a point within
-    ``clip_radius`` of it.
+    its peak scaled by ``factor``.
     """
     if not event.is_detection:
         return imap
-    return imap.add_bump(event.world_point, amplitude, sigma, clip_radius, clip_factor)
+    return imap.add_bump(event.world_point, amplitude, sigma, factor)
 
 
 def update_fine(imap, camera_angles, detected, amplitude=20.0,
-                sigma=math.radians(5.0), clip_radius=math.radians(10.0),
-                clip_factor=0.1, discount=0.5,
+                sigma=math.radians(5.0), factor=1.0, discount=0.5,
                 view_half_widths=(math.radians(30.0), math.radians(22.5))):
     """Per-image update of the camera's angular map.
 
-    On a detection, add a clipped angular bump at the viewing direction; on
-    background, discount the one-field-of-view neighborhood that was just
-    imaged so the camera prefers directions it has not yet inspected.
+    On a detection, add an angular bump at the viewing direction, its peak
+    scaled by ``factor``; on background, discount the one-field-of-view
+    neighborhood that was just imaged so the camera prefers directions it
+    has not yet inspected.
     """
     if detected:
-        return imap.add_bump(camera_angles, amplitude, sigma, clip_radius, clip_factor)
+        return imap.add_bump(camera_angles, amplitude, sigma, factor)
     return imap.discount_window(camera_angles, view_half_widths, discount)
 
 

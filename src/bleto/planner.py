@@ -78,6 +78,8 @@ class BiLevelConfig:
     coarse_lows: Tuple[float, float] = (0.0, 0.0)
     coarse_resolution: Tuple[int, int] = (100, 100)
     epicenters: tuple = DEFAULT_EPICENTERS
+    # half-width of the camera's yaw range and of the unoccluded sector the
+    # detection oracle sees through: the body blocks the bearings beyond it
     yaw_limit: float = math.radians(135.0)
     pitch_bounds: Tuple[float, float] = (math.radians(-90.0), math.radians(30.0))
     fine_resolution: Tuple[int, int] = (54, 24)
@@ -196,6 +198,8 @@ class BiLevelConfig:
                      "camera_rate_max", "camera_step_cap", "yaw_limit"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.yaw_limit <= math.pi:
+            raise ValueError("yaw_limit must lie in (0, pi]")
         if not min(self.coarse_lengths) > 0:
             raise ValueError("coarse_lengths must be positive")
         pitch_lo, pitch_hi = self.pitch_bounds
@@ -390,6 +394,15 @@ def ergodic_fine_planner(camera_angles, phi, basis, config, memory=None,
                  optimality_tol=config.fine_optimality_tol)
 
 
+def _repeat_factor(point, earlier, radius, clip_factor):
+    """``clip_factor`` if an ``earlier`` hit lies within ``radius`` of
+    ``point``, else 1.0: a repeat sighting must not re-spike a map."""
+    point = np.asarray(point, dtype=float)
+    if any(np.linalg.norm(point - np.asarray(p)) <= radius for p in earlier):
+        return clip_factor
+    return 1.0
+
+
 class _BudgetSpent(Exception):
     """The clock reached the mission budget before an action could start."""
 
@@ -477,8 +490,8 @@ class Mission:
 
     def _take_image(self):
         self._charge("images", self.config.image_time)
-        label, offset = ws.classify_view(self.scenario, self.camera_model,
-                                         self.pose, self.angles, self.rng)
+        label, offset = ws.classify_view(self.scenario, self.camera_model, self.pose,
+                                         self.angles, self.config.yaw_limit, self.rng)
         if self.fine_memory is not None:
             self.fine_memory.add([self.angles])
         point = None
@@ -490,22 +503,29 @@ class Mission:
         self.log.events.append(event)
         return event
 
-    def _update_maps(self, event):
+    def _update_maps(self, event, hits):
         """Fold one image into the maps and check each map it changed: a
         detection bumps the coarse map, and the fine map (when the camera
-        plans against one) takes a bump or a discount of the imaged view."""
+        plans against one) takes a bump or a discount of the imaged view.
+        A bump near an earlier hit on its map is scaled by ``clip_factor``.
+        The coarse map's earlier hits are the mission's detections; the fine
+        map's are ``hits``, this sweep's, since a sweep with a hit ends in a
+        replan that projects a fresh fine map."""
         cfg = self.config
         if event.is_detection:
+            earlier = (e.world_point for e in self.log.detections()[:-1])
             self.coarse_map = im.register_detection(
                 self.coarse_map, event, amplitude=cfg.coarse_bump_amplitude,
-                sigma=cfg.coarse_bump_sigma, clip_radius=cfg.coarse_clip_radius,
-                clip_factor=cfg.clip_factor)
+                sigma=cfg.coarse_bump_sigma,
+                factor=_repeat_factor(event.world_point, earlier,
+                                      cfg.coarse_clip_radius, cfg.clip_factor))
             self.coarse_map.check_invariants()
         if self.fine_map is not None:
             self.fine_map = im.update_fine(
                 self.fine_map, self.angles, event.is_detection,
                 amplitude=cfg.fine_bump_amplitude, sigma=cfg.fine_bump_sigma,
-                clip_radius=cfg.fine_clip_radius, clip_factor=cfg.clip_factor,
+                factor=_repeat_factor(self.angles, hits, cfg.fine_clip_radius,
+                                      cfg.clip_factor),
                 discount=cfg.view_discount,
                 view_half_widths=(0.5 * self.camera_model.hfov,
                                   0.5 * self.camera_model.vfov))
@@ -529,7 +549,7 @@ class Mission:
         if mode == "optimized":
             self._plan_fine()
             next_state = 1   # plan state the next slew targets
-        detections = 0
+        hits = []   # camera angles of this sweep's detections
         for shot in range(1 if mode == "fixed" else cfg.fine_horizon):
             if mode == "random":
                 fine_ws = self.fine_basis.workspace
@@ -542,9 +562,10 @@ class Mission:
                 self._slew_camera(self.fine_plan.states[next_state], cfg.fine_dt)
                 next_state += 1
             event = self._take_image()
-            detections += event.is_detection
-            self._update_maps(event)
-        return detections
+            self._update_maps(event, hits)
+            if event.is_detection:
+                hits.append(event.camera_angles)
+        return len(hits)
 
     def run(self):
         cfg = self.config

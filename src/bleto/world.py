@@ -51,18 +51,14 @@ class Rock:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Mast camera: geometry plus oracle reliability knobs.
-
-    Angles are radians.  ``yaw_limit`` is the half-width of the unoccluded
-    sector: sight lines at body-relative bearings of that magnitude or more
-    are blocked by the robot itself.
-    """
+    """Mast camera: geometry plus oracle reliability knobs; angles are
+    radians.  The occlusion sector is the mission's ``yaw_limit``, which
+    also bounds where the camera planner may aim."""
 
     mount_height: float = 1.0
     hfov: float = math.radians(60.0)
     vfov: float = math.radians(45.0)
     max_range: float = 5.0
-    yaw_limit: float = math.radians(135.0)
     true_positive_rate: float = 0.973
     false_positive_rate: float = 0.0
     offset_noise: float = 0.0
@@ -79,8 +75,6 @@ class CameraModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.yaw_limit <= math.pi:
-            raise ValueError("yaw_limit must lie in (0, pi]")
         for name in ("true_positive_rate", "false_positive_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -134,15 +128,16 @@ def _wrap_angle(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def classify_view(scenario, camera_model, body_pose, camera_angles, rng):
+def classify_view(scenario, camera_model, body_pose, camera_angles, yaw_limit, rng):
     """Label the current image; geometric stand-in for the learned classifier.
 
     Returns (label, image_offset).  The offset is the (azimuth, elevation)
     angle of the detected rock relative to the camera axis, i.e. the
     perspective projection of the rock center; it is None for background.
     The nearest rock that is within range, inside the frustum, and outside
-    the body's occlusion sector is the candidate; classification then
-    succeeds with the true-positive rate.
+    the body's occlusion sector (body-relative bearings of ``yaw_limit`` or
+    more, where the robot itself blocks the sight line) is the candidate;
+    classification then succeeds with the true-positive rate.
     """
     x, y, heading = body_pose
     cam_yaw, cam_pitch = camera_angles
@@ -153,7 +148,7 @@ def classify_view(scenario, camera_model, body_pose, camera_angles, rng):
         if dist > camera_model.max_range or dist < 1e-9:
             continue
         bearing = _wrap_angle(math.atan2(dy, dx) - heading)
-        if abs(bearing) >= camera_model.yaw_limit:
+        if abs(bearing) >= yaw_limit:
             continue  # hidden behind the body
         d_az = _wrap_angle(bearing - cam_yaw)
         if abs(d_az) > 0.5 * camera_model.hfov:

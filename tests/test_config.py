@@ -205,7 +205,9 @@ CRASHING_CONFIGS = [
                  "identification_radius must be a nonnegative number",
                  id="identification_radius_bool"),
     # a NaN range saw rocks at any distance, a NaN or negative offset noise
-    # switched the noise off, a negative occlusion limit hid every rock
+    # switched the noise off, an infinite identification radius credited
+    # every rock to the first detection, and a yaw limit wider than half a
+    # turn let the camera plan over more than a full turn
     pytest.param("camera", "max_range", float("nan"), "max_range must be finite and positive",
                  id="camera_max_range"),
     pytest.param("camera", "offset_noise", float("nan"),
@@ -220,7 +222,10 @@ CRASHING_CONFIGS = [
                  id="camera_true_positive_rate"),
     pytest.param("camera", "false_positive_rate", -0.5, "false_positive_rate must lie in",
                  id="camera_false_positive_rate"),
-    pytest.param("camera", "yaw_limit", -1.0, "yaw_limit must lie in", id="camera_yaw_limit"),
+    pytest.param(None, "identification_radius", float("inf"),
+                 "identification_radius must be a nonnegative number and finite",
+                 id="identification_radius_infinite"),
+    pytest.param("mission", "yaw_limit", 4.0, "yaw_limit must lie in", id="mission_yaw_limit"),
 ]
 CONSTRUCTORS = {None: ExperimentConfig, "camera": CameraModel, "mission": BiLevelConfig}
 
@@ -270,6 +275,18 @@ UNNAMED_FIELDS = [
                  "epicenters must be a list of", id="epicenter_without_multiplier"),
     pytest.param({"mission": {"camera_mode": "fixed"}},
                  "mission.camera_mode is chosen by method", id="camera_mode"),
+    # a list, string, number or null at the top exited 1 with a traceback,
+    # an empty list ran a full default mission, and a scalar section exited
+    # 2 with a message of Python's own; the camera's occlusion sector is the
+    # mission's, so a camera key for it is unknown
+    pytest.param([1], "the config must be a JSON object", id="top_list"),
+    pytest.param([], "the config must be a JSON object", id="top_empty_list"),
+    pytest.param("x", "the config must be a JSON object", id="top_string"),
+    pytest.param(5, "the config must be a JSON object", id="top_number"),
+    pytest.param(None, "the config must be a JSON object", id="top_null"),
+    pytest.param({"mission": 5}, "mission must be a JSON object", id="mission_scalar"),
+    pytest.param({"camera": [1]}, "camera must be a JSON object", id="camera_list"),
+    pytest.param({"camera": {"yaw_limit": 0.5}}, "yaw_limit", id="camera_yaw_limit"),
 ]
 
 

@@ -389,7 +389,6 @@ class TestMapCoefficients:
         broken = object.__new__(InfoMap)
         broken.workspace = square100
         broken.density = imap.density * 2.0
-        broken.detection_log = []
         with pytest.raises(ValueError):
             map_coefficients(basis8, broken)
 

@@ -95,13 +95,12 @@ class TestRegisterDetection:
         assert abs(centers[0][idx[0]] - 30.0) <= 1.0
         assert abs(centers[1][idx[1]] - 40.0) <= 1.0
         assert abs(out.integral() - 1.0) < 1e-9
-        assert out.detection_log == [(30.0, 40.0)]
 
     def test_second_nearby_detection_clipped(self, ws):
         imap = init_coarse(ws, (100, 100))
         one = register_detection(imap, detection(30.0, 40.0))
         two = register_detection(one, detection(30.2, 40.1), amplitude=50.0,
-                                 sigma=1.5, clip_radius=2.0, clip_factor=0.1)
+                                 sigma=1.5, factor=0.1)
         # bump added on top of `one` is everywhere at most ~0.1 * 50 * uniform
         diff = two.density * (1.0 + 0.0) - one.density
         # account for renormalization: compare against a generous cap
@@ -164,7 +163,7 @@ class TestUpdateFine:
         imap = InfoMap(fine_ws, np.ones((54, 24)))
         angles = (0.3, math.radians(-25.0))
         one = update_fine(imap, angles, detected=True)
-        two = update_fine(one, angles, detected=True)
+        two = update_fine(one, angles, detected=True, factor=0.1)
         gain_one = one.density.max() - imap.density.max()
         gain_two = two.density.max() - one.density.max()
         assert gain_two <= 0.15 * gain_one

@@ -11,11 +11,13 @@ own first coarse plan.
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
 import bleto.bench
+import bleto.infomap
 import bleto.planner
 from bleto.bench import ExperimentConfig, build_scenario, compare
 from bleto.cli import EXIT_CONFIG, EXIT_OK, main
@@ -200,6 +202,52 @@ class TestMissionInvariants:
         recorded = json.loads((first / "metrics.json").read_text())
         assert (recorded["final_ergodic_metric"] is None) == (not config.mission.use_memory)
 
+
+class TestRepeatSightings:
+    """A map bump near an earlier hit on the same map is scaled by
+    ``clip_factor``: on the coarse map, any earlier detection of the
+    mission; on the fine map, an earlier hit since the last projection."""
+
+    def test_coarse_factor_reads_the_missions_detections(self, monkeypatch):
+        real = bleto.infomap.register_detection
+        calls = []
+
+        def spy(imap, event, **kw):
+            calls.append((event.world_point, kw["factor"]))
+            return real(imap, event, **kw)
+
+        monkeypatch.setattr(bleto.infomap, "register_detection", spy)
+        run_mission("bl-eto", 1, time_budget=300.0)
+        cfg = BiLevelConfig()
+        for i, (point, factor) in enumerate(calls):
+            near = any(math.dist(point, earlier) <= cfg.coarse_clip_radius
+                       for earlier, _ in calls[:i])
+            assert factor == (cfg.clip_factor if near else 1.0)
+        assert {factor for _, factor in calls} == {cfg.clip_factor, 1.0}
+
+    def test_fine_factor_reads_the_current_fine_maps_hits(self, monkeypatch):
+        real_update = bleto.infomap.update_fine
+        real_project = bleto.infomap.project_to_fine
+        hits, checked = [], []
+
+        def project(*args, **kw):
+            hits.clear()
+            return real_project(*args, **kw)
+
+        def update(imap, angles, detected, **kw):
+            if detected:
+                near = any(math.dist(angles, hit) <= cfg.fine_clip_radius for hit in hits)
+                checked.append((near, kw["factor"]))
+                hits.append(angles)
+            return real_update(imap, angles, detected, **kw)
+
+        monkeypatch.setattr(bleto.infomap, "project_to_fine", project)
+        monkeypatch.setattr(bleto.infomap, "update_fine", update)
+        cfg = BiLevelConfig()
+        for seed in (1, 2, 3):
+            run_mission("bl-eto", seed, time_budget=900.0)
+        assert all(factor == (cfg.clip_factor if near else 1.0) for near, factor in checked)
+        assert {near for near, _ in checked} == {True, False}
 
 
 class TestTrajectoryCsv:

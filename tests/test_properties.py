@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from bleto.ergodic import CoverageCost, FourierBasis, Workspace, ergodic_metric
 from bleto.infomap import (DetectionEvent, InfoMap, init_coarse,
                            register_detection, update_fine)
-from bleto.planner import DEFAULT_EPICENTERS, CoverageMemory
+from bleto.planner import DEFAULT_EPICENTERS, BiLevelConfig, CoverageMemory
 from bleto.world import (ROCK_CLASSES, CameraModel, Rock, Scenario,
                          classify_view, project_detection)
 from oracles import trajectory_coefficients
@@ -85,8 +85,10 @@ class TestMapInvariants:
             fine.check_invariants()
 
 
-# a noise-free camera that classifies every rock it sees
+# a noise-free camera that classifies every rock it sees, and the mission's
+# occlusion sector
 CAMERA = CameraModel(true_positive_rate=1.0)
+YAW_LIMIT = BiLevelConfig.yaw_limit
 
 
 @st.composite
@@ -96,7 +98,7 @@ def rock_views(draw):
     x, y, heading = (draw(st.floats(10.0, 90.0)), draw(st.floats(10.0, 90.0)),
                      draw(st.floats(-math.pi, math.pi)))
     polar = draw(st.lists(st.tuples(st.floats(0.05, 0.999 * CAMERA.max_range),
-                                    st.floats(-0.95, 0.95).map(lambda f: f * CAMERA.yaw_limit),
+                                    st.floats(-0.95, 0.95).map(lambda f: f * YAW_LIMIT),
                                     st.sampled_from(ROCK_CLASSES)),
                           min_size=1, max_size=4))
     rocks = tuple(Rock(x + dist * math.cos(heading + bearing),
@@ -119,7 +121,7 @@ class TestDetectionRoundTrip:
               (10.0, 10.0, 0.0), (0.0, -math.pi / 4)))
     def test_projected_detection_lands_on_the_classified_rock(self, view):
         scenario, body, angles = view
-        label, offset = classify_view(scenario, CAMERA, body, angles,
+        label, offset = classify_view(scenario, CAMERA, body, angles, YAW_LIMIT,
                                       np.random.default_rng(0))
         assert label != "background"
         x, y = project_detection(body, angles, CAMERA, offset, workspace=COARSE)

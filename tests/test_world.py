@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from bleto.ergodic import Workspace
+from bleto.planner import BiLevelConfig
 from bleto.world import (ROCK_CLASSES, CameraModel, Rock, Scenario, classify_view,
                          generate_scenario, project_detection,
                          scenario_from_json, scenario_to_json)
+
+
+# the mission's occlusion sector, which it passes to the oracle
+YAW_LIMIT = BiLevelConfig.yaw_limit
 
 
 def deg(a):
@@ -72,7 +77,7 @@ class TestClassifyView:
         rng = np.random.default_rng(0)
         # depression of a rock 4 m ahead from 1 m mast: atan(1/4) ~ 14.0 deg
         label, offset = classify_view(scenario, camera, (50.0, 50.0, 0.0),
-                                      (0.0, deg(-14.0)), rng)
+                                      (0.0, deg(-14.0)), YAW_LIMIT, rng)
         assert label == "sedimentary"
         d_az, d_el = offset
         assert abs(d_az) < 1e-12
@@ -83,7 +88,7 @@ class TestClassifyView:
         scenario = Scenario(ws, (Rock(56.0, 50.0, "igneous"),))
         rng = np.random.default_rng(0)
         label, offset = classify_view(scenario, camera, (50.0, 50.0, 0.0),
-                                      (0.0, deg(-10.0)), rng)
+                                      (0.0, deg(-10.0)), YAW_LIMIT, rng)
         assert label == "background"
         assert offset is None
 
@@ -96,7 +101,7 @@ class TestClassifyView:
         rng = np.random.default_rng(0)
         # even with the camera at its yaw limit the body blocks the ray
         label, _ = classify_view(scenario, camera, (50.0, 50.0, 0.0),
-                                 (deg(134.0), deg(-18.0)), rng)
+                                 (deg(134.0), deg(-18.0)), YAW_LIMIT, rng)
         assert label == "background"
 
     def test_nearest_rock_wins(self, camera):
@@ -105,7 +110,7 @@ class TestClassifyView:
                                  Rock(54.5, 50.0, "sedimentary")))
         rng = np.random.default_rng(0)
         label, _ = classify_view(scenario, camera, (50.0, 50.0, 0.0),
-                                 (0.0, deg(-20.0)), rng)
+                                 (0.0, deg(-20.0)), YAW_LIMIT, rng)
         assert label == "igneous"
 
     def test_true_positive_rate_statistics(self):
@@ -115,7 +120,7 @@ class TestClassifyView:
         rng = np.random.default_rng(9)
         hits = sum(
             classify_view(scenario, cam, (50.0, 50.0, 0.0),
-                          (0.0, deg(-18.4)), rng)[0] != "background"
+                          (0.0, deg(-18.4)), YAW_LIMIT, rng)[0] != "background"
             for _ in range(20_000))
         assert abs(hits / 20_000 - 0.973) < 0.005
 
@@ -127,7 +132,7 @@ class TestClassifyView:
         for _ in range(2):
             rng = np.random.default_rng(77)
             outs.append([classify_view(scenario, cam, (50.0, 50.0, 0.0),
-                                       (0.0, deg(-18.4)), rng)
+                                       (0.0, deg(-18.4)), YAW_LIMIT, rng)
                          for _ in range(50)])
         assert outs[0] == outs[1]
 
@@ -145,7 +150,7 @@ class TestClassifyView:
             scenario = Scenario(ws, (Rock(50.0 + dist, 50.0, "igneous"),))
             cam_pitch = rng.uniform(deg(-40.0), 0.0)
             label, offset = classify_view(scenario, cam, (50.0, 50.0, 0.0),
-                                          (0.0, cam_pitch), rng)
+                                          (0.0, cam_pitch), YAW_LIMIT, rng)
             if label == "background":
                 continue
             detections += 1
@@ -161,11 +166,12 @@ class TestClassifyView:
         empty = Scenario(Workspace((100.0, 100.0)), ())
         cam = CameraModel(false_positive_rate=1.0)
         rng = np.random.default_rng(5)
-        label, offset = classify_view(empty, cam, (50.0, 50.0, 0.0), (0.0, deg(-30.0)), rng)
+        label, offset = classify_view(empty, cam, (50.0, 50.0, 0.0), (0.0, deg(-30.0)),
+                                      YAW_LIMIT, rng)
         assert label in ROCK_CLASSES and offset == (0.0, 0.0)
         for pitch in (0.0, deg(20.0)):
             assert classify_view(empty, cam, (50.0, 50.0, 0.0), (0.0, pitch),
-                                 rng) == ("background", None)
+                                 YAW_LIMIT, rng) == ("background", None)
 
 
 class TestProjectDetection:
@@ -198,7 +204,7 @@ class TestProjectDetection:
             scenario = Scenario(ws, (rock,))
             angles = (bearing + rng.uniform(-deg(10), deg(10)),
                       -math.atan2(1.0, dist) + rng.uniform(-deg(8), deg(8)))
-            label, offset = classify_view(scenario, camera, body, angles, rng)
+            label, offset = classify_view(scenario, camera, body, angles, YAW_LIMIT, rng)
             if label == "background":
                 continue
             pt = project_detection(body, angles, camera, offset, workspace=ws)
