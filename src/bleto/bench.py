@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import infomap as im
 from . import world as ws
-from .planner import BiLevelConfig, Mission
+from .planner import BiLevelConfig, Mission, _is_kind
 
 __all__ = [
     "METHODS",
@@ -91,19 +91,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {sorted(METHODS)}")
         if not (isinstance(self.seeds, (tuple, list)) and self.seeds
-                and all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
-                        for s in self.seeds)):
+                and all(_is_kind(s, numbers.Integral) for s in self.seeds)):
             raise ConfigError("seeds must be a nonempty list of integers")
         self.seeds = tuple(self.seeds)
-        if not (isinstance(self.rock_count, numbers.Integral)
-                and not isinstance(self.rock_count, bool) and self.rock_count >= 0):
+        if not (_is_kind(self.rock_count, numbers.Integral) and self.rock_count >= 0):
             raise ConfigError("rock_count must be a nonnegative integer")
         if self.placement not in ws.PLACEMENTS:
             raise ConfigError(f"unknown placement {self.placement!r}; "
                               f"choose from {list(ws.PLACEMENTS)}")
         # an infinite radius credits every rock to the first detection
-        if not (isinstance(self.identification_radius, numbers.Real)
-                and not isinstance(self.identification_radius, bool)
+        if not (_is_kind(self.identification_radius, numbers.Real)
                 and 0 <= self.identification_radius < math.inf):
             raise ConfigError("identification_radius must be a nonnegative number "
                               "and finite")
@@ -113,14 +110,17 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(_json_object(d, "the config"))
+        mission = _json_object(d.pop("mission", {}), "mission")
+        camera = _json_object(d.pop("camera", {}), "camera")
+        if "camera_mode" in mission:
+            raise ConfigError("mission.camera_mode is chosen by method; "
+                              "set method instead")
+        _check_keys("config", d, cls)
+        _check_keys("mission", mission, BiLevelConfig)
+        _check_keys("camera", camera, ws.CameraModel)
         try:
-            mission = _json_object(d.pop("mission", {}), "mission")
-            if "camera_mode" in mission:
-                raise ConfigError("mission.camera_mode is chosen by method; "
-                                  "set method instead")
-            mission = BiLevelConfig.from_dict(mission)
-            camera = ws.CameraModel(**_json_object(d.pop("camera", {}), "camera"))
-            return cls(mission=mission, camera=camera, **d)
+            return cls(mission=BiLevelConfig(**mission),
+                       camera=ws.CameraModel(**camera), **d)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -134,6 +134,14 @@ def _json_object(value, name):
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object")
     return value
+
+
+def _check_keys(section, value, kind):
+    """A ``ConfigError`` naming each key of the ``section`` object ``value``
+    that is no field of the dataclass ``kind``."""
+    unknown = sorted(set(value) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {unknown}")
 
 
 def build_scenario(config, seed):

@@ -52,6 +52,32 @@ __all__ = [
 
 DEFAULT_EPICENTERS = (((20.0, 60.0, 15.0, 20.0), 5.0),
                       ((70.0, 25.0, 15.0, 20.0), 5.0))
+# the planner's tuning: grid and spectral resolution, control-effort weights
+# (scalar -> weight * identity), solver effort and map updates
+_COARSE_RESOLUTION = (100, 100)
+_FINE_RESOLUTION = (54, 24)
+_COARSE_MODES = 10
+_FINE_MODES = 8
+_COARSE_CONTROL_WEIGHT = 1e-6
+_FINE_CONTROL_WEIGHT = 1e-2
+# per-replan solver effort: a cold plan runs at the full caps; inside a
+# mission, replans are warm-started and polish is wasted time
+_COARSE_INNER_CAP = 150
+_COARSE_OUTER_ROUNDS = 6
+_COARSE_OPTIMALITY_TOL = 1e-2
+_COARSE_WARM_INNER_CAP = 60
+_COARSE_WARM_OUTER_ROUNDS = 2
+_FINE_INNER_CAP = 40
+_FINE_OUTER_ROUNDS = 3
+_FINE_OPTIMALITY_TOL = 5e-2
+_COARSE_BUMP_AMPLITUDE = 50.0
+_COARSE_BUMP_SIGMA = 1.5
+_COARSE_CLIP_RADIUS = 2.0
+_FINE_BUMP_AMPLITUDE = 20.0
+_FINE_BUMP_SIGMA = math.radians(5.0)
+_FINE_CLIP_RADIUS = math.radians(10.0)
+_CLIP_FACTOR = 0.1
+_VIEW_DISCOUNT = 0.5
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
           bool: (bool, "true or false")}
 
@@ -71,21 +97,18 @@ def _is_epicenter(entry):
 
 @dataclass
 class BiLevelConfig:
-    """All knobs of a mission; defaults are the desk-scale scenario."""
+    """The problem a mission solves: the workspaces, the robot's limits,
+    the clocks and the mission itself; defaults are the desk-scale
+    scenario.  The planner's tuning is the ``_``-constants beside it."""
 
-    # workspaces and grids
+    # workspaces
     coarse_lengths: Tuple[float, float] = (100.0, 100.0)
     coarse_lows: Tuple[float, float] = (0.0, 0.0)
-    coarse_resolution: Tuple[int, int] = (100, 100)
     epicenters: tuple = DEFAULT_EPICENTERS
     # half-width of the camera's yaw range and of the unoccluded sector the
     # detection oracle sees through: the body blocks the bearings beyond it
     yaw_limit: float = math.radians(135.0)
     pitch_bounds: Tuple[float, float] = (math.radians(-90.0), math.radians(30.0))
-    fine_resolution: Tuple[int, int] = (54, 24)
-    # spectral resolution
-    coarse_modes: int = 10
-    fine_modes: int = 8
     # horizons and step times
     coarse_horizon: int = 48
     fine_horizon: int = 5
@@ -97,29 +120,8 @@ class BiLevelConfig:
     body_step_cap: float = 6.75
     camera_rate_max: float = 0.6
     camera_step_cap: float = 0.36
-    # control-effort weights (scalar -> weight * identity)
-    coarse_control_weight: float = 1e-6
-    fine_control_weight: float = 1e-2
-    # per-replan solver effort (acceptance-style solves use the full caps;
-    # inside a mission, replans are warm-started and polish is wasted time)
-    coarse_inner_cap: int = 150
-    coarse_outer_rounds: int = 6
-    coarse_optimality_tol: float = 1e-2
-    coarse_warm_inner_cap: int = 60
-    coarse_warm_outer_rounds: int = 2
+    # body steps between receding coarse replans
     replan_interval: int = 1
-    fine_inner_cap: int = 40
-    fine_outer_rounds: int = 3
-    fine_optimality_tol: float = 5e-2
-    # map update parameters
-    coarse_bump_amplitude: float = 50.0
-    coarse_bump_sigma: float = 1.5
-    coarse_clip_radius: float = 2.0
-    fine_bump_amplitude: float = 20.0
-    fine_bump_sigma: float = math.radians(5.0)
-    fine_clip_radius: float = math.radians(10.0)
-    clip_factor: float = 0.1
-    view_discount: float = 0.5
     # simulated-time charges
     coarse_plan_time: float = 2.0
     fine_plan_time: float = 0.5
@@ -139,25 +141,12 @@ class BiLevelConfig:
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
         if self.coarse_horizon < 2 or self.fine_horizon < 2:
             raise ValueError("horizons must be at least 2 steps")
-        for name in ("coarse_dt", "fine_dt", "coarse_bump_sigma", "fine_bump_sigma"):
+        for name in ("coarse_dt", "fine_dt"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("coarse_control_weight", "fine_control_weight", "track_noise",
-                     "coarse_bump_amplitude", "fine_bump_amplitude",
-                     "coarse_clip_radius", "fine_clip_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
-        for name in ("clip_factor", "view_discount"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("coarse_modes", "fine_modes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("coarse_resolution", "fine_resolution"):
-            if min(getattr(self, name)) < 1:
-                raise ValueError(f"{name} needs at least one cell per axis")
+        if not (math.isfinite(self.track_noise) and self.track_noise >= 0):
+            raise ValueError("track_noise must be finite and nonnegative")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise ValueError("time_budget must be finite and positive")
         for name in ("coarse_plan_time", "fine_plan_time", "image_time"):
@@ -249,10 +238,10 @@ class BiLevelConfig:
                          (-self.yaw_limit, pitch_lo))
 
     def coarse_basis(self):
-        return FourierBasis(self.coarse_workspace(), self.coarse_modes)
+        return FourierBasis(self.coarse_workspace(), _COARSE_MODES)
 
     def fine_basis(self):
-        return FourierBasis(self.fine_workspace(), self.fine_modes)
+        return FourierBasis(self.fine_workspace(), _FINE_MODES)
 
     def body_bounds(self):
         return ControlBounds((-self.body_speed_max, -self.body_turn_max),
@@ -264,17 +253,8 @@ class BiLevelConfig:
         return ControlBounds((-r, -r), (r, r), self.camera_step_cap)
 
     def initial_coarse_map(self):
-        return im.init_coarse(self.coarse_workspace(), self.coarse_resolution,
+        return im.init_coarse(self.coarse_workspace(), _COARSE_RESOLUTION,
                               self.epicenters)
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        return cfg
 
     def replaced(self, **kw):
         return replace(self, **kw)
@@ -358,20 +338,18 @@ def ergodic_coarse_planner(body_pose, phi, basis, config, memory=None,
                            warm_start=None):
     """Plan a body trajectory from ``body_pose`` toward the coarse map's
     coefficients ``phi`` in ``basis``, optionally with mission-level
-    coverage memory.  A warm-started replan runs at the config's
-    ``coarse_warm_*`` effort, a cold plan at the full coarse caps.
+    coverage memory.  A warm-started replan runs at the ``_COARSE_WARM_*``
+    effort, a cold plan at the full coarse caps.
     """
     if warm_start is None:
-        inner_cap, outer_rounds = config.coarse_inner_cap, config.coarse_outer_rounds
+        inner_cap, outer_rounds = _COARSE_INNER_CAP, _COARSE_OUTER_ROUNDS
     else:
-        inner_cap = config.coarse_warm_inner_cap
-        outer_rounds = config.coarse_warm_outer_rounds
+        inner_cap, outer_rounds = _COARSE_WARM_INNER_CAP, _COARSE_WARM_OUTER_ROUNDS
     return _plan(basis, UnicycleModel(), body_pose, phi, memory, warm_start,
                  horizon=config.coarse_horizon, dt=config.coarse_dt,
-                 control_weight=config.coarse_control_weight,
+                 control_weight=_COARSE_CONTROL_WEIGHT,
                  bounds=config.body_bounds(), inner_cap=inner_cap,
-                 outer_rounds=outer_rounds,
-                 optimality_tol=config.coarse_optimality_tol)
+                 outer_rounds=outer_rounds, optimality_tol=_COARSE_OPTIMALITY_TOL)
 
 
 def ergodic_fine_planner(camera_angles, phi, basis, config, memory=None,
@@ -388,18 +366,17 @@ def ergodic_fine_planner(camera_angles, phi, basis, config, memory=None,
     """
     return _plan(basis, SingleIntegratorModel(), camera_angles, phi, memory,
                  warm_start, horizon=config.fine_horizon, dt=config.fine_dt,
-                 control_weight=config.fine_control_weight,
-                 bounds=config.camera_bounds(), inner_cap=config.fine_inner_cap,
-                 outer_rounds=config.fine_outer_rounds,
-                 optimality_tol=config.fine_optimality_tol)
+                 control_weight=_FINE_CONTROL_WEIGHT,
+                 bounds=config.camera_bounds(), inner_cap=_FINE_INNER_CAP,
+                 outer_rounds=_FINE_OUTER_ROUNDS, optimality_tol=_FINE_OPTIMALITY_TOL)
 
 
-def _repeat_factor(point, earlier, radius, clip_factor):
-    """``clip_factor`` if an ``earlier`` hit lies within ``radius`` of
+def _repeat_factor(point, earlier, radius):
+    """``_CLIP_FACTOR`` if an ``earlier`` hit lies within ``radius`` of
     ``point``, else 1.0: a repeat sighting must not re-spike a map."""
     point = np.asarray(point, dtype=float)
     if any(np.linalg.norm(point - np.asarray(p)) <= radius for p in earlier):
-        return clip_factor
+        return _CLIP_FACTOR
     return 1.0
 
 
@@ -469,7 +446,7 @@ class Mission:
         if cfg.camera_mode != "optimized":
             return
         self.fine_map = im.project_to_fine(self.coarse_map, self.pose, self.camera_model,
-                                           self.fine_basis.workspace, cfg.fine_resolution)
+                                           self.fine_basis.workspace, _FINE_RESOLUTION)
         # the camera's pan memory refers to body-relative directions, which a
         # fresh projection re-anchors; restart it together with the map
         if cfg.use_memory:
@@ -507,26 +484,23 @@ class Mission:
         """Fold one image into the maps and check each map it changed: a
         detection bumps the coarse map, and the fine map (when the camera
         plans against one) takes a bump or a discount of the imaged view.
-        A bump near an earlier hit on its map is scaled by ``clip_factor``.
+        A bump near an earlier hit on its map is scaled by ``_CLIP_FACTOR``.
         The coarse map's earlier hits are the mission's detections; the fine
         map's are ``hits``, this sweep's, since a sweep with a hit ends in a
         replan that projects a fresh fine map."""
-        cfg = self.config
         if event.is_detection:
             earlier = (e.world_point for e in self.log.detections()[:-1])
             self.coarse_map = im.register_detection(
-                self.coarse_map, event, amplitude=cfg.coarse_bump_amplitude,
-                sigma=cfg.coarse_bump_sigma,
-                factor=_repeat_factor(event.world_point, earlier,
-                                      cfg.coarse_clip_radius, cfg.clip_factor))
+                self.coarse_map, event, amplitude=_COARSE_BUMP_AMPLITUDE,
+                sigma=_COARSE_BUMP_SIGMA,
+                factor=_repeat_factor(event.world_point, earlier, _COARSE_CLIP_RADIUS))
             self.coarse_map.check_invariants()
         if self.fine_map is not None:
             self.fine_map = im.update_fine(
                 self.fine_map, self.angles, event.is_detection,
-                amplitude=cfg.fine_bump_amplitude, sigma=cfg.fine_bump_sigma,
-                factor=_repeat_factor(self.angles, hits, cfg.fine_clip_radius,
-                                      cfg.clip_factor),
-                discount=cfg.view_discount,
+                amplitude=_FINE_BUMP_AMPLITUDE, sigma=_FINE_BUMP_SIGMA,
+                factor=_repeat_factor(self.angles, hits, _FINE_CLIP_RADIUS),
+                discount=_VIEW_DISCOUNT,
                 view_half_widths=(0.5 * self.camera_model.hfov,
                                   0.5 * self.camera_model.vfov))
             self.fine_map.check_invariants()

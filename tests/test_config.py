@@ -3,11 +3,13 @@ fail mid-mission, and the CLI turns a rejected config into exit status 2."""
 
 import json
 import math
+import re
+from dataclasses import asdict
 
 import pytest
 
 from bleto.bench import ConfigError, ExperimentConfig, run_trial
-from bleto.cli import EXIT_CONFIG, main
+from bleto.cli import EXIT_CONFIG, EXIT_OK, main
 from bleto.planner import BiLevelConfig
 from bleto.world import CameraModel
 
@@ -43,10 +45,6 @@ class TestHorizons:
 BAD_FIELDS = [
     ("coarse_dt", 0.0, "coarse_dt must be positive"),
     ("fine_dt", -0.4, "fine_dt must be positive"),
-    ("coarse_modes", 0, "coarse_modes must be at least 1"),
-    ("fine_modes", 0, "fine_modes must be at least 1"),
-    ("coarse_resolution", [100, 0], "coarse_resolution needs at least one cell"),
-    ("fine_resolution", [0, 24], "fine_resolution needs at least one cell"),
     ("time_budget", float("nan"), "time_budget must be finite and positive"),
     ("time_budget", float("inf"), "time_budget must be finite and positive"),
     ("coarse_plan_time", -2.0, "coarse_plan_time must be nonnegative"),
@@ -56,26 +54,12 @@ BAD_FIELDS = [
     ("replan_interval", 0, "replan_interval must be at least 1"),
     ("coarse_dt", float("inf"), "coarse_dt must be positive and finite"),
     ("fine_dt", float("inf"), "fine_dt must be positive and finite"),
-    ("coarse_control_weight", float("nan"),
-     "coarse_control_weight must be finite and nonnegative"),
-    ("fine_control_weight", -1.0, "fine_control_weight must be finite and nonnegative"),
-    # a sigma of zero divided by zero and a negative one gave an empty
-    # window: either way no bump was ever added, and a negative track noise
-    # ran without noise, all with exit status 0
-    ("coarse_bump_sigma", 0.0, "coarse_bump_sigma must be positive and finite"),
-    ("coarse_bump_sigma", -1.5, "coarse_bump_sigma must be positive and finite"),
-    ("fine_bump_sigma", 0.0, "fine_bump_sigma must be positive and finite"),
-    ("fine_bump_sigma", float("inf"), "fine_bump_sigma must be positive and finite"),
+    # a negative track noise ran without noise, with exit status 0
     ("track_noise", -0.2, "track_noise must be finite and nonnegative"),
     ("track_noise", float("nan"), "track_noise must be finite and nonnegative"),
-    # a bool read as a number or an int as a bool, and negative map-update
-    # values, all ran with exit status 0
+    # a bool read as a number or an int as a bool ran with exit status 0
     ("coarse_dt", True, "coarse_dt must be a number"),
     ("use_memory", 1, "use_memory must be true or false"),
-    ("coarse_bump_amplitude", -50.0, "coarse_bump_amplitude must be finite and nonnegative"),
-    ("coarse_clip_radius", -2.0, "coarse_clip_radius must be finite and nonnegative"),
-    ("clip_factor", -0.1, "clip_factor must lie in"),
-    ("view_discount", -1.0, "view_discount must lie in"),
 ]
 
 
@@ -164,7 +148,7 @@ class TestGeometryValidation:
         cfg = BiLevelConfig(start_pose=(100.0, 0.0, 1.0),
                             camera_start=(-BiLevelConfig.yaw_limit, 0.5),
                             epicenters=(((0.0, 0.0, 100.0, 100.0), 1.0),))
-        assert cfg.replaced(coarse_inner_cap=60).start_pose == (100.0, 0.0, 1.0)
+        assert cfg.replaced(replan_interval=48).start_pose == (100.0, 0.0, 1.0)
 
 
 # configs that passed validation and then stopped with a traceback and exit
@@ -182,11 +166,6 @@ CRASHING_CONFIGS = [
                  id="identification_radius"),
     pytest.param("camera", "true_positive_rate", "x", "true_positive_rate must be a number",
                  id="true_positive_rate"),
-    pytest.param("mission", "coarse_resolution", [100],
-                 "coarse_resolution needs 2 entries, each an integer",
-                 id="coarse_resolution"),
-    pytest.param("mission", "fine_resolution", [54, 24, 3],
-                 "fine_resolution needs 2 entries, each an integer", id="fine_resolution"),
     pytest.param("mission", "start_pose", [50, 50],
                  "start_pose needs 3 entries, each a number", id="start_pose"),
     pytest.param("mission", "camera_start", [0.0],
@@ -276,9 +255,10 @@ UNNAMED_FIELDS = [
     pytest.param({"mission": {"camera_mode": "fixed"}},
                  "mission.camera_mode is chosen by method", id="camera_mode"),
     # a list, string, number or null at the top exited 1 with a traceback,
-    # an empty list ran a full default mission, and a scalar section exited
-    # 2 with a message of Python's own; the camera's occlusion sector is the
-    # mission's, so a camera key for it is unknown
+    # an empty list ran a full default mission, and a scalar section or an
+    # unknown top-level or camera key exited 2 with a message of Python's
+    # own; the camera's occlusion sector is the mission's, so a camera key
+    # for it is unknown, and the planner's tuning is no mission key
     pytest.param([1], "the config must be a JSON object", id="top_list"),
     pytest.param([], "the config must be a JSON object", id="top_empty_list"),
     pytest.param("x", "the config must be a JSON object", id="top_string"),
@@ -286,14 +266,18 @@ UNNAMED_FIELDS = [
     pytest.param(None, "the config must be a JSON object", id="top_null"),
     pytest.param({"mission": 5}, "mission must be a JSON object", id="mission_scalar"),
     pytest.param({"camera": [1]}, "camera must be a JSON object", id="camera_list"),
-    pytest.param({"camera": {"yaw_limit": 0.5}}, "yaw_limit", id="camera_yaw_limit"),
+    pytest.param({"colour": 1}, "unknown config keys: ['colour']", id="top_unknown"),
+    pytest.param({"camera": {"yaw_limit": 0.5}}, "unknown camera keys: ['yaw_limit']",
+                 id="camera_yaw_limit"),
+    pytest.param({"mission": {"clip_factor": 0.1}}, "unknown mission keys: ['clip_factor']",
+                 id="mission_tuning"),
 ]
 
 
 class TestUnnamedFields:
     @pytest.mark.parametrize("config,message", UNNAMED_FIELDS)
     def test_from_dict_rejects(self, config, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig.from_dict(config)
 
     @pytest.mark.parametrize("config,message", UNNAMED_FIELDS)
@@ -304,6 +288,24 @@ class TestUnnamedFields:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestJsonForm:
+    def test_every_field_survives_its_json_form(self, tmp_path):
+        # a config file that spells out every field at its default runs the
+        # same mission as one that leaves them out
+        full = asdict(ExperimentConfig(mission=BiLevelConfig(time_budget=120.0)))
+        del full["mission"]["camera_mode"]
+        trials = []
+        for name, config in (("full", full), ("short", {"mission": {"time_budget": 120}})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert main(["run", "--config", str(path), "--seed", "1",
+                         "--out", str(out)]) == EXIT_OK
+            trials.append({f.name: f.read_bytes() for f in out.iterdir()
+                           if f.name != "timing.txt"})
+        assert len(trials[0]) > 1 and trials[0] == trials[1]
 
 
 class TestStepCaps:

@@ -145,7 +145,7 @@ class TestMissionInvariants:
         plans = []
 
         def recording_coefficients(basis, grid_map):
-            if grid_map.shape == tuple(mission.config.coarse_resolution):
+            if grid_map.shape == mission.coarse_map.shape:
                 transformed.append(grid_map)
             return real_coefficients(basis, grid_map)
 
@@ -205,7 +205,7 @@ class TestMissionInvariants:
 
 class TestRepeatSightings:
     """A map bump near an earlier hit on the same map is scaled by
-    ``clip_factor``: on the coarse map, any earlier detection of the
+    ``_CLIP_FACTOR``: on the coarse map, any earlier detection of the
     mission; on the fine map, an earlier hit since the last projection."""
 
     def test_coarse_factor_reads_the_missions_detections(self, monkeypatch):
@@ -218,12 +218,12 @@ class TestRepeatSightings:
 
         monkeypatch.setattr(bleto.infomap, "register_detection", spy)
         run_mission("bl-eto", 1, time_budget=300.0)
-        cfg = BiLevelConfig()
+        clip = bleto.planner._CLIP_FACTOR
         for i, (point, factor) in enumerate(calls):
-            near = any(math.dist(point, earlier) <= cfg.coarse_clip_radius
+            near = any(math.dist(point, earlier) <= bleto.planner._COARSE_CLIP_RADIUS
                        for earlier, _ in calls[:i])
-            assert factor == (cfg.clip_factor if near else 1.0)
-        assert {factor for _, factor in calls} == {cfg.clip_factor, 1.0}
+            assert factor == (clip if near else 1.0)
+        assert {factor for _, factor in calls} == {clip, 1.0}
 
     def test_fine_factor_reads_the_current_fine_maps_hits(self, monkeypatch):
         real_update = bleto.infomap.update_fine
@@ -236,17 +236,18 @@ class TestRepeatSightings:
 
         def update(imap, angles, detected, **kw):
             if detected:
-                near = any(math.dist(angles, hit) <= cfg.fine_clip_radius for hit in hits)
+                near = any(math.dist(angles, hit) <= bleto.planner._FINE_CLIP_RADIUS
+                           for hit in hits)
                 checked.append((near, kw["factor"]))
                 hits.append(angles)
             return real_update(imap, angles, detected, **kw)
 
         monkeypatch.setattr(bleto.infomap, "project_to_fine", project)
         monkeypatch.setattr(bleto.infomap, "update_fine", update)
-        cfg = BiLevelConfig()
         for seed in (1, 2, 3):
             run_mission("bl-eto", seed, time_budget=900.0)
-        assert all(factor == (cfg.clip_factor if near else 1.0) for near, factor in checked)
+        clip = bleto.planner._CLIP_FACTOR
+        assert all(factor == (clip if near else 1.0) for near, factor in checked)
         assert {near for near, _ in checked} == {True, False}
 
 
@@ -356,8 +357,8 @@ class TestCli:
         assert lines[0] == "iter,J,E,defect_inf,grad_norm"
         first = solves[0][2].diagnostics.trace
         assert lines[1:] == [",".join(repr(v) for v in row) for row in first]
-        mission = BiLevelConfig()
-        assert 0 < len(first) <= mission.coarse_outer_rounds * (mission.coarse_inner_cap + 1)
+        problem = solves[0][0]
+        assert 0 < len(first) <= problem.outer_rounds * (problem.inner_cap + 1)
 
         # the trace comes with every trial; the old flag is an unknown option
         with pytest.raises(SystemExit) as exit_:
