@@ -8,6 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
+from bleto import planner
 from bleto.bench import ConfigError, ExperimentConfig, run_trial
 from bleto.cli import EXIT_CONFIG, EXIT_OK, main
 from bleto.planner import BiLevelConfig
@@ -287,6 +288,55 @@ class TestUnnamedFields:
         out = tmp_path / "trial"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+# the planner's tuning, once mission fields, with the defaults they had; each
+# is now a module constant of that value, and a config key for it is unknown
+REMOVED_TUNING = [
+    ("coarse_resolution", (100, 100)),
+    ("fine_resolution", (54, 24)),
+    ("coarse_modes", 10),
+    ("fine_modes", 8),
+    ("coarse_control_weight", 1e-6),
+    ("fine_control_weight", 1e-2),
+    ("coarse_inner_cap", 150),
+    ("coarse_outer_rounds", 6),
+    ("coarse_optimality_tol", 1e-2),
+    ("coarse_warm_inner_cap", 60),
+    ("coarse_warm_outer_rounds", 2),
+    ("fine_inner_cap", 40),
+    ("fine_outer_rounds", 3),
+    ("fine_optimality_tol", 5e-2),
+    ("coarse_bump_amplitude", 50.0),
+    ("coarse_bump_sigma", 1.5),
+    ("coarse_clip_radius", 2.0),
+    ("fine_bump_amplitude", 20.0),
+    ("fine_bump_sigma", math.radians(5.0)),
+    ("fine_clip_radius", math.radians(10.0)),
+    ("clip_factor", 0.1),
+    ("view_discount", 0.5),
+]
+
+
+class TestRemovedTuning:
+    @pytest.mark.parametrize("name,default", REMOVED_TUNING)
+    def test_constant_keeps_its_old_default(self, name, default):
+        assert name not in BiLevelConfig.__dataclass_fields__
+        assert getattr(planner, "_" + name.upper()) == default
+
+    @pytest.mark.parametrize("name,default", REMOVED_TUNING)
+    def test_from_dict_names_the_key(self, name, default):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown mission keys: ['{name}']")):
+            ExperimentConfig.from_dict({"mission": {name: default}})
+
+    @pytest.mark.parametrize("name,default", REMOVED_TUNING)
+    def test_cli_run_exits_with_config_status(self, name, default, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mission": {name: default}}))
+        out = tmp_path / "trial"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
         assert not out.exists()
 
 
