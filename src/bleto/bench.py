@@ -87,7 +87,7 @@ class ExperimentConfig:
     identification_radius: float = 5.0
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if not (isinstance(self.method, str) and self.method in METHODS):
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {sorted(METHODS)}")
         if not (isinstance(self.seeds, (tuple, list)) and self.seeds
@@ -166,7 +166,6 @@ def score(log, scenario, identification_radius=5.0, method="bl-eto", seed=0):
                 points - np.array([rock.x, rock.y]), axis=1)) <= identification_radius:
             found += 1
     total = len(scenario.rocks)
-    final_metric = log.metric_trace[-1][1] if log.metric_trace else None
     return TrialMetrics(
         method=method,
         seed=seed,
@@ -175,7 +174,7 @@ def score(log, scenario, identification_radius=5.0, method="bl-eto", seed=0):
         fraction_found=(found / total) if total else 0.0,
         detections=len(detections),
         path_length_m=log.path_length,
-        final_ergodic_metric=final_metric,
+        final_ergodic_metric=log.final_metric,
         sim_time_s=log.sim_time,
         body_steps=len(log.body_states) - 1,
         images=len(log.events),

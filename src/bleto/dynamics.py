@@ -1,8 +1,9 @@
 """Motion models for the body (unicycle) and the camera (single integrator).
 
 Models operate on plain state vectors (numpy arrays or tuples) so the
-trajectory optimizer and the mission loop can use them directly.  All
-functions are pure and thread-safe.
+trajectory optimizer and the mission loop can use them directly; a state's
+first two coordinates are its position.  All functions are pure and
+thread-safe.
 """
 
 import numpy as np
@@ -40,7 +41,6 @@ class UnicycleModel:
 
     state_dim = 3
     control_dim = 2
-    workspace_dims = 2
 
     def step(self, state, control, dt):
         x, y, h = state
@@ -75,16 +75,12 @@ class UnicycleModel:
         B[:, 2, 1] = dt
         return A, B
 
-    def workspace_points(self, states):
-        return np.atleast_2d(states)[:, :2]
-
 
 class SingleIntegratorModel:
     """First-order point; state and control share the workspace coordinates."""
 
     state_dim = 2
     control_dim = 2
-    workspace_dims = 2
 
     def step(self, state, control, dt):
         return np.asarray(state, dtype=float) + dt * np.asarray(control, dtype=float)
@@ -99,9 +95,6 @@ class SingleIntegratorModel:
         B = np.zeros((T, 2, 2))
         B.reshape(T, 4)[:, ::3] = dt
         return A, B
-
-    def workspace_points(self, states):
-        return np.atleast_2d(states)
 
 
 def rollout(model, initial_state, controls, dt):

@@ -30,37 +30,34 @@ __all__ = [
     "CoverageCost",
 ]
 
+_NORMALIZATION_TOL = 1e-6  # largest |mass - 1| of a map ``map_coefficients`` takes
+
 
 class OutsideWorkspaceError(ValueError):
     """A query point lies outside the rectangular exploration domain."""
 
 
 class Workspace:
-    """Axis-aligned box: a point w is inside iff 0 <= w_i - low_i <= L_i.
+    """Axis-aligned rectangle: a point w is inside iff 0 <= w_i - low_i <= L_i.
 
-    The per-axis offset ``lows`` lets angular domains with negative bounds
+    Both levels plan on a plane, the body's (x, y) and the camera's (yaw,
+    pitch), so this is the one place that requires exactly two axes.  The
+    per-axis offset ``lows`` lets angular domains with negative bounds
     (e.g. yaw in [-135 deg, +135 deg]) reuse the cosine basis, which is
     defined on [0, L_i] in internal coordinates.
     """
 
     def __init__(self, lengths, lows=None):
-        self.lengths = np.atleast_1d(np.asarray(lengths, dtype=float)).copy()
-        if self.lengths.size < 1:
-            raise ValueError("workspace needs at least one axis")
+        self.lengths = np.array(lengths, dtype=float)
+        if self.lengths.shape != (2,):
+            raise ValueError("a workspace is planar: lengths needs exactly two axes")
         if np.any(self.lengths <= 0.0):
             raise ValueError("every axis length must be positive")
-        if lows is None:
-            self.lows = np.zeros_like(self.lengths)
-        else:
-            self.lows = np.atleast_1d(np.asarray(lows, dtype=float)).copy()
-            if self.lows.shape != self.lengths.shape:
-                raise ValueError("lows must match lengths per axis")
+        self.lows = np.zeros(2) if lows is None else np.array(lows, dtype=float)
+        if self.lows.shape != (2,):
+            raise ValueError("lows must match lengths per axis")
         self.lengths.flags.writeable = False
         self.lows.flags.writeable = False
-
-    @property
-    def dims(self):
-        return int(self.lengths.size)
 
     @property
     def highs(self):
@@ -126,8 +123,6 @@ class FourierBasis:
     """
 
     def __init__(self, workspace, modes_per_axis):
-        if workspace.dims != 2:
-            raise ValueError("the cosine basis needs a planar workspace (two axes)")
         self.workspace = workspace
         if np.ndim(modes_per_axis) == 0:
             per_axis = (int(modes_per_axis),) * 2
@@ -225,14 +220,14 @@ class FourierBasis:
         return self._axis_tables([np.asarray(p, dtype=float) for p in axis_points])[1]
 
 
-def map_coefficients(basis, grid_map, normalization_tol=1e-6):
+def map_coefficients(basis, grid_map):
     """Basis coefficients of a normalized grid density via midpoint quadrature.
 
     Uses the map's own cells as quadrature nodes; separable cosine tables
     keep this cheap even for fine grids.
     """
     integral = grid_map.integral()
-    if abs(integral - 1.0) > normalization_tol:
+    if abs(integral - 1.0) > _NORMALIZATION_TOL:
         raise ValueError(f"map is not normalized (integral {integral!r})")
     cx, cy = basis.axis_cosines(grid_map.axis_centers())
     weighted = grid_map.density * grid_map.cell_area

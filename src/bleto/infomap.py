@@ -40,6 +40,8 @@ FLOOR_FRACTION = 1e-6
 # Uniform mass fraction mixed in on every renormalization; twice the floor
 # so the minimum stays above FLOOR_FRACTION after the final exact rescale.
 _MIX_FRACTION = 2e-6
+_MASS_TOL = 1e-9  # largest mass error ``check_invariants`` accepts
+_TRUNCATE_SIGMAS = 3.0  # a bump's radius of support, in sigmas
 
 LABELS = ("igneous", "sedimentary", "background")
 
@@ -94,8 +96,8 @@ class InfoMap:
     def __init__(self, workspace, density):
         self.workspace = workspace
         density = np.asarray(density, dtype=float)
-        if density.ndim != 2 or workspace.dims != 2:
-            raise ValueError("a map is a planar density on a planar workspace")
+        if density.ndim != 2:
+            raise ValueError("a map is a planar density")
         self.density = _normalize(workspace, density)
         self.density.flags.writeable = False
 
@@ -139,24 +141,24 @@ class InfoMap:
     def floor_level(self):
         return FLOOR_FRACTION * self.uniform_level()
 
-    def check_invariants(self, mass_tol=1e-9):
+    def check_invariants(self):
         err = abs(self.integral() - 1.0)
         if not math.isfinite(err):
             raise AssertionError("map density is not finite")
-        if err > mass_tol:
+        if err > _MASS_TOL:
             raise AssertionError(f"map mass off by {err:.3e}")
         if float(self.density.min()) < self.floor_level():
             raise AssertionError("map density fell below the positivity floor")
 
     # ---- derived maps ----
 
-    def add_bump(self, center, amplitude, sigma, factor=1.0, truncate_sigmas=3.0):
-        """Add a Gaussian bump, truncated at ``truncate_sigmas`` sigmas, whose
+    def add_bump(self, center, amplitude, sigma, factor=1.0):
+        """Add a Gaussian bump, truncated at ``_TRUNCATE_SIGMAS`` sigmas, whose
         peak is ``amplitude`` times the uniform level times ``factor``."""
         center = np.asarray(center, dtype=float)
         self.workspace.require_inside(center, what="bump center")
         peak = amplitude * self.uniform_level() * factor
-        half = truncate_sigmas * sigma
+        half = _TRUNCATE_SIGMAS * sigma
         lows, sizes = self.workspace.lows, self.cell_sizes
         lo = np.clip(np.floor((center - half - lows) / sizes), 0, self.shape).astype(int)
         hi = np.clip(np.ceil((center + half - lows) / sizes) + 1, 0, self.shape).astype(int)
@@ -181,7 +183,7 @@ class InfoMap:
 
 def _shape(workspace, resolution):
     shape = tuple(int(n) for n in resolution)
-    if len(shape) != workspace.dims or any(n < 1 for n in shape):
+    if len(shape) != 2 or any(n < 1 for n in shape):
         raise ValueError("resolution needs one positive cell count per axis")
     return shape
 

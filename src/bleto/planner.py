@@ -31,7 +31,7 @@ run independent missions concurrently if you need parallelism.
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import List, Tuple, get_args, get_origin
+from typing import List, Optional, Tuple, get_args, get_origin
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 
 DEFAULT_EPICENTERS = (((20.0, 60.0, 15.0, 20.0), 5.0),
                       ((70.0, 25.0, 15.0, 20.0), 5.0))
-# the planner's tuning: grid and spectral resolution, control-effort weights
-# (scalar -> weight * identity), solver effort and map updates
+# the planner's tuning: grids, modes, control weights, solver effort, map updates
 _COARSE_RESOLUTION = (100, 100)
 _FINE_RESOLUTION = (54, 24)
 _COARSE_MODES = 10
@@ -180,9 +179,10 @@ class BiLevelConfig:
                              "[[x, y, width, height], multiplier] entries of numbers")
 
     def _check_geometry(self):
-        """Scalar checks of the workspaces, limits and start states, so that
-        a config that constructs can build its maps, bases and bounds.  It
-        compares scalars only and builds none of them."""
+        """Checks of the workspaces, limits and start states, so that a
+        config that constructs can build its maps, bases and bounds.  Once
+        the lengths, yaw and pitch checks pass, it builds the two workspaces
+        and asks them whether the start states and epicenters lie inside."""
         for name in ("body_speed_max", "body_turn_max", "body_step_cap",
                      "camera_rate_max", "camera_step_cap", "yaw_limit"):
             if not getattr(self, name) > 0:
@@ -196,24 +196,18 @@ class BiLevelConfig:
             raise ValueError("pitch_bounds must be increasing")
         if not pitch_lo <= self.fixed_pitch <= pitch_hi:
             raise ValueError("fixed_pitch lies outside pitch_bounds")
-        coarse_box = tuple((lo, lo + n) for lo, n in zip(self.coarse_lows,
-                                                         self.coarse_lengths))
-        fine_box = ((-self.yaw_limit, self.yaw_limit), (pitch_lo, pitch_hi))
-
-        def inside(point, box):
-            return all(lo <= p <= hi for p, (lo, hi) in zip(point, box))
-
-        if not inside(self.start_pose[:2], coarse_box):
+        coarse, fine = self.coarse_workspace(), self.fine_workspace()
+        if not coarse.contains(self.start_pose[:2]):
             raise ValueError("start_pose lies outside the coarse workspace")
-        if not inside(self.camera_start, fine_box):
+        if not fine.contains(self.camera_start):
             raise ValueError("camera_start lies outside the fine workspace")
         # a cap that an initial guess of the solver can step past leaves it
         # no feasible start (``solver._least_step_cap``)
         body_longest = self.coarse_dt * self.body_speed_max
         camera_longest = self.fine_dt * math.hypot(self.camera_rate_max, self.camera_rate_max)
         for name, longest, lengths in (
-                ("body_step_cap", body_longest, self.coarse_lengths),
-                ("camera_step_cap", camera_longest, (2.0 * self.yaw_limit, pitch_hi - pitch_lo))):
+                ("body_step_cap", body_longest, coarse.lengths),
+                ("camera_step_cap", camera_longest, fine.lengths)):
             least = _least_step_cap(longest, lengths)
             if not getattr(self, name) >= least:
                 raise ValueError(f"{name} must be at least {least!r}: the longest step "
@@ -222,7 +216,7 @@ class BiLevelConfig:
             x0, y0, w, h = rect
             if not (w > 0 and h > 0):
                 raise ValueError(f"epicenter {list(rect)} needs a positive width and height")
-            if not (inside((x0, y0), coarse_box) and inside((x0 + w, y0 + h), coarse_box)):
+            if not coarse.contains([(x0, y0), (x0 + w, y0 + h)]).all():
                 raise ValueError(f"epicenter {list(rect)} lies outside the coarse workspace")
             if not multiplier >= 1:
                 raise ValueError("epicenter multipliers must be at least 1")
@@ -299,14 +293,15 @@ class MissionLog:
     """Everything a mission did, each fact kept once: ``body_states``, one
     ``(t, x, y, heading, yaw, pitch)`` row at the start and after each body
     step, with the camera angles held during the step; ``events``, one per
-    image, a full sweep's worth between consecutive rows; ``metric_trace``,
-    one per body step; ``coarse_replan_reasons``, one per coarse plan; the
-    first coarse plan's solver trace; the path length, the clock and the
-    charges summing to it."""
+    image, a full sweep's worth between consecutive rows; ``final_metric``,
+    the coverage metric after the latest body step (``None`` without
+    memory); ``coarse_replan_reasons``, one per coarse plan; the first
+    coarse plan's solver trace; the path length, the clock and the charges
+    summing to it."""
 
     body_states: List[Tuple[float, ...]] = field(default_factory=list)
     events: List[im.DetectionEvent] = field(default_factory=list)
-    metric_trace: List[Tuple[float, float]] = field(default_factory=list)
+    final_metric: Optional[float] = None
     coarse_replan_reasons: List[str] = field(default_factory=list)
     first_coarse_trace: list = field(default_factory=list)  # initial plan's solver trace
     path_length: float = 0.0
@@ -322,13 +317,12 @@ def _plan(basis, model, x0, phi, memory, warm_start, *, horizon, dt,
           control_weight, bounds, inner_cap, outer_rounds, optimality_tol):
     """Solve one level's problem: ``horizon`` steps from ``x0`` toward the
     map coefficients ``phi``, or toward their residual target when the
-    level keeps coverage ``memory``.  ``control_weight`` is a scalar; the
-    other keywords are ``ErgodicProblem`` fields."""
+    level keeps coverage ``memory``.  The keywords are ``ErgodicProblem``
+    fields."""
     target = memory.residual_target(phi, horizon) if memory else phi
     problem = ErgodicProblem(basis=basis, target_coefficients=target, model=model,
                              initial_state=np.asarray(x0, dtype=float),
-                             horizon=horizon, dt=dt,
-                             control_weight=control_weight * np.eye(model.control_dim),
+                             horizon=horizon, dt=dt, control_weight=control_weight,
                              bounds=bounds, inner_cap=inner_cap,
                              outer_rounds=outer_rounds, optimality_tol=optimality_tol)
     return solve(problem, warm_start=warm_start)
@@ -566,8 +560,7 @@ class Mission:
                 self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
                 if self.memory:
                     self.memory.add([self.pose[:2]])
-                    self.log.metric_trace.append(
-                        (self.log.sim_time, self.memory.metric_against(self.coarse_phi)))
+                    self.log.final_metric = self.memory.metric_against(self.coarse_phi)
                 if detections:
                     self._plan_coarse("detections")
                 elif self.step_index >= cfg.coarse_horizon - 1:

@@ -1,8 +1,10 @@
 """Transcription-based constrained trajectory optimizer.
 
 The decision vector stacks the free states x_1..x_{T-1} and all controls
-u_0..u_{T-1}; x_0 is pinned.  The cost is the coverage metric of the state
-trajectory (``ergodic.CoverageCost``) plus a quadratic control penalty.
+u_0..u_{T-1}; x_0 is pinned.  A state's first two coordinates are its
+position in the planar workspace (``states[:, :2]``).  The cost is their
+coverage metric (``ergodic.CoverageCost``) plus w·Σ|u_t|², w the scalar
+``control_weight``.
 Dynamics enter as equality constraints handled by an augmented Lagrangian
 (penalty growing tenfold per outer round), control boxes are enforced by
 projection inside the quasi-Newton iteration, and the per-step position cap
@@ -95,7 +97,7 @@ class ErgodicProblem:
     initial_state: np.ndarray
     horizon: int
     dt: float
-    control_weight: np.ndarray
+    control_weight: float
     bounds: ControlBounds
     optimality_tol: float = 1e-3
     inner_cap: int = 500
@@ -104,22 +106,18 @@ class ErgodicProblem:
     def __post_init__(self):
         self.target_coefficients = np.asarray(self.target_coefficients, dtype=float)
         self.initial_state = np.asarray(self.initial_state, dtype=float)
-        self.control_weight = np.asarray(self.control_weight, dtype=float)
+        self.control_weight = float(self.control_weight)
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 steps")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
         if self.target_coefficients.shape != (len(self.basis),):
             raise ValueError("target coefficient length must match the basis")
-        R = self.control_weight
-        if R.shape != (self.model.control_dim,) * 2 or not np.allclose(R, R.T, atol=1e-12):
-            raise ValueError("control weight must be a symmetric matrix")
-        if np.min(np.linalg.eigvalsh(R)) < -1e-10:
-            raise ValueError("control weight must be positive semidefinite")
+        if not (math.isfinite(self.control_weight) and self.control_weight >= 0):
+            raise ValueError("control weight must be finite and nonnegative")
         if self.initial_state.shape != (self.model.state_dim,):
             raise ValueError("initial state does not match the model")
-        start = self.model.workspace_points(self.initial_state[None, :])[0]
-        if not self.workspace.contains(start, slack=1e-9):
+        if not self.workspace.contains(self.initial_state[:2], slack=1e-9):
             raise ValueError("initial state lies outside the workspace")
 
     @property
@@ -197,15 +195,14 @@ def _defects(problem, states, controls):
 
 
 def _costs(problem, states, controls):
-    """The ``CoverageCost`` of a state sequence and the control cost sum u'Ru.
+    """The ``CoverageCost`` of a state sequence and the control cost w·Σ|u|².
 
     ``solve`` calls it for the objective of its initial guess and for the
     cost breakdown of the trajectory it returns; the merit (``_merit``)
     builds the same two terms inline for every trial point.
     """
-    cost = CoverageCost(problem.basis, problem.model.workspace_points(states),
-                        problem.target_coefficients)
-    return cost, float(np.sum(controls * (controls @ problem.control_weight)))
+    cost = CoverageCost(problem.basis, states[:, :2], problem.target_coefficients)
+    return cost, float(np.sum(controls * (controls * problem.control_weight)))
 
 
 def _objective_scale(problem):
@@ -231,7 +228,7 @@ def _wavelength_scales(problem):
     them.  Computed once per solve.
     """
     sig = np.ones(problem.model.state_dim)
-    sig[: problem.model.workspace_dims] = problem.workspace.lengths / (
+    sig[:2] = problem.workspace.lengths / (
         np.pi * np.asarray(problem.basis.modes_per_axis, dtype=float))
     return sig
 
@@ -256,7 +253,7 @@ def _merit(problem, z, lam, rho, mu, scale, sig):
     states = np.concatenate([problem.initial_state[None, :],
                              z[:k].reshape(problem.horizon - 1, model.state_dim)])
     us = z[k:].reshape(problem.horizon, model.control_dim)
-    pts = states[:, :model.workspace_dims]
+    pts = states[:, :2]
 
     rel = pts[1:] - ws.lows
     m_hi = ws.lengths - rel
@@ -270,7 +267,7 @@ def _merit(problem, z, lam, rho, mu, scale, sig):
     kappa = mu / n_barrier
 
     cost = CoverageCost(problem.basis, pts, problem.target_coefficients, check=False)
-    Ru = us @ problem.control_weight
+    Ru = us * problem.control_weight
     ctrl = float((us * Ru).sum())
 
     d_raw = _defects(problem, states, us)
@@ -297,7 +294,7 @@ class _MeritPoint:
     Fields: the merit's parameters (``lam`` to ``sig`` as passed to
     ``_merit``, ``kappa`` the barrier weight per margin); the point's
     ``states`` and controls ``us``; the ``CoverageCost`` of its positions,
-    ``Ru`` = us R and the scaled defects ``d``; and the barrier margins:
+    ``Ru`` = w us and the scaled defects ``d``; and the barrier margins:
     ``m_lo`` and ``m_hi``, the distances of every free position to the low
     and high workspace faces, ``diffs``, the position steps (the first
     from the pinned initial state), and ``slack``, the step-cap margin
@@ -331,7 +328,7 @@ class _MeritPoint:
         g_pts[:-1] -= g_step
 
         g_states = np.zeros(states.shape)
-        g_states[:, :model.workspace_dims] = g_pts
+        g_states[:, :2] = g_pts
         g_us = self.scale * 2.0 * self.Ru
         A, B = model.jacobians(states[:-1], us[:-1], problem.dt)
         r = (self.lam + self.rho * self.d) / self.sig
@@ -348,9 +345,8 @@ def _max_feasible_alpha(problem, point, step_z):
     the point whose merit evaluation is ``point``; its finite merit means
     it is strictly interior.  The margins are the ones the merit already
     computed."""
-    model = problem.model
-    dxs = step_z[: problem.n_state_vars].reshape(problem.horizon - 1, model.state_dim)
-    dpts = dxs[:, :model.workspace_dims]
+    dxs = step_z[: problem.n_state_vars].reshape(problem.horizon - 1, -1)
+    dpts = dxs[:, :2]
     with np.errstate(divide="ignore", invalid="ignore"):
         # distance to the face each coordinate moves toward, over its speed
         gap = np.where(dpts < 0.0, point.m_lo, point.m_hi)
@@ -402,15 +398,13 @@ def default_initial_guess(problem):
     a perfectly straight line on a symmetric target is a saddle point of
     the metric, and the descent method needs the symmetry broken.
     """
-    m = problem.model.control_dim
-    u0 = np.zeros(m)
-    if problem.model.state_dim > problem.model.workspace_dims:
+    u0 = np.zeros(problem.model.control_dim)
+    if problem.model.state_dim > 2:
         u0[0] = 0.5 * problem.bounds.upper[0]
     controls = np.tile(u0, (problem.horizon, 1))
     states = rollout(problem.model, problem.initial_state, controls, problem.dt)
     wiggle = _GUESS_WIGGLE * np.where(np.arange(problem.horizon) % 2 == 0, 1.0, -1.0)
-    states = np.array(states)
-    states[1:, : problem.model.workspace_dims] += wiggle[1:, None]
+    states[1:, :2] += wiggle[1:, None]
     return states, controls
 
 
@@ -431,10 +425,9 @@ def _preconditioner(problem, state_sig):
 def _nudge_interior(problem, states):
     """Clamp free-state positions strictly inside the workspace."""
     ws = problem.workspace
-    v = problem.model.workspace_dims
     margin = _INTERIOR_MARGIN * ws.lengths
     out = np.array(states)
-    out[1:, :v] = np.clip(out[1:, :v], ws.lows + margin, ws.highs - margin)
+    out[1:, :2] = np.clip(out[1:, :2], ws.lows + margin, ws.highs - margin)
     return out
 
 
@@ -443,7 +436,7 @@ def _least_step_cap(longest_step, workspace_lengths):
     ``solve`` lies inside the barrier, for a control box whose longest
     position step over one ``dt`` is ``longest_step``:
 
-        longest_step + 2 _GUESS_WIGGLE sqrt(dims) + _INTERIOR_MARGIN |lengths|
+        longest_step + 2 _GUESS_WIGGLE sqrt(2) + _INTERIOR_MARGIN |lengths|
 
     A warm guess rolls out clipped controls, so it steps at most
     ``longest_step``; the cold guess steps at most half of it, and its
@@ -453,7 +446,7 @@ def _least_step_cap(longest_step, workspace_lengths):
     initial position, by at most the margin vector's length.  Every step
     stays strictly below the returned cap.
     """
-    return (longest_step + 2.0 * _GUESS_WIGGLE * math.sqrt(len(workspace_lengths))
+    return (longest_step + 2.0 * _GUESS_WIGGLE * math.sqrt(2.0)
             + _INTERIOR_MARGIN * math.hypot(*workspace_lengths))
 
 
@@ -464,9 +457,8 @@ def _reroll(problem, controls, diag):
     ``diag.defect_inf`` records the defect left."""
     controls = problem.bounds.clip(controls)
     states = rollout(problem.model, problem.initial_state, controls, problem.dt)
-    if not np.all(problem.workspace.contains(problem.model.workspace_points(states))):
-        v = problem.model.workspace_dims
-        states[:, :v] = problem.workspace.clamp(states[:, :v])
+    if not np.all(problem.workspace.contains(states[:, :2])):
+        states[:, :2] = problem.workspace.clamp(states[:, :2])
         diag.converged = False
     diag.defect_inf = float(np.abs(_defects(problem, states, controls)).max())
     return states, controls

@@ -249,6 +249,8 @@ UNNAMED_FIELDS = [
                  id="seeds_string"),
     pytest.param({"seeds": 3}, "seeds must be a nonempty list of integers",
                  id="seeds_scalar"),
+    # a list exited 2 with "unhashable type: 'list'"
+    pytest.param({"method": [1]}, "unknown method [1]; choose from", id="method_list"),
     pytest.param({"mission": {"epicenters": [[1, 2]]}}, "epicenters must be a list of",
                  id="epicenter_numbers"),
     pytest.param({"mission": {"epicenters": [[[10, 10, 5, 5]]]}},

@@ -107,16 +107,6 @@ class TestControlBounds:
 
 
 class TestWorkspaceMaps:
-    def test_unicycle_projects_position(self):
-        model = UnicycleModel()
-        states = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, -1.0]])
-        assert np.allclose(model.workspace_points(states), [[1, 2], [3, 4]])
-
-    def test_integrator_is_identity(self):
-        model = SingleIntegratorModel()
-        states = np.array([[0.3, -0.2]])
-        assert np.allclose(model.workspace_points(states), states)
-
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(4)
         for model in (UnicycleModel(), SingleIntegratorModel()):

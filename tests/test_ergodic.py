@@ -29,7 +29,7 @@ def basis_gradient(basis, k_index, point):
     om = frequencies(basis)[k_index]
     c = np.cos(om * rel)
     s = np.sin(om * rel)
-    v = basis.workspace.dims
+    v = 2
     grad = np.empty(v)
     for i in range(v):
         others = np.prod(np.delete(c, i))
@@ -84,14 +84,13 @@ class TestWorkspace:
     def test_uniform_level(self, square100):
         assert square100.uniform_level() == pytest.approx(1e-4)
 
+    def test_rejects_non_planar_workspace(self):
+        for lengths, lows in (((7.0,), (1.5,)), ((3.0, 5.0, 2.0), (-1.0, 0.5, 2.0))):
+            with pytest.raises(ValueError, match="workspace is planar"):
+                Workspace(lengths, lows)
+
 
 class TestBasisValue:
-    def test_rejects_non_planar_workspace(self):
-        for workspace, modes in ((Workspace((7.0,), (1.5,)), 6),
-                                 (Workspace((3.0, 5.0, 2.0), (-1.0, 0.5, 2.0)), (4, 5, 3))):
-            with pytest.raises(ValueError, match="planar workspace"):
-                FourierBasis(workspace, modes)
-
     def test_constant_mode_value(self, basis8, square100):
         # k = 0 basis is constant 1/h_0, h_0 = sqrt(100*100)
         idx = mode_index(basis8, (0, 0))
@@ -185,7 +184,7 @@ def product_form_gradients(basis, points):
     cos = np.cos(phases)
     sin = np.sin(phases)
     grads = np.empty(cos.shape)
-    for i in range(basis.workspace.dims):
+    for i in range(2):
         others = np.prod(np.delete(cos, i, axis=2), axis=2)
         grads[:, :, i] = -omega[:, i:i + 1] * sin[:, :, i] * others
     grads /= basis.normalizers[:, None, None]
@@ -210,7 +209,7 @@ class TestSeparableKernel:
     def assert_identical(self, basis, pts):
         values = basis.eval_points(pts)
         values_g, grads = basis.eval_points_with_gradient(pts)
-        assert grads.shape == (len(basis), pts.shape[0], basis.workspace.dims)
+        assert grads.shape == (len(basis), pts.shape[0], 2)
         assert np.array_equal(values, product_form_values(basis, pts))
         assert np.array_equal(values_g, values)
         assert np.array_equal(grads, product_form_gradients(basis, pts))
@@ -219,13 +218,13 @@ class TestSeparableKernel:
         ws = basis.workspace
         rng = np.random.default_rng(17)
         for T in (2, 5, 48, 97):
-            pts = ws.lows + rng.random((T, ws.dims)) * ws.lengths
+            pts = ws.lows + rng.random((T, 2)) * ws.lengths
             self.assert_identical(basis, pts)
 
     def test_points_on_the_boundary(self, basis):
         ws = basis.workspace
         corners = np.array(np.meshgrid(*zip(ws.lows, ws.highs), indexing="ij"))
-        pts = corners.reshape(ws.dims, -1).T
+        pts = corners.reshape(2, -1).T
         self.assert_identical(basis, np.vstack([ws.lows, ws.highs, pts]))
 
     def test_single_point(self, basis):
@@ -247,9 +246,9 @@ class TestSeparableKernel:
         ws = basis.workspace
         rng = np.random.default_rng(29)
         for T in (1, 2, 5, 48):
-            states = rng.random((T, ws.dims + 1))
-            states[:, :ws.dims] = ws.lows + states[:, :ws.dims] * ws.lengths
-            pts = states[:, :ws.dims]  # a strided view, as the solver passes
+            states = rng.random((T, 3))
+            states[:, :2] = ws.lows + states[:, :2] * ws.lengths
+            pts = states[:, :2]  # a strided view, as the solver passes
             tables = basis.point_tables(pts, check=False)
             expect = reference_point_tables(basis, pts)
             for got, ref in zip(tables, expect):
@@ -268,7 +267,7 @@ def reference_axis_frequencies(basis):
 
 def reference_grid_product(basis, tables, skip=None):
     """Left-to-right product of per-axis tables over the mode grid."""
-    v = basis.workspace.dims
+    v = 2
     out = None
     for i, table in enumerate(tables):
         if i == skip:

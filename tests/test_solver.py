@@ -27,7 +27,7 @@ def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
     return ErgodicProblem(
         basis=basis, target_coefficients=phi, model=UnicycleModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=dt,
-        control_weight=weight * np.eye(2),
+        control_weight=weight,
         bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5), 1.5 * 0.3 * dt), **kw)
 
 
@@ -39,7 +39,7 @@ def fine_problem(x0=(0.0, -0.35), horizon=5, modes=8, **kw):
     return ErgodicProblem(
         basis=basis, target_coefficients=phi, model=SingleIntegratorModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=0.4,
-        control_weight=1e-2 * np.eye(2),
+        control_weight=1e-2,
         bounds=ControlBounds((-0.6, -0.6), (0.6, 0.6), 0.36), **kw)
 
 
@@ -47,7 +47,7 @@ def random_feasible_z(problem, rng):
     """A decision vector with interior states and in-box controls."""
     T, n, m = problem.horizon, problem.model.state_dim, problem.model.control_dim
     ws = problem.workspace
-    v = problem.model.workspace_dims
+    v = 2
     xs = np.zeros((T - 1, n))
     xs[:, :v] = ws.lows + rng.uniform(0.05, 0.95, (T - 1, v)) * ws.lengths
     if n > v:
@@ -70,18 +70,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="dt must be positive"):
             dataclasses.replace(fine_problem(), dt=dt)
 
-    def test_asymmetric_weight_rejected(self):
-        ws = Workspace((100.0, 100.0))
-        basis = FourierBasis(ws, 4)
-        phi = np.zeros(len(basis))
-        phi[0] = 0.01
-        with pytest.raises(ValueError):
-            ErgodicProblem(basis=basis, target_coefficients=phi,
-                           model=UnicycleModel(),
-                           initial_state=np.array([5.0, 5.0, 0.0]),
-                           horizon=8, dt=1.0,
-                           control_weight=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                           bounds=ControlBounds((-1, -1), (1, 1), 2.0))
+    @pytest.mark.parametrize("weight", [-1e-3, math.nan, math.inf])
+    def test_bad_control_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="control weight must be finite and nonnegative"):
+            dataclasses.replace(fine_problem(), control_weight=weight)
 
     def test_boundary_start_allowed(self):
         prob = coarse_problem(x0=(0.0, 50.0, 0.0), horizon=8)
@@ -94,7 +86,7 @@ def random_walk_z(problem, rng):
     """Decision vector whose states form a bounded random walk, so the
     per-step position-change barrier stays feasible."""
     T, n, m = problem.horizon, problem.model.state_dim, problem.model.control_dim
-    v = problem.model.workspace_dims
+    v = 2
     ws = problem.workspace
     xs = np.zeros((T - 1, n))
     pos = ws.lows + 0.5 * ws.lengths
@@ -203,7 +195,7 @@ class TestSolve:
         prob = ErgodicProblem(
             basis=basis, target_coefficients=phi, model=UnicycleModel(),
             initial_state=np.array([40.0, 60.0, 0.5]), horizon=48, dt=1.0,
-            control_weight=10.0 * np.eye(2),
+            control_weight=10.0,
             bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5), 0.45))
         traj = solve(prob)
         stay = np.tile([40.0, 60.0], (48, 1))
@@ -367,7 +359,7 @@ def reference_max_feasible_alpha(problem, z, step_z):
     evaluation; kept as the reference for ``_max_feasible_alpha``."""
     xs, _ = problem.split(z)
     dxs, _ = problem.split(step_z)
-    v = problem.model.workspace_dims
+    v = 2
     ws = problem.workspace
     pts = xs[:, :v]
     dpts = dxs[:, :v]
@@ -391,7 +383,7 @@ def interior_walks(problem, rng, n):
     steps of at most 0.71 of the step cap and stay 2% inside the workspace,
     so every one is strictly interior for the barrier."""
     T, nx, m = problem.horizon, problem.model.state_dim, problem.model.control_dim
-    v = problem.model.workspace_dims
+    v = 2
     ws = problem.workspace
     lo, hi = ws.lows + 0.02 * ws.lengths, ws.highs - 0.02 * ws.lengths
     pos = np.tile(problem.initial_state[:v], (n, 1))
@@ -452,7 +444,7 @@ class TestByteIdentity:
         scale, sig = _objective_scale(prob), _wavelength_scales(prob)
         precond = _preconditioner(prob, sig)
         lam = np.zeros((prob.horizon - 1, prob.model.state_dim))
-        v = prob.model.workspace_dims
+        v = 2
         n = 5000
         checked = 0
         for k, z in enumerate(interior_walks(prob, rng, n)):

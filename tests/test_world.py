@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -68,6 +69,12 @@ class TestGenerateScenario:
         again = scenario_from_json(scenario_to_json(s))
         assert again.rocks == s.rocks
         assert again.seed == s.seed
+
+    def test_json_with_three_axes_rejected(self):
+        d = json.loads(scenario_to_json(generate_scenario(11, rock_count=0)))
+        d["workspace"] = {"lengths": [100.0, 100.0, 10.0], "lows": [0.0, 0.0, 0.0]}
+        with pytest.raises(ValueError, match="workspace is planar"):
+            scenario_from_json(json.dumps(d))
 
 
 class TestClassifyView:
