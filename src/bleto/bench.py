@@ -93,6 +93,9 @@ class ExperimentConfig:
         if not (isinstance(self.seeds, (tuple, list)) and self.seeds
                 and all(_is_kind(s, numbers.Integral) for s in self.seeds)):
             raise ConfigError("seeds must be a nonempty list of integers")
+        # a negative seed is no seed of numpy's generator
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonnegative")
         self.seeds = tuple(self.seeds)
         if not (_is_kind(self.rock_count, numbers.Integral) and self.rock_count >= 0):
             raise ConfigError("rock_count must be a nonnegative integer")

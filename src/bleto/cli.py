@@ -7,6 +7,7 @@ trial directory).  Exit code 0 on success, 2 on configuration errors.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,8 +33,9 @@ def _cmd_run(args):
     config = _load_config(args.config)
     if args.method:
         config = config.for_method(args.method)
-    seed = args.seed if args.seed is not None else config.seeds[0]
-    metrics = run_trial(config, seed, out_dir=args.out or None)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seeds=(args.seed,))
+    metrics = run_trial(config, config.seeds[0], out_dir=args.out or None)
     print(json.dumps(metrics_json_dict(metrics), sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -41,7 +43,7 @@ def _cmd_run(args):
 def _cmd_compare(args):
     config = _load_config(args.config)
     if args.seed is not None:
-        config.seeds = (args.seed,)
+        config = dataclasses.replace(config, seeds=(args.seed,))
     table = compare(config, out_dir=args.out)
     print(format_table(table), end="")
     return EXIT_OK

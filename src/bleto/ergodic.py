@@ -51,11 +51,13 @@ class Workspace:
         self.lengths = np.array(lengths, dtype=float)
         if self.lengths.shape != (2,):
             raise ValueError("a workspace is planar: lengths needs exactly two axes")
-        if np.any(self.lengths <= 0.0):
-            raise ValueError("every axis length must be positive")
+        if not np.all(np.isfinite(self.lengths) & (self.lengths > 0.0)):
+            raise ValueError("every axis length must be positive and finite")
         self.lows = np.zeros(2) if lows is None else np.array(lows, dtype=float)
         if self.lows.shape != (2,):
             raise ValueError("lows must match lengths per axis")
+        if not np.all(np.isfinite(self.lows)):
+            raise ValueError("every axis low must be finite")
         self.lengths.flags.writeable = False
         self.lows.flags.writeable = False
 
@@ -90,14 +92,6 @@ class Workspace:
 
     def __repr__(self):
         return f"Workspace(lengths={self.lengths.tolist()}, lows={self.lows.tolist()})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Workspace)
-                and np.array_equal(self.lengths, other.lengths)
-                and np.array_equal(self.lows, other.lows))
-
-    def __hash__(self):
-        return hash((tuple(self.lengths), tuple(self.lows)))
 
 
 class FourierBasis:

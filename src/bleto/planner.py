@@ -16,13 +16,15 @@ drive less within the same mission budget.  One clock rule holds for every
 method: every action charges the clock before it acts, and the first charge
 made at or after the budget ends the mission, so no action starts after it.
 
-Coverage memory: replans aim the ergodic metric at the whole mission's
-time-averaged statistics, not each plan's in isolation.  This is folded
-into a residual coefficient target so the solver itself stays history-free:
-with N past samples averaging h_k over the executed path, a horizon-T plan
-minimizing the metric of the concatenated trajectory equivalently minimizes
-the plain metric against  phi_k + (N/T) (phi_k - h_k)  up to a positive
-constant factor.
+Coverage memory: every ergodic plan, the body's and the optimized camera's,
+aims the metric at the time-averaged statistics of the path already taken
+plus the plan, not the plan's in isolation.  The body's memory spans the
+mission; the camera's restarts with each fine-map projection.  This is
+folded into a residual coefficient target so the solver itself stays
+history-free: with N past samples averaging h_k over the executed path, a
+horizon-T plan minimizing the metric of the concatenated trajectory
+equivalently minimizes the plain metric against  phi_k + (N/T) (phi_k - h_k)
+up to a positive constant factor.
 
 The mission loop is single-threaded and deterministic for a given seed;
 run independent missions concurrently if you need parallelism.
@@ -77,14 +79,13 @@ _FINE_BUMP_SIGMA = math.radians(5.0)
 _FINE_CLIP_RADIUS = math.radians(10.0)
 _CLIP_FACTOR = 0.1
 _VIEW_DISCOUNT = 0.5
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-          bool: (bool, "true or false")}
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 def _is_kind(value, kind):
-    """``isinstance``, except that a bool is of no kind but ``bool``: JSON's
-    ``true`` is not a count or a length."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    """``isinstance``, except that a bool is of no kind: JSON's ``true`` is
+    not a count or a length."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _is_epicenter(entry):
@@ -131,8 +132,6 @@ class BiLevelConfig:
     camera_start: Tuple[float, float] = (0.0, math.radians(-20.0))
     camera_mode: str = "optimized"  # optimized | fixed | random
     fixed_pitch: float = math.radians(-55.0)
-    use_memory: bool = True
-    track_noise: float = 0.0
 
     def __post_init__(self):
         self._check_types()
@@ -144,8 +143,6 @@ class BiLevelConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
-        if not (math.isfinite(self.track_noise) and self.track_noise >= 0):
-            raise ValueError("track_noise must be finite and nonnegative")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):
             raise ValueError("time_budget must be finite and positive")
         for name in ("coarse_plan_time", "fine_plan_time", "image_time"):
@@ -156,8 +153,8 @@ class BiLevelConfig:
         self._check_geometry()
 
     def _check_types(self):
-        """Each ``int`` field holds an integer, each ``float`` field a number
-        and each ``bool`` field a bool, with no bool taken as a number; each
+        """Each ``int`` field holds an integer and each ``float`` field a
+        number, with no bool taken for either (no field is a bool); each
         ``Tuple`` field is a list of one such entry per axis, and each
         epicenter a 4-number rectangle and a multiplier, so that no check,
         map or plan meets a string or a short vector."""
@@ -185,15 +182,18 @@ class BiLevelConfig:
         and asks them whether the start states and epicenters lie inside."""
         for name in ("body_speed_max", "body_turn_max", "body_step_cap",
                      "camera_rate_max", "camera_step_cap", "yaw_limit"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if not self.yaw_limit <= math.pi:
             raise ValueError("yaw_limit must lie in (0, pi]")
-        if not min(self.coarse_lengths) > 0:
-            raise ValueError("coarse_lengths must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.coarse_lengths):
+            raise ValueError("coarse_lengths must be positive and finite")
+        if not all(map(math.isfinite, self.coarse_lows)):
+            raise ValueError("coarse_lows must be finite")
         pitch_lo, pitch_hi = self.pitch_bounds
-        if not pitch_lo < pitch_hi:
-            raise ValueError("pitch_bounds must be increasing")
+        if not (math.isfinite(pitch_lo) and math.isfinite(pitch_hi) and pitch_lo < pitch_hi):
+            raise ValueError("pitch_bounds must be increasing and finite")
         if not pitch_lo <= self.fixed_pitch <= pitch_hi:
             raise ValueError("fixed_pitch lies outside pitch_bounds")
         coarse, fine = self.coarse_workspace(), self.fine_workspace()
@@ -294,8 +294,8 @@ class MissionLog:
     ``(t, x, y, heading, yaw, pitch)`` row at the start and after each body
     step, with the camera angles held during the step; ``events``, one per
     image, a full sweep's worth between consecutive rows; ``final_metric``,
-    the coverage metric after the latest body step (``None`` without
-    memory); ``coarse_replan_reasons``, one per coarse plan; the first
+    the coverage metric after the latest body step (``None`` before the
+    first); ``coarse_replan_reasons``, one per coarse plan; the first
     coarse plan's solver trace; the path length, the clock and the charges
     summing to it."""
 
@@ -313,56 +313,41 @@ class MissionLog:
         return [e for e in self.events if e.is_detection]
 
 
-def _plan(basis, model, x0, phi, memory, warm_start, *, horizon, dt,
-          control_weight, bounds, inner_cap, outer_rounds, optimality_tol):
-    """Solve one level's problem: ``horizon`` steps from ``x0`` toward the
-    map coefficients ``phi``, or toward their residual target when the
-    level keeps coverage ``memory``.  The keywords are ``ErgodicProblem``
-    fields."""
-    target = memory.residual_target(phi, horizon) if memory else phi
-    problem = ErgodicProblem(basis=basis, target_coefficients=target, model=model,
-                             initial_state=np.asarray(x0, dtype=float),
-                             horizon=horizon, dt=dt, control_weight=control_weight,
-                             bounds=bounds, inner_cap=inner_cap,
-                             outer_rounds=outer_rounds, optimality_tol=optimality_tol)
-    return solve(problem, warm_start=warm_start)
-
-
-def ergodic_coarse_planner(body_pose, phi, basis, config, memory=None,
-                           warm_start=None):
+def ergodic_coarse_planner(body_pose, phi, basis, config, memory, warm_start=None):
     """Plan a body trajectory from ``body_pose`` toward the coarse map's
-    coefficients ``phi`` in ``basis``, optionally with mission-level
-    coverage memory.  A warm-started replan runs at the ``_COARSE_WARM_*``
-    effort, a cold plan at the full coarse caps.
+    coefficients ``phi`` in ``basis``; the target is the residual that the
+    body's coverage ``memory`` makes of them.  A warm-started replan runs at
+    the ``_COARSE_WARM_*`` effort, a cold plan at the full coarse caps.
     """
     if warm_start is None:
         inner_cap, outer_rounds = _COARSE_INNER_CAP, _COARSE_OUTER_ROUNDS
     else:
         inner_cap, outer_rounds = _COARSE_WARM_INNER_CAP, _COARSE_WARM_OUTER_ROUNDS
-    return _plan(basis, UnicycleModel(), body_pose, phi, memory, warm_start,
-                 horizon=config.coarse_horizon, dt=config.coarse_dt,
-                 control_weight=_COARSE_CONTROL_WEIGHT,
-                 bounds=config.body_bounds(), inner_cap=inner_cap,
-                 outer_rounds=outer_rounds, optimality_tol=_COARSE_OPTIMALITY_TOL)
+    problem = ErgodicProblem(
+        basis=basis, target_coefficients=memory.residual_target(phi, config.coarse_horizon),
+        model=UnicycleModel(), initial_state=body_pose, horizon=config.coarse_horizon,
+        dt=config.coarse_dt, control_weight=_COARSE_CONTROL_WEIGHT, bounds=config.body_bounds(),
+        inner_cap=inner_cap, outer_rounds=outer_rounds, optimality_tol=_COARSE_OPTIMALITY_TOL)
+    return solve(problem, warm_start=warm_start)
 
 
-def ergodic_fine_planner(camera_angles, phi, basis, config, memory=None,
-                         warm_start=None):
+def ergodic_fine_planner(camera_angles, phi, basis, config, memory, warm_start=None):
     """Plan a camera trajectory from ``camera_angles`` toward the fine map's
     coefficients ``phi`` in ``basis``.
 
     The caller transforms a snapshot of the fine map, so updates to the live
-    map during the sweep never leak into a solve in progress.  With
-    ``memory`` (the camera's own visitation statistics), the target is the
-    residual that drives the concatenated viewing history toward the map,
-    which is what makes consecutive sweeps pan instead of re-imaging the
-    same directions.
+    map during the sweep never leak into a solve in progress.  The target is
+    the residual that drives the concatenated viewing history in ``memory``
+    (the camera's own visitation statistics) toward the map, which is what
+    makes consecutive sweeps pan instead of re-imaging the same directions.
     """
-    return _plan(basis, SingleIntegratorModel(), camera_angles, phi, memory,
-                 warm_start, horizon=config.fine_horizon, dt=config.fine_dt,
-                 control_weight=_FINE_CONTROL_WEIGHT,
-                 bounds=config.camera_bounds(), inner_cap=_FINE_INNER_CAP,
-                 outer_rounds=_FINE_OUTER_ROUNDS, optimality_tol=_FINE_OPTIMALITY_TOL)
+    problem = ErgodicProblem(
+        basis=basis, target_coefficients=memory.residual_target(phi, config.fine_horizon),
+        model=SingleIntegratorModel(), initial_state=camera_angles, horizon=config.fine_horizon,
+        dt=config.fine_dt, control_weight=_FINE_CONTROL_WEIGHT, bounds=config.camera_bounds(),
+        inner_cap=_FINE_INNER_CAP, outer_rounds=_FINE_OUTER_ROUNDS,
+        optimality_tol=_FINE_OPTIMALITY_TOL)
+    return solve(problem, warm_start=warm_start)
 
 
 def _repeat_factor(point, earlier, radius):
@@ -393,7 +378,7 @@ class Mission:
 
         self.coarse_map = config.initial_coarse_map()
         self.fine_map = None
-        self.memory = CoverageMemory(self.coarse_basis) if config.use_memory else None
+        self.memory = CoverageMemory(self.coarse_basis)
         self.fine_memory = None
 
         self.pose = tuple(config.start_pose)   # (x, y, heading)
@@ -443,9 +428,8 @@ class Mission:
                                            self.fine_basis.workspace, _FINE_RESOLUTION)
         # the camera's pan memory refers to body-relative directions, which a
         # fresh projection re-anchors; restart it together with the map
-        if cfg.use_memory:
-            self.fine_memory = CoverageMemory(self.fine_basis)
-            self.fine_memory.add([self.angles])
+        self.fine_memory = CoverageMemory(self.fine_basis)
+        self.fine_memory.add([self.angles])
 
     def _plan_fine(self):
         """Plan the camera against the fine map as it is now, warm from the
@@ -538,29 +522,22 @@ class Mission:
     def run(self):
         cfg = self.config
         self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
-        if self.memory:
-            self.memory.add([self.pose[:2]])
+        self.memory.add([self.pose[:2]])
         try:
             self._plan_coarse("initial")
             self.log.first_coarse_trace = self.coarse_plan.diagnostics.trace
             while True:
                 detections = self._sweep()
                 self._charge("body", cfg.coarse_dt)
-                control = np.array(self.coarse_plan.controls[self.step_index])
-                if cfg.track_noise > 0.0:
-                    wobble = np.clip(
-                        self.rng.normal(0.0, cfg.track_noise, size=control.shape),
-                        -3.0 * cfg.track_noise, 3.0 * cfg.track_noise)
-                    control *= 1.0 + wobble
+                control = self.coarse_plan.controls[self.step_index]
                 nxt = self.body_model.step(self.pose, control, cfg.coarse_dt)
                 nxt[:2] = self.coarse_basis.workspace.clamp(nxt[:2])
                 self.pose = tuple(nxt.tolist())
                 self.log.path_length += abs(float(control[0])) * cfg.coarse_dt
                 self.step_index += 1
                 self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
-                if self.memory:
-                    self.memory.add([self.pose[:2]])
-                    self.log.final_metric = self.memory.metric_against(self.coarse_phi)
+                self.memory.add([self.pose[:2]])
+                self.log.final_metric = self.memory.metric_against(self.coarse_phi)
                 if detections:
                     self._plan_coarse("detections")
                 elif self.step_index >= cfg.coarse_horizon - 1:

@@ -3,9 +3,11 @@
 The trained image classifier of the real system is replaced by a geometric
 oracle: a rock is classifiable when it is close enough to the body, inside
 the camera frustum, and not hidden behind the body's own occlusion sector;
-classification then succeeds with a configurable per-class true-positive
-rate.  The inverse map localizes a detection by intersecting the pinhole
-ray through the detection's image offset with the flat ground plane.
+classification then succeeds with a configurable true-positive rate.  A
+miss is the oracle's one error: it reports no rock where there is none, and
+a detection's image offset is the rock's exact projection.  The inverse map
+localizes a detection by intersecting the pinhole ray through the
+detection's image offset with the flat ground plane.
 
 Scenario and CameraModel are immutable after construction; the rng used by
 ``classify_view`` must be owned by one mission at a time.
@@ -51,17 +53,16 @@ class Rock:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Mast camera: geometry plus oracle reliability knobs; angles are
-    radians.  The occlusion sector is the mission's ``yaw_limit``, which
-    also bounds where the camera planner may aim."""
+    """Mast camera: geometry plus the oracle's true-positive rate, the
+    chance that a classifiable rock is not missed; angles are radians.  The
+    occlusion sector is the mission's ``yaw_limit``, which also bounds where
+    the camera planner may aim."""
 
     mount_height: float = 1.0
     hfov: float = math.radians(60.0)
     vfov: float = math.radians(45.0)
     max_range: float = 5.0
     true_positive_rate: float = 0.973
-    false_positive_rate: float = 0.0
-    offset_noise: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -75,11 +76,8 @@ class CameraModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
-        for name in ("true_positive_rate", "false_positive_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not (math.isfinite(self.offset_noise) and self.offset_noise >= 0.0):
-            raise ValueError("offset_noise must be finite and nonnegative")
+        if not 0.0 <= self.true_positive_rate <= 1.0:
+            raise ValueError("true_positive_rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -160,24 +158,9 @@ def classify_view(scenario, camera_model, body_pose, camera_angles, yaw_limit, r
         if best is None or dist < best[0]:
             best = (dist, rock, d_az, d_el)
 
-    if best is not None:
-        if rng.random() < camera_model.true_positive_rate:
-            _, rock, d_az, d_el = best
-            if camera_model.offset_noise > 0.0:
-                d_az += rng.normal(0.0, camera_model.offset_noise)
-                d_el += rng.normal(0.0, camera_model.offset_noise)
-                # a classified rock lies within max_range, so its ray points
-                # at least as low as the range limit's depression; noise may
-                # not lift it above that, let alone above the horizon
-                shallowest = math.atan2(-camera_model.mount_height, camera_model.max_range)
-                d_el = min(d_el, shallowest - cam_pitch)
-            return rock.kind, (d_az, d_el)
-        return "background", None
-
-    if camera_model.false_positive_rate > 0.0 and cam_pitch < 0.0:
-        if rng.random() < camera_model.false_positive_rate:
-            kind = ROCK_CLASSES[int(rng.integers(2))]
-            return kind, (0.0, 0.0)
+    if best is not None and rng.random() < camera_model.true_positive_rate:
+        _, rock, d_az, d_el = best
+        return rock.kind, (d_az, d_el)
     return "background", None
 
 

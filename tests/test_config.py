@@ -55,12 +55,8 @@ BAD_FIELDS = [
     ("replan_interval", 0, "replan_interval must be at least 1"),
     ("coarse_dt", float("inf"), "coarse_dt must be positive and finite"),
     ("fine_dt", float("inf"), "fine_dt must be positive and finite"),
-    # a negative track noise ran without noise, with exit status 0
-    ("track_noise", -0.2, "track_noise must be finite and nonnegative"),
-    ("track_noise", float("nan"), "track_noise must be finite and nonnegative"),
-    # a bool read as a number or an int as a bool ran with exit status 0
+    # a bool read as a number ran with exit status 0
     ("coarse_dt", True, "coarse_dt must be a number"),
-    ("use_memory", 1, "use_memory must be true or false"),
 ]
 
 
@@ -124,6 +120,28 @@ BAD_GEOMETRY = [
                  "needs a positive width and height", id="epicenter_size"),
     pytest.param("fixed_pitch", 2.0, "fixed_pitch lies outside pitch_bounds",
                  id="fixed_pitch"),
+    # a non-finite length, low or limit was accepted, or rejected under the
+    # name of another field: a start pose outside the workspace or a step
+    # cap of at least inf; an infinite step cap stopped the mission's first
+    # solve, and an infinite turn rate ran on through NaN arithmetic
+    pytest.param("coarse_lengths", [100.0, float("nan")],
+                 "coarse_lengths must be positive and finite", id="coarse_lengths_nan"),
+    pytest.param("coarse_lengths", [100.0, float("inf")],
+                 "coarse_lengths must be positive and finite", id="coarse_lengths_infinite"),
+    pytest.param("coarse_lows", [float("nan"), 0.0], "coarse_lows must be finite",
+                 id="coarse_lows_nan"),
+    pytest.param("pitch_bounds", [float("-inf"), 0.5],
+                 "pitch_bounds must be increasing and finite", id="pitch_bounds_infinite"),
+    pytest.param("body_speed_max", float("inf"), "body_speed_max must be positive and finite",
+                 id="body_speed_max_infinite"),
+    pytest.param("camera_rate_max", float("inf"),
+                 "camera_rate_max must be positive and finite", id="camera_rate_max_infinite"),
+    pytest.param("body_step_cap", float("inf"), "body_step_cap must be positive and finite",
+                 id="body_step_cap_infinite"),
+    pytest.param("camera_step_cap", float("inf"),
+                 "camera_step_cap must be positive and finite", id="camera_step_cap_infinite"),
+    pytest.param("body_turn_max", float("inf"), "body_turn_max must be positive and finite",
+                 id="body_turn_max_infinite"),
 ]
 
 
@@ -184,24 +202,16 @@ CRASHING_CONFIGS = [
     pytest.param(None, "identification_radius", True,
                  "identification_radius must be a nonnegative number",
                  id="identification_radius_bool"),
-    # a NaN range saw rocks at any distance, a NaN or negative offset noise
-    # switched the noise off, an infinite identification radius credited
-    # every rock to the first detection, and a yaw limit wider than half a
-    # turn let the camera plan over more than a full turn
+    # a NaN range saw rocks at any distance, an infinite identification
+    # radius credited every rock to the first detection, and a yaw limit
+    # wider than half a turn let the camera plan over more than a full turn
     pytest.param("camera", "max_range", float("nan"), "max_range must be finite and positive",
                  id="camera_max_range"),
-    pytest.param("camera", "offset_noise", float("nan"),
-                 "offset_noise must be finite and nonnegative", id="camera_offset_noise_nan"),
-    pytest.param("camera", "offset_noise", -0.3,
-                 "offset_noise must be finite and nonnegative",
-                 id="camera_offset_noise_negative"),
     pytest.param("camera", "hfov", True, "hfov must be a number", id="camera_hfov"),
     pytest.param("camera", "mount_height", True, "mount_height must be a number",
                  id="camera_mount_height"),
     pytest.param("camera", "true_positive_rate", 2.0, "true_positive_rate must lie in",
                  id="camera_true_positive_rate"),
-    pytest.param("camera", "false_positive_rate", -0.5, "false_positive_rate must lie in",
-                 id="camera_false_positive_rate"),
     pytest.param(None, "identification_radius", float("inf"),
                  "identification_radius must be a nonnegative number and finite",
                  id="identification_radius_infinite"),
@@ -249,6 +259,8 @@ UNNAMED_FIELDS = [
                  id="seeds_string"),
     pytest.param({"seeds": 3}, "seeds must be a nonempty list of integers",
                  id="seeds_scalar"),
+    # a negative seed exited 1 with numpy's "expected non-negative integer"
+    pytest.param({"seeds": [-1]}, "seeds must be nonnegative", id="seeds_negative"),
     # a list exited 2 with "unhashable type: 'list'"
     pytest.param({"method": [1]}, "unknown method [1]; choose from", id="method_list"),
     pytest.param({"mission": {"epicenters": [[1, 2]]}}, "epicenters must be a list of",
@@ -336,6 +348,37 @@ class TestRemovedTuning:
     def test_cli_run_exits_with_config_status(self, name, default, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"mission": {name: default}}))
+        out = tmp_path / "trial"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
+# switches that only their own tests set, with the defaults they had; each
+# default is now the only behaviour, and a config key for it is unknown
+REMOVED_SWITCHES = [
+    ("mission", "use_memory", True),
+    ("mission", "track_noise", 0.0),
+    ("camera", "offset_noise", 0.0),
+    ("camera", "false_positive_rate", 0.0),
+]
+
+
+class TestRemovedSwitches:
+    @pytest.mark.parametrize("section,name,default", REMOVED_SWITCHES)
+    def test_field_is_gone(self, section, name, default):
+        assert name not in CONSTRUCTORS[section].__dataclass_fields__
+
+    @pytest.mark.parametrize("section,name,default", REMOVED_SWITCHES)
+    def test_from_dict_names_the_key(self, section, name, default):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {section} keys: ['{name}']")):
+            ExperimentConfig.from_dict({section: {name: default}})
+
+    @pytest.mark.parametrize("section,name,default", REMOVED_SWITCHES)
+    def test_cli_run_exits_with_config_status(self, section, name, default, tmp_path,
+                                              capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {name: default}}))
         out = tmp_path / "trial"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert name in capsys.readouterr().err

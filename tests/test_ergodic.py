@@ -81,6 +81,13 @@ class TestWorkspace:
         with pytest.raises(ValueError):
             Workspace((1.0, 0.0))
 
+    def test_rejects_non_finite_lengths_and_lows(self):
+        # a NaN length used to construct a workspace that contains no point
+        for lengths, lows in (((1.0, np.nan), None), ((np.inf, 1.0), None),
+                              ((1.0, 1.0), (np.nan, 0.0)), ((1.0, 1.0), (0.0, -np.inf))):
+            with pytest.raises(ValueError, match="finite"):
+                Workspace(lengths, lows)
+
     def test_uniform_level(self, square100):
         assert square100.uniform_level() == pytest.approx(1e-4)
 

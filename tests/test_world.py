@@ -6,9 +6,8 @@ import pytest
 
 from bleto.ergodic import Workspace
 from bleto.planner import BiLevelConfig
-from bleto.world import (ROCK_CLASSES, CameraModel, Rock, Scenario, classify_view,
-                         generate_scenario, project_detection,
-                         scenario_from_json, scenario_to_json)
+from bleto.world import (CameraModel, Rock, Scenario, classify_view, generate_scenario,
+                         project_detection, scenario_from_json, scenario_to_json)
 
 
 # the mission's occlusion sector, which it passes to the oracle
@@ -26,9 +25,11 @@ def camera():
 
 class TestGenerateScenario:
     def test_same_seed_identical(self):
+        # the JSON form holds the seed, the workspace and every rock; its
+        # digest is what pairs the methods' scenarios in ``bench.compare``
         a = generate_scenario(42)
         b = generate_scenario(42)
-        assert a == b
+        assert scenario_to_json(a) == scenario_to_json(b)
 
     def test_zero_rocks(self):
         s = generate_scenario(1, rock_count=0)
@@ -142,43 +143,6 @@ class TestClassifyView:
                                        (0.0, deg(-18.4)), YAW_LIMIT, rng)
                          for _ in range(50)])
         assert outs[0] == outs[1]
-
-    def test_noisy_offset_stays_below_the_horizon(self):
-        # large elevation noise on rocks up to the range limit, with the
-        # camera pitched up to the horizon: every noisy ray must still hit
-        # the ground no farther out than the range limit
-        ws = Workspace((100.0, 100.0))
-        cam = CameraModel(true_positive_rate=1.0, offset_noise=0.5)
-        rng = np.random.default_rng(4)
-        lowest = math.atan2(-cam.mount_height, cam.max_range)
-        detections = 0
-        for _ in range(2000):
-            dist = rng.uniform(0.5, cam.max_range)
-            scenario = Scenario(ws, (Rock(50.0 + dist, 50.0, "igneous"),))
-            cam_pitch = rng.uniform(deg(-40.0), 0.0)
-            label, offset = classify_view(scenario, cam, (50.0, 50.0, 0.0),
-                                          (0.0, cam_pitch), YAW_LIMIT, rng)
-            if label == "background":
-                continue
-            detections += 1
-            assert cam_pitch + offset[1] < 0.0
-            assert cam_pitch + offset[1] <= lowest + 1e-12
-            pt = project_detection((50.0, 50.0, 0.0), (0.0, cam_pitch), cam, offset)
-            assert math.hypot(pt[0] - 50.0, pt[1] - 50.0) <= cam.max_range + 1e-9
-        assert detections > 500
-
-    def test_false_positive_only_below_the_horizon(self):
-        # an empty field: every downward image is a false positive on the
-        # camera axis, and no ray at or above the horizon reports a rock
-        empty = Scenario(Workspace((100.0, 100.0)), ())
-        cam = CameraModel(false_positive_rate=1.0)
-        rng = np.random.default_rng(5)
-        label, offset = classify_view(empty, cam, (50.0, 50.0, 0.0), (0.0, deg(-30.0)),
-                                      YAW_LIMIT, rng)
-        assert label in ROCK_CLASSES and offset == (0.0, 0.0)
-        for pitch in (0.0, deg(20.0)):
-            assert classify_view(empty, cam, (50.0, 50.0, 0.0), (0.0, pitch),
-                                 YAW_LIMIT, rng) == ("background", None)
 
 
 class TestProjectDetection:
