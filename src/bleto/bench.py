@@ -17,18 +17,16 @@ solver iteration of the mission's first coarse plan) and ``timing.txt``
 
 import hashlib
 import json
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import infomap as im
 from . import world as ws
-from .planner import BiLevelConfig, Mission, _is_kind
+from .planner import BiLevelConfig, Mission
 
 __all__ = [
     "METHODS",
@@ -78,35 +76,34 @@ class TrialMetrics:
 
 @dataclass
 class ExperimentConfig:
+    """An experiment's sections, method, paired seeds and rocks.  Each field
+    holds a value of its annotation, every number finite
+    (``world.check_fields``); this class checks only values."""
+
     mission: BiLevelConfig = field(default_factory=BiLevelConfig)
     camera: ws.CameraModel = field(default_factory=ws.CameraModel)
     method: str = "bl-eto"
-    seeds: tuple = (1, 2, 3, 4, 5)
+    seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
     rock_count: int = 21
     placement: str = "uniform"
     identification_radius: float = 5.0
 
     def __post_init__(self):
-        if not (isinstance(self.method, str) and self.method in METHODS):
+        ws.check_fields(self)
+        if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {sorted(METHODS)}")
-        if not (isinstance(self.seeds, (tuple, list)) and self.seeds
-                and all(_is_kind(s, numbers.Integral) for s in self.seeds)):
-            raise ConfigError("seeds must be a nonempty list of integers")
         # a negative seed is no seed of numpy's generator
-        if min(self.seeds) < 0:
-            raise ConfigError("seeds must be nonnegative")
+        if not (self.seeds and min(self.seeds) >= 0):
+            raise ConfigError("seeds must be nonnegative and nonempty")
         self.seeds = tuple(self.seeds)
-        if not (_is_kind(self.rock_count, numbers.Integral) and self.rock_count >= 0):
-            raise ConfigError("rock_count must be a nonnegative integer")
+        if self.rock_count < 0:
+            raise ConfigError("rock_count must be nonnegative")
         if self.placement not in ws.PLACEMENTS:
             raise ConfigError(f"unknown placement {self.placement!r}; "
                               f"choose from {list(ws.PLACEMENTS)}")
-        # an infinite radius credits every rock to the first detection
-        if not (_is_kind(self.identification_radius, numbers.Real)
-                and 0 <= self.identification_radius < math.inf):
-            raise ConfigError("identification_radius must be a nonnegative number "
-                              "and finite")
+        if self.identification_radius < 0:
+            raise ConfigError("identification_radius must be nonnegative")
         # the method decides where the mast camera points
         self.mission = self.mission.replaced(camera_mode=METHODS[self.method])
 

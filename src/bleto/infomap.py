@@ -264,7 +264,8 @@ def project_to_fine(coarse, body_pose, camera_model, fine_workspace, fine_resolu
     intersected with the flat ground plane and the coarse density is sampled
     at the hit point.  Cells looking at or above the horizon, and cells whose
     rays land outside the coarse workspace, receive only the positivity
-    floor.  Yaw is measured from the body heading.
+    floor, so a view whose rays all miss the workspace is uniform.  Yaw is
+    measured from the body heading.
     """
     shape = _shape(fine_workspace, fine_resolution)
     yaw_c, pitch_c = _axis_centers(fine_workspace, shape)
@@ -281,7 +282,7 @@ def project_to_fine(coarse, body_pose, camera_model, fine_workspace, fine_resolu
         if np.any(inside):
             sampled[inside] = coarse.sample(pts[inside])
         values[down] = sampled
-    return InfoMap(fine_workspace, values)
+    return InfoMap(fine_workspace, values if values.any() else np.ones(shape))
 
 
 # ---- serialization ----

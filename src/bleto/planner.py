@@ -31,9 +31,8 @@ run independent missions concurrently if you need parallelism.
 """
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
-from typing import List, Optional, Tuple, get_args, get_origin
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -79,32 +78,23 @@ _FINE_BUMP_SIGMA = math.radians(5.0)
 _FINE_CLIP_RADIUS = math.radians(10.0)
 _CLIP_FACTOR = 0.1
 _VIEW_DISCOUNT = 0.5
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
-
-
-def _is_kind(value, kind):
-    """``isinstance``, except that a bool is of no kind: JSON's ``true`` is
-    not a count or a length."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_epicenter(entry):
-    """An [x, y, width, height] rectangle of numbers and a number multiplier."""
-    return (isinstance(entry, (tuple, list)) and len(entry) == 2
-            and isinstance(entry[0], (tuple, list)) and len(entry[0]) == 4
-            and all(_is_kind(v, numbers.Real) for v in (*entry[0], entry[1])))
 
 
 @dataclass
 class BiLevelConfig:
     """The problem a mission solves: the workspaces, the robot's limits,
     the clocks and the mission itself; defaults are the desk-scale
-    scenario.  The planner's tuning is the ``_``-constants beside it."""
+    scenario.  The planner's tuning is the ``_``-constants beside it.
+
+    Each field holds a value of its annotation, every number finite
+    (``world.check_fields``); this class checks only values and relations,
+    a message naming each field of a broken relation, so that a config
+    that constructs runs its mission to the end."""
 
     # workspaces
     coarse_lengths: Tuple[float, float] = (100.0, 100.0)
     coarse_lows: Tuple[float, float] = (0.0, 0.0)
-    epicenters: tuple = DEFAULT_EPICENTERS
+    epicenters: Tuple[Tuple[Tuple[float, float, float, float], float], ...] = DEFAULT_EPICENTERS
     # half-width of the camera's yaw range and of the unoccluded sector the
     # detection oracle sees through: the body blocks the bearings beyond it
     yaw_limit: float = math.radians(135.0)
@@ -134,92 +124,63 @@ class BiLevelConfig:
     fixed_pitch: float = math.radians(-55.0)
 
     def __post_init__(self):
-        self._check_types()
+        ws.check_fields(self)
         if self.camera_mode not in ("optimized", "fixed", "random"):
             raise ValueError(f"unknown camera mode {self.camera_mode!r}")
         if self.coarse_horizon < 2 or self.fine_horizon < 2:
             raise ValueError("horizons must be at least 2 steps")
-        for name in ("coarse_dt", "fine_dt"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
-            raise ValueError("time_budget must be finite and positive")
+        if self.replan_interval < 1:
+            raise ValueError("replan_interval must be at least 1")
+        for name in ("coarse_dt", "fine_dt", "time_budget", "body_speed_max", "body_turn_max",
+                     "camera_rate_max", "body_step_cap", "camera_step_cap", "yaw_limit"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("coarse_plan_time", "fine_plan_time", "image_time"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.replan_interval < 1:
-            raise ValueError("replan_interval must be at least 1")
-        self._check_geometry()
-
-    def _check_types(self):
-        """Each ``int`` field holds an integer and each ``float`` field a
-        number, with no bool taken for either (no field is a bool); each
-        ``Tuple`` field is a list of one such entry per axis, and each
-        epicenter a 4-number rectangle and a multiplier, so that no check,
-        map or plan meets a string or a short vector."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in _KINDS:
-                kind, noun = _KINDS[f.type]
-                if not _is_kind(value, kind):
-                    raise ValueError(f"{f.name} must be {noun}")
-            elif get_origin(f.type) is tuple:
-                size = len(get_args(f.type))
-                kind, noun = _KINDS[get_args(f.type)[0]]
-                if not (isinstance(value, (tuple, list)) and len(value) == size
-                        and all(_is_kind(v, kind) for v in value)):
-                    raise ValueError(f"{f.name} needs {size} entries, each {noun}")
-        if not (isinstance(self.epicenters, (tuple, list))
-                and all(map(_is_epicenter, self.epicenters))):
-            raise ValueError("epicenters must be a list of "
-                             "[[x, y, width, height], multiplier] entries of numbers")
-
-    def _check_geometry(self):
-        """Checks of the workspaces, limits and start states, so that a
-        config that constructs can build its maps, bases and bounds.  Once
-        the lengths, yaw and pitch checks pass, it builds the two workspaces
-        and asks them whether the start states and epicenters lie inside."""
-        for name in ("body_speed_max", "body_turn_max", "body_step_cap",
-                     "camera_rate_max", "camera_step_cap", "yaw_limit"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
         if not self.yaw_limit <= math.pi:
             raise ValueError("yaw_limit must lie in (0, pi]")
-        if not all(math.isfinite(v) and v > 0 for v in self.coarse_lengths):
-            raise ValueError("coarse_lengths must be positive and finite")
-        if not all(map(math.isfinite, self.coarse_lows)):
-            raise ValueError("coarse_lows must be finite")
+        if not all(v > 0 for v in self.coarse_lengths):
+            raise ValueError("coarse_lengths must be positive")
         pitch_lo, pitch_hi = self.pitch_bounds
-        if not (math.isfinite(pitch_lo) and math.isfinite(pitch_hi) and pitch_lo < pitch_hi):
-            raise ValueError("pitch_bounds must be increasing and finite")
+        if not pitch_lo < pitch_hi:
+            raise ValueError("pitch_bounds must be increasing")
         if not pitch_lo <= self.fixed_pitch <= pitch_hi:
             raise ValueError("fixed_pitch lies outside pitch_bounds")
+        # the lengths, yaw and pitch checks above let both workspaces build
         coarse, fine = self.coarse_workspace(), self.fine_workspace()
         if not coarse.contains(self.start_pose[:2]):
-            raise ValueError("start_pose lies outside the coarse workspace")
+            raise ValueError("start_pose lies outside the coarse workspace "
+                             "of coarse_lows and coarse_lengths")
         if not fine.contains(self.camera_start):
-            raise ValueError("camera_start lies outside the fine workspace")
+            raise ValueError("camera_start lies outside the fine workspace "
+                             "of yaw_limit and pitch_bounds")
         # a cap that an initial guess of the solver can step past leaves it
-        # no feasible start (``solver._least_step_cap``)
+        # no feasible start (``solver._least_step_cap``); a cap longer than
+        # its workspace's diagonal never binds
         body_longest = self.coarse_dt * self.body_speed_max
         camera_longest = self.fine_dt * math.hypot(self.camera_rate_max, self.camera_rate_max)
-        for name, longest, lengths in (
-                ("body_step_cap", body_longest, coarse.lengths),
-                ("camera_step_cap", camera_longest, fine.lengths)):
+        for name, longest, lengths, inputs in (
+                ("body_step_cap", body_longest, coarse.lengths,
+                 "coarse_dt, body_speed_max and coarse_lengths"),
+                ("camera_step_cap", camera_longest, fine.lengths,
+                 "fine_dt, camera_rate_max, yaw_limit and pitch_bounds")):
+            cap, diagonal = getattr(self, name), math.hypot(*lengths)
             least = _least_step_cap(longest, lengths)
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be at least {least!r}: the longest step "
-                                 "of the control box plus the solver's guess offsets")
+            if not cap >= least:
+                raise ValueError(f"{name} must be at least {least!r}: the longest step of "
+                                 f"the control box plus the solver's guess offsets ({inputs})")
+            if not cap <= diagonal:
+                raise ValueError(f"{name} must be at most {diagonal!r}, "
+                                 "the diagonal of its workspace")
         for rect, multiplier in self.epicenters:
             x0, y0, w, h = rect
             if not (w > 0 and h > 0):
-                raise ValueError(f"epicenter {list(rect)} needs a positive width and height")
+                raise ValueError(f"epicenters: {list(rect)} needs a positive width and height")
             if not coarse.contains([(x0, y0), (x0 + w, y0 + h)]).all():
-                raise ValueError(f"epicenter {list(rect)} lies outside the coarse workspace")
+                raise ValueError(f"epicenters: {list(rect)} lies outside the coarse workspace")
             if not multiplier >= 1:
-                raise ValueError("epicenter multipliers must be at least 1")
+                raise ValueError("epicenters: multipliers must be at least 1")
 
     # derived objects ------------------------------------------------------
 

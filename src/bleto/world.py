@@ -16,8 +16,9 @@ Scenario and CameraModel are immutable after construction; the rng used by
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Optional, Tuple, get_args, get_origin
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "ROCK_CLASSES",
     "PLACEMENTS",
     "Rock",
+    "check_fields",
     "CameraModel",
     "Scenario",
     "generate_scenario",
@@ -38,6 +40,47 @@ __all__ = [
 
 ROCK_CLASSES = ("igneous", "sedimentary")
 PLACEMENTS = ("uniform", "epicenter-biased")
+
+
+def check_fields(config):
+    """Require each field of the dataclass ``config`` to hold a value of its
+    annotation: the one rule of a well-formed field in every config section.
+    An ``int`` is an integer and a ``float`` a finite real, neither a bool
+    (JSON's ``true`` is no count or length, and no clock, map or plan
+    survives a NaN or an infinity); a ``Tuple[X, Y]`` is a list of one such
+    entry per member, a ``Tuple[X, ...]`` a list of any number; any other
+    annotation is a class of the value.  Raises a ``ValueError`` naming the
+    first field that breaks the rule."""
+    for f in fields(config):
+        if not _conforms(getattr(config, f.name), f.type):
+            form = _form(f.type)
+            article = ("a list of the form" if form[0] == "[" else
+                       "an" if form[0] in "aeiou" else "a")
+            raise ValueError(f"{f.name} must be {article} {form}")
+
+
+def _conforms(value, kind):
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (tuple, list)):
+            return False
+        kinds = get_args(kind)
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        return len(value) == len(kinds) and all(map(_conforms, value, kinds))
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        # an integer too large for a float fails here, where math.isfinite raises
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Integral if kind is int else kind)
+
+
+def _form(kind):
+    """``kind`` as a config message names it: a list by the form of its entries."""
+    if get_origin(kind) is tuple:
+        entries = ("..." if k is Ellipsis else _form(k) for k in get_args(kind))
+        return "[" + ", ".join(entries) + "]"
+    return {int: "integer", float: "finite number", str: "string"}.get(kind, kind.__name__)
 
 
 @dataclass(frozen=True)
@@ -56,7 +99,8 @@ class CameraModel:
     """Mast camera: geometry plus the oracle's true-positive rate, the
     chance that a classifiable rock is not missed; angles are radians.  The
     occlusion sector is the mission's ``yaw_limit``, which also bounds where
-    the camera planner may aim."""
+    the camera planner may aim.  Each field is a finite number
+    (``check_fields``); this class checks their ranges."""
 
     mount_height: float = 1.0
     hfov: float = math.radians(60.0)
@@ -65,17 +109,13 @@ class CameraModel:
     true_positive_rate: float = 0.973
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a number")
+        check_fields(self)
         for name in ("hfov", "vfov"):
             if not 0.0 < getattr(self, name) < math.pi:
                 raise ValueError(f"{name} must lie in (0, pi)")
         for name in ("mount_height", "max_range"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.true_positive_rate <= 1.0:
             raise ValueError("true_positive_rate must lie in [0, 1]")
 

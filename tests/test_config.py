@@ -4,7 +4,7 @@ fail mid-mission, and the CLI turns a rejected config into exit status 2."""
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -13,6 +13,12 @@ from bleto.bench import ConfigError, ExperimentConfig, run_trial
 from bleto.cli import EXIT_CONFIG, EXIT_OK, main
 from bleto.planner import BiLevelConfig
 from bleto.world import CameraModel
+
+# the diagonals of the default coarse and fine workspaces: no step of the
+# body or the camera can be longer
+BODY_DIAGONAL = math.hypot(*BiLevelConfig.coarse_lengths)
+CAMERA_DIAGONAL = math.hypot(2.0 * BiLevelConfig.yaw_limit,
+                             BiLevelConfig.pitch_bounds[1] - BiLevelConfig.pitch_bounds[0])
 
 
 class TestHorizons:
@@ -46,17 +52,23 @@ class TestHorizons:
 BAD_FIELDS = [
     ("coarse_dt", 0.0, "coarse_dt must be positive"),
     ("fine_dt", -0.4, "fine_dt must be positive"),
-    ("time_budget", float("nan"), "time_budget must be finite and positive"),
-    ("time_budget", float("inf"), "time_budget must be finite and positive"),
+    pytest.param("time_budget", float("nan"), "time_budget must be a finite number",
+                 id="time_budget-nan-time_budget must be finite and positive"),
+    pytest.param("time_budget", float("inf"), "time_budget must be a finite number",
+                 id="time_budget-inf-time_budget must be finite and positive"),
     ("coarse_plan_time", -2.0, "coarse_plan_time must be nonnegative"),
     ("fine_plan_time", -0.5, "fine_plan_time must be nonnegative"),
-    ("image_time", float("nan"), "image_time must be nonnegative"),
+    pytest.param("image_time", float("nan"), "image_time must be a finite number",
+                 id="image_time-nan-image_time must be nonnegative"),
     ("image_time", -0.139, "image_time must be nonnegative"),
     ("replan_interval", 0, "replan_interval must be at least 1"),
-    ("coarse_dt", float("inf"), "coarse_dt must be positive and finite"),
-    ("fine_dt", float("inf"), "fine_dt must be positive and finite"),
+    pytest.param("coarse_dt", float("inf"), "coarse_dt must be a finite number",
+                 id="coarse_dt-inf-coarse_dt must be positive and finite"),
+    pytest.param("fine_dt", float("inf"), "fine_dt must be a finite number",
+                 id="fine_dt-inf-fine_dt must be positive and finite"),
     # a bool read as a number ran with exit status 0
-    ("coarse_dt", True, "coarse_dt must be a number"),
+    pytest.param("coarse_dt", True, "coarse_dt must be a finite number",
+                 id="coarse_dt-True-coarse_dt must be a number"),
 ]
 
 
@@ -125,22 +137,22 @@ BAD_GEOMETRY = [
     # cap of at least inf; an infinite step cap stopped the mission's first
     # solve, and an infinite turn rate ran on through NaN arithmetic
     pytest.param("coarse_lengths", [100.0, float("nan")],
-                 "coarse_lengths must be positive and finite", id="coarse_lengths_nan"),
+                 "coarse_lengths must be a list of the form", id="coarse_lengths_nan"),
     pytest.param("coarse_lengths", [100.0, float("inf")],
-                 "coarse_lengths must be positive and finite", id="coarse_lengths_infinite"),
-    pytest.param("coarse_lows", [float("nan"), 0.0], "coarse_lows must be finite",
+                 "coarse_lengths must be a list of the form", id="coarse_lengths_infinite"),
+    pytest.param("coarse_lows", [float("nan"), 0.0], "coarse_lows must be a list of the form",
                  id="coarse_lows_nan"),
     pytest.param("pitch_bounds", [float("-inf"), 0.5],
-                 "pitch_bounds must be increasing and finite", id="pitch_bounds_infinite"),
-    pytest.param("body_speed_max", float("inf"), "body_speed_max must be positive and finite",
+                 "pitch_bounds must be a list of the form", id="pitch_bounds_infinite"),
+    pytest.param("body_speed_max", float("inf"), "body_speed_max must be a finite number",
                  id="body_speed_max_infinite"),
     pytest.param("camera_rate_max", float("inf"),
-                 "camera_rate_max must be positive and finite", id="camera_rate_max_infinite"),
-    pytest.param("body_step_cap", float("inf"), "body_step_cap must be positive and finite",
+                 "camera_rate_max must be a finite number", id="camera_rate_max_infinite"),
+    pytest.param("body_step_cap", float("inf"), "body_step_cap must be a finite number",
                  id="body_step_cap_infinite"),
     pytest.param("camera_step_cap", float("inf"),
-                 "camera_step_cap must be positive and finite", id="camera_step_cap_infinite"),
-    pytest.param("body_turn_max", float("inf"), "body_turn_max must be positive and finite",
+                 "camera_step_cap must be a finite number", id="camera_step_cap_infinite"),
+    pytest.param("body_turn_max", float("inf"), "body_turn_max must be a finite number",
                  id="body_turn_max_infinite"),
 ]
 
@@ -176,20 +188,18 @@ class TestGeometryValidation:
 # barrier"); from the bool rows on, configs that ran with exit status 0 on a
 # wrong value; each row is (section, field, value, message)
 CRASHING_CONFIGS = [
-    pytest.param(None, "rock_count", 1.5, "rock_count must be a nonnegative integer",
-                 id="rock_count"),
+    pytest.param(None, "rock_count", 1.5, "rock_count must be an integer", id="rock_count"),
     pytest.param(None, "placement", "clustered", "unknown placement 'clustered'",
                  id="placement"),
     pytest.param(None, "identification_radius", "5",
-                 "identification_radius must be a nonnegative number",
-                 id="identification_radius"),
-    pytest.param("camera", "true_positive_rate", "x", "true_positive_rate must be a number",
-                 id="true_positive_rate"),
+                 "identification_radius must be a finite number", id="identification_radius"),
+    pytest.param("camera", "true_positive_rate", "x",
+                 "true_positive_rate must be a finite number", id="true_positive_rate"),
     pytest.param("mission", "start_pose", [50, 50],
-                 "start_pose needs 3 entries, each a number", id="start_pose"),
+                 "start_pose must be a list of the form", id="start_pose"),
     pytest.param("mission", "camera_start", [0.0],
-                 "camera_start needs 2 entries, each a number", id="camera_start"),
-    pytest.param("mission", "coarse_lows", [0], "coarse_lows needs 2 entries, each a number",
+                 "camera_start must be a list of the form", id="camera_start"),
+    pytest.param("mission", "coarse_lows", [0], "coarse_lows must be a list of the form",
                  id="coarse_lows"),
     pytest.param("mission", "coarse_horizon", 2.5, "coarse_horizon must be an integer",
                  id="coarse_horizon"),
@@ -197,25 +207,51 @@ CRASHING_CONFIGS = [
                  id="body_step_cap"),
     pytest.param("mission", "camera_step_cap", 0.2, "camera_step_cap must be at least",
                  id="camera_step_cap"),
-    pytest.param(None, "rock_count", True, "rock_count must be a nonnegative integer",
+    pytest.param(None, "rock_count", True, "rock_count must be an integer",
                  id="rock_count_bool"),
     pytest.param(None, "identification_radius", True,
-                 "identification_radius must be a nonnegative number",
+                 "identification_radius must be a finite number",
                  id="identification_radius_bool"),
     # a NaN range saw rocks at any distance, an infinite identification
     # radius credited every rock to the first detection, and a yaw limit
     # wider than half a turn let the camera plan over more than a full turn
-    pytest.param("camera", "max_range", float("nan"), "max_range must be finite and positive",
+    pytest.param("camera", "max_range", float("nan"), "max_range must be a finite number",
                  id="camera_max_range"),
-    pytest.param("camera", "hfov", True, "hfov must be a number", id="camera_hfov"),
-    pytest.param("camera", "mount_height", True, "mount_height must be a number",
+    pytest.param("camera", "hfov", True, "hfov must be a finite number", id="camera_hfov"),
+    pytest.param("camera", "mount_height", True, "mount_height must be a finite number",
                  id="camera_mount_height"),
     pytest.param("camera", "true_positive_rate", 2.0, "true_positive_rate must lie in",
                  id="camera_true_positive_rate"),
     pytest.param(None, "identification_radius", float("inf"),
-                 "identification_radius must be a nonnegative number and finite",
+                 "identification_radius must be a finite number",
                  id="identification_radius_infinite"),
     pytest.param("mission", "yaw_limit", 4.0, "yaw_limit must lie in", id="mission_yaw_limit"),
+    # a NaN or infinite heading stopped the first coarse solve outside its
+    # workspace, an infinite epicenter multiplier left the solver no feasible
+    # start, and an infinite charge ran with exit status 0 and wrote
+    # Infinity, which is no JSON, into metrics.json
+    pytest.param("mission", "start_pose", [50.0, 50.0, float("nan")],
+                 "start_pose must be a list of the form", id="start_pose_nan_heading"),
+    pytest.param("mission", "start_pose", [50.0, 50.0, float("-inf")],
+                 "start_pose must be a list of the form", id="start_pose_infinite_heading"),
+    pytest.param("mission", "epicenters", [[[10.0, 10.0, 5.0, 5.0], float("inf")]],
+                 "epicenters must be a list of the form", id="epicenter_multiplier_infinite"),
+    pytest.param("mission", "coarse_plan_time", float("inf"),
+                 "coarse_plan_time must be a finite number", id="coarse_plan_time_infinite"),
+    pytest.param("mission", "fine_plan_time", float("inf"),
+                 "fine_plan_time must be a finite number", id="fine_plan_time_infinite"),
+    pytest.param("mission", "image_time", float("inf"),
+                 "image_time must be a finite number", id="image_time_infinite"),
+    # a step cap longer than its workspace's diagonal never binds; at 1e300
+    # the first solve overflowed squaring it
+    pytest.param("mission", "body_step_cap", 1e300, "body_step_cap must be at most",
+                 id="body_step_cap_huge"),
+    pytest.param("mission", "camera_step_cap", 1e300, "camera_step_cap must be at most",
+                 id="camera_step_cap_huge"),
+    pytest.param("mission", "body_step_cap", math.nextafter(BODY_DIAGONAL, math.inf),
+                 "body_step_cap must be at most", id="body_step_cap_past_diagonal"),
+    pytest.param("mission", "camera_step_cap", math.nextafter(CAMERA_DIAGONAL, math.inf),
+                 "camera_step_cap must be at most", id="camera_step_cap_past_diagonal"),
 ]
 CONSTRUCTORS = {None: ExperimentConfig, "camera": CameraModel, "mission": BiLevelConfig}
 
@@ -251,18 +287,19 @@ class TestCrashingConfigs:
 # method's), or exited 2 with a conversion or unpack error that named no
 # field; each row is (config, message)
 UNNAMED_FIELDS = [
-    pytest.param({"seeds": [1.5]}, "seeds must be a nonempty list of integers",
+    pytest.param({"seeds": [1.5]}, "seeds must be a list of the form [integer, ...]",
                  id="seeds_float"),
-    pytest.param({"seeds": [True]}, "seeds must be a nonempty list of integers",
+    pytest.param({"seeds": [True]}, "seeds must be a list of the form [integer, ...]",
                  id="seeds_bool"),
-    pytest.param({"seeds": ["x"]}, "seeds must be a nonempty list of integers",
+    pytest.param({"seeds": ["x"]}, "seeds must be a list of the form [integer, ...]",
                  id="seeds_string"),
-    pytest.param({"seeds": 3}, "seeds must be a nonempty list of integers",
+    pytest.param({"seeds": 3}, "seeds must be a list of the form [integer, ...]",
                  id="seeds_scalar"),
     # a negative seed exited 1 with numpy's "expected non-negative integer"
     pytest.param({"seeds": [-1]}, "seeds must be nonnegative", id="seeds_negative"),
+    pytest.param({"seeds": []}, "seeds must be nonnegative and nonempty", id="seeds_empty"),
     # a list exited 2 with "unhashable type: 'list'"
-    pytest.param({"method": [1]}, "unknown method [1]; choose from", id="method_list"),
+    pytest.param({"method": [1]}, "method must be a string", id="method_list"),
     pytest.param({"mission": {"epicenters": [[1, 2]]}}, "epicenters must be a list of",
                  id="epicenter_numbers"),
     pytest.param({"mission": {"epicenters": [[[10, 10, 5, 5]]]}},
@@ -385,6 +422,95 @@ class TestRemovedSwitches:
         assert not out.exists()
 
 
+def strict_json(text):
+    """``json.loads``, except that NaN and Infinity, which are no JSON, fail."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def run_cli(config, tmp_path):
+    """Run seed 1 of ``config`` through the CLI into ``tmp_path / "trial"``;
+    returns the exit status."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return main(["run", "--config", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "trial")])
+
+
+class TestViewWithoutGround:
+    def test_mast_too_high_for_any_ray_to_land_runs(self, tmp_path):
+        # every ray of a 2000 m mast lands more than 87 m out, outside the
+        # workspace from anywhere in it; the first fine projection raised
+        # "map has no mass"
+        config = {"mission": {"time_budget": 60.0}, "camera": {"mount_height": 2000.0}}
+        assert run_cli(config, tmp_path) == EXIT_OK
+        metrics = strict_json((tmp_path / "trial" / "metrics.json").read_text())
+        assert metrics["sim_time_s"] >= 60.0
+
+
+# NaN, both infinities and both signs of a huge magnitude; a horizon, a
+# replan interval or a budget of such a magnitude is left out, since it asks
+# for a plan or a mission of that size by design
+EXTREMES = (math.nan, math.inf, -math.inf, 1e300, -1e300)
+
+
+def numeric_entries():
+    """(section, field, path to a number in the field's value, whether its
+    magnitude sizes a plan or the mission) for every number a config file
+    sets: each number of each mission field, every epicenter number among
+    them, each camera field and the identification radius."""
+    def numbers_in(value, path=()):
+        if isinstance(value, (tuple, list)):
+            for i, entry in enumerate(value):
+                yield from numbers_in(entry, path + (i,))
+        elif isinstance(value, (int, float)):
+            yield path, isinstance(value, int)
+    for section, default in (("mission", BiLevelConfig()), ("camera", CameraModel())):
+        for f in fields(default):
+            for path, is_int in numbers_in(getattr(default, f.name)):
+                yield section, f.name, path, is_int or f.name == "time_budget"
+    yield None, "identification_radius", (), False
+
+
+def with_entry(value, path, entry):
+    """``value`` with the number at ``path`` replaced by ``entry``."""
+    if not path:
+        return entry
+    value = list(value)
+    value[path[0]] = with_entry(value[path[0]], path[1:], entry)
+    return value
+
+
+EXTREME_ENTRIES = [
+    pytest.param(section, name, path, extreme,
+                 id=f"{name}{''.join(f'[{i}]' for i in path)}={extreme!r}")
+    for section, name, path, sized in numeric_entries()
+    for extreme in EXTREMES if not (sized and math.isfinite(extreme))]
+
+
+class TestExtremeNumbers:
+    @pytest.mark.parametrize("section,name,path,extreme", EXTREME_ENTRIES)
+    def test_rejected_by_name_or_runs_to_a_clean_end(self, section, name, path, extreme,
+                                                      tmp_path, capsys):
+        # a config that passes validation runs a 20 s bl-eto mission to exit
+        # status 0 and strict-JSON metrics; one that does not exits 2 and
+        # names the field, also where a huge magnitude breaks a relation to
+        # another field (a 1e300 coarse_dt makes body_step_cap too short)
+        value = with_entry(getattr(CONSTRUCTORS[section](), name), path, extreme)
+        config = {"mission": {"time_budget": 20.0}}
+        (config if section is None else config.setdefault(section, {}))[name] = value
+        status = run_cli(config, tmp_path)
+        err = capsys.readouterr().err
+        if status == EXIT_CONFIG:
+            assert err.startswith("config error: ")
+            assert name in err
+            assert not (tmp_path / "trial").exists()
+        else:
+            assert status == EXIT_OK
+            strict_json((tmp_path / "trial" / "metrics.json").read_text())
+
+
 class TestJsonForm:
     def test_every_field_survives_its_json_form(self, tmp_path):
         # a config file that spells out every field at its default runs the
@@ -427,6 +553,9 @@ class TestStepCaps:
         for field, cap in (("body_step_cap", body), ("camera_step_cap", camera)):
             with pytest.raises(ValueError, match=f"{field} must be at least"):
                 BiLevelConfig(**{field: math.nextafter(cap, 0.0)})
+
+    def test_greatest_caps_are_the_diagonals(self):
+        BiLevelConfig(body_step_cap=BODY_DIAGONAL, camera_step_cap=CAMERA_DIAGONAL)
 
     def test_mission_at_the_least_caps_completes(self):
         # from corners of both workspaces, where the nudge moves the first

@@ -196,6 +196,15 @@ class TestProjectToFine:
         assert abs(centers[1][row]) < 1e-12
         assert np.allclose(fine.density[:, row], fine.density.min())
 
+    def test_view_with_no_ground_in_the_workspace_is_uniform(self, ws, fine_ws):
+        # from a 2000 m mast every downward ray lands more than 87 m out, so
+        # every cell gets only the floor; this raised "map has no mass"
+        coarse = init_coarse(ws, (100, 100))
+        cam = CameraModel(mount_height=2000.0)
+        fine = project_to_fine(coarse, (50.0, 50.0, 0.0), cam, fine_ws, (54, 24))
+        assert np.all(fine.density == fine.density[0, 0])
+        assert abs(fine.integral() - 1.0) < 1e-9
+
     def test_bump_ahead_lands_at_expected_pitch(self, ws, fine_ws):
         coarse = init_coarse(ws, (100, 100))
         pose = (49.5, 49.5, 0.0)
