@@ -93,9 +93,12 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; "
                               f"choose from {sorted(METHODS)}")
-        # a negative seed is no seed of numpy's generator
-        if not (self.seeds and min(self.seeds) >= 0):
-            raise ConfigError("seeds must be nonnegative and nonempty")
+        # a negative seed is no seed of numpy's generator, and a repeated
+        # one would run its scenario twice and overwrite its own trial
+        if not (self.seeds and min(self.seeds) >= 0
+                and len(set(self.seeds)) == len(self.seeds)):
+            raise ConfigError("seeds must be nonnegative and nonempty, "
+                              "with no seed repeated")
         self.seeds = tuple(self.seeds)
         if self.rock_count < 0:
             raise ConfigError("rock_count must be nonnegative")
@@ -151,7 +154,7 @@ def build_scenario(config, seed):
         epicenters=config.mission.epicenters)
 
 
-def score(log, scenario, identification_radius=5.0, method="bl-eto", seed=0):
+def score(log, scenario, identification_radius, method, seed):
     """Count a rock as found iff some detection's projected world point lies
     within the identification radius of its true position."""
     detections = log.detections()
@@ -228,7 +231,7 @@ def _scenario_hash(config, seed):
                           .encode("utf-8")).hexdigest()
 
 
-def compare(config, out_dir=None, methods=tuple(METHODS)):
+def compare(config, out_dir=None):
     """Run every method over the same seeds and tabulate the results.
 
     The scenario hash is recorded per (method, seed) and must agree across
@@ -236,7 +239,7 @@ def compare(config, out_dir=None, methods=tuple(METHODS)):
     """
     results = {}
     hashes = {}
-    for method in methods:
+    for method in METHODS:
         cfg = config.for_method(method)
         per_seed = []
         for seed in config.seeds:

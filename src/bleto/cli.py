@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one method; with ``--out`` it writes the trial files
 ``bench`` lists, ``solver_trace.csv`` of the first coarse plan among them),
 ``compare`` (all three methods on paired seeds), ``inspect`` (summarize a
-trial directory).  Exit code 0 on success, 2 on configuration errors.
+trial directory).  Exit code 0 on success, 2 on a bad config, option or
+trial file.
 """
 
 import argparse
@@ -24,9 +25,24 @@ def _load_config(path):
     if path is None:
         return ExperimentConfig()
     try:
-        return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError) as exc:
+        return ExperimentConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
+def _load_trial_file(path, load):
+    """``load(path)``, or a ``ConfigError`` naming ``path`` if it holds no JSON."""
+    try:
+        return load(path)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _nonnegative(text):
+    """``text`` as a nonnegative integer, the type of a count option."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
+    return int(text)
 
 
 def _cmd_run(args):
@@ -54,11 +70,12 @@ def _cmd_inspect(args):
     metrics_path = trial / "metrics.json"
     if not metrics_path.exists():
         raise ConfigError(f"no metrics.json under {trial}")
-    metrics = json.loads(metrics_path.read_text())
+    metrics = _load_trial_file(metrics_path,
+                               lambda p: json.loads(p.read_text(encoding="utf-8")))
     print(json.dumps(metrics, sort_keys=True, indent=2))
     detections_path = trial / "detections.jsonl"
     if detections_path.exists():
-        events = load_detections_jsonl(detections_path)
+        events = _load_trial_file(detections_path, load_detections_jsonl)
         hits = [e for e in events if e.is_detection]
         print(f"events: {len(events)} images, {len(hits)} detections")
         for e in hits[: args.head]:
@@ -92,7 +109,7 @@ def build_parser():
 
     p_ins = sub.add_parser("inspect", help="summarize a trial directory")
     p_ins.add_argument("--log", required=True, help="trial directory")
-    p_ins.add_argument("--head", type=int, default=10,
+    p_ins.add_argument("--head", type=_nonnegative, default=10,
                        help="detections to print")
     p_ins.set_defaults(func=_cmd_inspect)
     return parser

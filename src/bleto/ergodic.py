@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-6  # largest |mass - 1| of a map ``map_coefficients`` takes
+_INSIDE_SLACK = 1e-12  # rounding past a bound that ``require_inside`` forgives
 
 
 class OutsideWorkspaceError(ValueError):
@@ -79,8 +80,8 @@ class Workspace:
         rel = self.to_local(points)
         return np.all((rel >= -slack) & (rel <= self.lengths + slack), axis=-1)
 
-    def require_inside(self, points, what="point", slack=1e-12):
-        if not np.all(self.contains(points, slack=slack)):
+    def require_inside(self, points, what="point"):
+        if not np.all(self.contains(points, slack=_INSIDE_SLACK)):
             raise OutsideWorkspaceError(
                 f"{what} outside workspace (lows={self.lows.tolist()}, "
                 f"lengths={self.lengths.tolist()})"
@@ -95,8 +96,10 @@ class Workspace:
 
 
 class FourierBasis:
-    """All integer modes (k_0, k_1) with 0 <= k_i < modes_per_axis[i] on a
-    planar workspace: the body's (x, y) or the mast camera's (yaw, pitch).
+    """All integer modes (k_0, k_1) with 0 <= k_i < ``modes`` on a planar
+    workspace: the body's (x, y) or the mast camera's (yaw, pitch).  Both
+    axes take the same number of modes; ``modes_per_axis`` is that number
+    once per axis.
 
     Per mode the basis function, its weight and its normalizer are
 
@@ -116,17 +119,13 @@ class FourierBasis:
     floating-point order of the form above, so the bits are equal to it.
     """
 
-    def __init__(self, workspace, modes_per_axis):
+    def __init__(self, workspace, modes):
         self.workspace = workspace
-        if np.ndim(modes_per_axis) == 0:
-            per_axis = (int(modes_per_axis),) * 2
-        else:
-            per_axis = tuple(int(m) for m in modes_per_axis)
-        if len(per_axis) != 2 or any(m < 1 for m in per_axis):
-            raise ValueError("modes_per_axis must be >= 1 for every axis")
-        self.modes_per_axis = per_axis
+        if modes < 1:
+            raise ValueError("modes must be at least 1")
+        self.modes_per_axis = (int(modes),) * 2
 
-        self.modes = np.indices(per_axis).reshape(2, -1).T  # (nK, 2)
+        self.modes = np.indices(self.modes_per_axis).reshape(2, -1).T  # (nK, 2)
         ksq = np.sum(self.modes**2, axis=1)
         self.weights = (1.0 + ksq) ** -1.5
         ell = np.where(self.modes == 0, workspace.lengths, workspace.lengths / 2.0)
@@ -137,7 +136,7 @@ class FourierBasis:
         # values and (nK, T, 2) gradients
         self._axis_frequencies = tuple(
             (np.arange(m) * np.pi / workspace.lengths[i])[:, None]
-            for i, m in enumerate(per_axis))
+            for i, m in enumerate(self.modes_per_axis))
         self._neg_frequencies = tuple(-omega for omega in self._axis_frequencies)
         self._lows = tuple(workspace.lows)
         self._value_normalizers = self.normalizers[:, None]
@@ -195,13 +194,13 @@ class FourierBasis:
         grads /= self._gradient_normalizers
         return grads
 
-    def eval_points(self, points, check=True):
+    def eval_points(self, points):
         """Basis values at many points, shape (n_modes, n_points)."""
-        return self.table_values(self.point_tables(points, check))
+        return self.table_values(self.point_tables(points))
 
-    def eval_points_with_gradient(self, points, check=True):
+    def eval_points_with_gradient(self, points):
         """Values and spatial gradients, shapes (nK, T) and (nK, T, 2)."""
-        tables = self.point_tables(points, check)
+        tables = self.point_tables(points)
         return self.table_values(tables), self.table_gradients(tables)
 
     def axis_cosines(self, axis_points):

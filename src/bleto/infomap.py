@@ -152,7 +152,7 @@ class InfoMap:
 
     # ---- derived maps ----
 
-    def add_bump(self, center, amplitude, sigma, factor=1.0):
+    def add_bump(self, center, amplitude, sigma, factor):
         """Add a Gaussian bump, truncated at ``_TRUNCATE_SIGMAS`` sigmas, whose
         peak is ``amplitude`` times the uniform level times ``factor``."""
         center = np.asarray(center, dtype=float)
@@ -181,7 +181,7 @@ class InfoMap:
         return InfoMap(self.workspace, values)
 
 
-def _shape(workspace, resolution):
+def _shape(resolution):
     shape = tuple(int(n) for n in resolution)
     if len(shape) != 2 or any(n < 1 for n in shape):
         raise ValueError("resolution needs one positive cell count per axis")
@@ -215,7 +215,7 @@ def init_coarse(workspace, resolution, epicenters=()):
     entries; cells whose centers fall inside a rectangle are scaled by its
     multiplier before renormalization.
     """
-    shape = _shape(workspace, resolution)
+    shape = _shape(resolution)
     values = np.ones(shape)
     centers = _axis_centers(workspace, shape)
     for rect, multiplier in epicenters:
@@ -230,7 +230,7 @@ def init_coarse(workspace, resolution, epicenters=()):
     return InfoMap(workspace, values)
 
 
-def register_detection(imap, event, amplitude=50.0, sigma=1.5, factor=1.0):
+def register_detection(imap, event, amplitude, sigma, factor):
     """Fold one detection into the coarse map.
 
     Background events are a no-op and return the input map unchanged.  A
@@ -242,15 +242,14 @@ def register_detection(imap, event, amplitude=50.0, sigma=1.5, factor=1.0):
     return imap.add_bump(event.world_point, amplitude, sigma, factor)
 
 
-def update_fine(imap, camera_angles, detected, amplitude=20.0,
-                sigma=math.radians(5.0), factor=1.0, discount=0.5,
-                view_half_widths=(math.radians(30.0), math.radians(22.5))):
+def update_fine(imap, camera_angles, detected, amplitude, sigma, factor, discount,
+                view_half_widths):
     """Per-image update of the camera's angular map.
 
     On a detection, add an angular bump at the viewing direction, its peak
-    scaled by ``factor``; on background, discount the one-field-of-view
-    neighborhood that was just imaged so the camera prefers directions it
-    has not yet inspected.
+    scaled by ``factor``; on background, scale the cells within
+    ``view_half_widths`` of it, the view just imaged, by ``discount`` so the
+    camera prefers directions it has not yet inspected.
     """
     if detected:
         return imap.add_bump(camera_angles, amplitude, sigma, factor)
@@ -267,7 +266,7 @@ def project_to_fine(coarse, body_pose, camera_model, fine_workspace, fine_resolu
     floor, so a view whose rays all miss the workspace is uniform.  Yaw is
     measured from the body heading.
     """
-    shape = _shape(fine_workspace, fine_resolution)
+    shape = _shape(fine_resolution)
     yaw_c, pitch_c = _axis_centers(fine_workspace, shape)
     yaw_grid, pitch_grid = np.meshgrid(yaw_c, pitch_c, indexing="ij")
     values = np.zeros(shape)

@@ -192,41 +192,24 @@ class BiLevelConfig:
         return Workspace((2.0 * self.yaw_limit, pitch_hi - pitch_lo),
                          (-self.yaw_limit, pitch_lo))
 
-    def coarse_basis(self):
-        return FourierBasis(self.coarse_workspace(), _COARSE_MODES)
-
-    def fine_basis(self):
-        return FourierBasis(self.fine_workspace(), _FINE_MODES)
-
-    def body_bounds(self):
-        return ControlBounds((-self.body_speed_max, -self.body_turn_max),
-                             (self.body_speed_max, self.body_turn_max),
-                             self.body_step_cap)
-
-    def camera_bounds(self):
-        r = self.camera_rate_max
-        return ControlBounds((-r, -r), (r, r), self.camera_step_cap)
-
-    def initial_coarse_map(self):
-        return im.init_coarse(self.coarse_workspace(), _COARSE_RESOLUTION,
-                              self.epicenters)
-
     def replaced(self, **kw):
         return replace(self, **kw)
 
 
 class CoverageMemory:
-    """Running basis statistics of the executed trajectory.
+    """Running basis statistics of the executed trajectory, built from its
+    first samples ``points`` so that it never averages over nothing.
 
     ``residual_target`` turns a density's coefficients into the target a
     fresh horizon-T plan should chase so that the *concatenated* mission
     trajectory, past plus plan, drives the ergodic metric down.
     """
 
-    def __init__(self, basis):
+    def __init__(self, basis, points):
         self.basis = basis
         self.count = 0
         self._fsum = np.zeros(len(basis))
+        self.add(points)
 
     def add(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -234,13 +217,9 @@ class CoverageMemory:
         self.count += pts.shape[0]
 
     def average(self):
-        if self.count == 0:
-            raise ValueError("no samples recorded")
         return self._fsum / self.count
 
     def residual_target(self, target_coefficients, horizon):
-        if self.count == 0:
-            return np.asarray(target_coefficients, dtype=float)
         phi = np.asarray(target_coefficients, dtype=float)
         return phi + (self.count / float(horizon)) * (phi - self.average())
 
@@ -287,7 +266,10 @@ def ergodic_coarse_planner(body_pose, phi, basis, config, memory, warm_start=Non
     problem = ErgodicProblem(
         basis=basis, target_coefficients=memory.residual_target(phi, config.coarse_horizon),
         model=UnicycleModel(), initial_state=body_pose, horizon=config.coarse_horizon,
-        dt=config.coarse_dt, control_weight=_COARSE_CONTROL_WEIGHT, bounds=config.body_bounds(),
+        dt=config.coarse_dt, control_weight=_COARSE_CONTROL_WEIGHT,
+        bounds=ControlBounds((-config.body_speed_max, -config.body_turn_max),
+                             (config.body_speed_max, config.body_turn_max),
+                             config.body_step_cap),
         inner_cap=inner_cap, outer_rounds=outer_rounds, optimality_tol=_COARSE_OPTIMALITY_TOL)
     return solve(problem, warm_start=warm_start)
 
@@ -302,10 +284,12 @@ def ergodic_fine_planner(camera_angles, phi, basis, config, memory, warm_start=N
     (the camera's own visitation statistics) toward the map, which is what
     makes consecutive sweeps pan instead of re-imaging the same directions.
     """
+    rate = config.camera_rate_max
     problem = ErgodicProblem(
         basis=basis, target_coefficients=memory.residual_target(phi, config.fine_horizon),
         model=SingleIntegratorModel(), initial_state=camera_angles, horizon=config.fine_horizon,
-        dt=config.fine_dt, control_weight=_FINE_CONTROL_WEIGHT, bounds=config.camera_bounds(),
+        dt=config.fine_dt, control_weight=_FINE_CONTROL_WEIGHT,
+        bounds=ControlBounds((-rate, -rate), (rate, rate), config.camera_step_cap),
         inner_cap=_FINE_INNER_CAP, outer_rounds=_FINE_OUTER_ROUNDS,
         optimality_tol=_FINE_OPTIMALITY_TOL)
     return solve(problem, warm_start=warm_start)
@@ -327,19 +311,20 @@ class _BudgetSpent(Exception):
 class Mission:
     """One simulated exploration run; deterministic for a given seed."""
 
-    def __init__(self, config, scenario, seed, camera_model=None):
+    def __init__(self, config, scenario, seed, camera_model):
         self.config = config
         self.scenario = scenario
-        self.camera_model = camera_model or ws.CameraModel()
+        self.camera_model = camera_model
         self.rng = np.random.default_rng(seed)
 
-        self.coarse_basis = config.coarse_basis()
-        self.fine_basis = config.fine_basis()
+        self.coarse_basis = FourierBasis(config.coarse_workspace(), _COARSE_MODES)
+        self.fine_basis = FourierBasis(config.fine_workspace(), _FINE_MODES)
         self.body_model = UnicycleModel()
 
-        self.coarse_map = config.initial_coarse_map()
+        self.coarse_map = im.init_coarse(self.coarse_basis.workspace, _COARSE_RESOLUTION,
+                                         config.epicenters)
         self.fine_map = None
-        self.memory = CoverageMemory(self.coarse_basis)
+        self.memory = None        # the body's coverage memory, from the start row on
         self.fine_memory = None
 
         self.pose = tuple(config.start_pose)   # (x, y, heading)
@@ -389,8 +374,7 @@ class Mission:
                                            self.fine_basis.workspace, _FINE_RESOLUTION)
         # the camera's pan memory refers to body-relative directions, which a
         # fresh projection re-anchors; restart it together with the map
-        self.fine_memory = CoverageMemory(self.fine_basis)
-        self.fine_memory.add([self.angles])
+        self.fine_memory = CoverageMemory(self.fine_basis, [self.angles])
 
     def _plan_fine(self):
         """Plan the camera against the fine map as it is now, warm from the
@@ -483,7 +467,7 @@ class Mission:
     def run(self):
         cfg = self.config
         self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
-        self.memory.add([self.pose[:2]])
+        self.memory = CoverageMemory(self.coarse_basis, [self.pose[:2]])
         try:
             self._plan_coarse("initial")
             self.log.first_coarse_trace = self.coarse_plan.diagnostics.trace

@@ -99,9 +99,9 @@ class ErgodicProblem:
     dt: float
     control_weight: float
     bounds: ControlBounds
-    optimality_tol: float = 1e-3
-    inner_cap: int = 500
-    outer_rounds: int = 8
+    optimality_tol: float
+    inner_cap: int
+    outer_rounds: int
 
     def __post_init__(self):
         self.target_coefficients = np.asarray(self.target_coefficients, dtype=float)

@@ -40,6 +40,7 @@ __all__ = [
 
 ROCK_CLASSES = ("igneous", "sedimentary")
 PLACEMENTS = ("uniform", "epicenter-biased")
+_EPICENTER_FRACTION = 0.5  # expected share of rocks epicenter-biased placement puts in one
 
 
 def check_fields(config):
@@ -133,26 +134,25 @@ class Scenario:
             self.workspace.require_inside((rock.x, rock.y), what="rock")
 
 
-def generate_scenario(seed, rock_count=21, placement="uniform", workspace=None,
-                      epicenters=(), epicenter_fraction=0.5):
-    """Seeded random rock field.
+def generate_scenario(seed, rock_count, placement, workspace, epicenters):
+    """Seeded random field of ``rock_count`` rocks in ``workspace``.
 
     ``uniform`` placement samples positions i.i.d. over the workspace;
-    ``epicenter-biased`` sends an expected ``epicenter_fraction`` of rocks
-    into uniformly chosen epicenter rectangles instead.  Classes are fair
-    i.i.d. draws between the two rock types.
+    ``epicenter-biased`` sends an expected ``_EPICENTER_FRACTION`` of rocks
+    into uniformly chosen rectangles of ``epicenters`` instead, a sequence
+    of ``((x_low, y_low, width, height), multiplier)`` entries whose
+    multipliers it ignores.  Classes are fair i.i.d. draws between the two
+    rock types.
     """
     if rock_count < 0:
         raise ValueError("rock_count must be nonnegative")
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement mode {placement!r}")
-    if workspace is None:
-        workspace = Workspace((100.0, 100.0))
     rng = np.random.default_rng(seed)
     rocks = []
     rects = [tuple(float(v) for v in rect) for rect, _mult in epicenters]
     for _ in range(rock_count):
-        if placement == "epicenter-biased" and rects and rng.random() < epicenter_fraction:
+        if placement == "epicenter-biased" and rects and rng.random() < _EPICENTER_FRACTION:
             x0, y0, w, h = rects[rng.integers(len(rects))]
             pos = np.array([x0, y0]) + rng.random(2) * np.array([w, h])
         else:
@@ -204,14 +204,12 @@ def classify_view(scenario, camera_model, body_pose, camera_angles, yaw_limit, r
     return "background", None
 
 
-def project_detection(body_pose, camera_angles, camera_model, image_offset,
-                      workspace=None):
+def project_detection(body_pose, camera_angles, camera_model, image_offset, workspace):
     """Localize a detection: intersect its pinhole ray with the ground plane.
 
     The ray leaves the mast at the mount height along the camera axis
     rotated by the image offset; it must point below the horizon to hit
-    the ground.  The hit point is clamped into the workspace when one is
-    given.
+    the ground.  The hit point is clamped into ``workspace``.
     """
     x, y, heading = body_pose
     cam_yaw, cam_pitch = camera_angles
@@ -221,10 +219,8 @@ def project_detection(body_pose, camera_angles, camera_model, image_offset,
         raise ValueError("detection ray does not intersect the ground plane")
     bearing = heading + cam_yaw + d_az
     ground_dist = camera_model.mount_height / math.tan(-pitch_eff)
-    point = np.array([x + ground_dist * math.cos(bearing),
-                      y + ground_dist * math.sin(bearing)])
-    if workspace is not None:
-        point = workspace.clamp(point)
+    point = workspace.clamp([x + ground_dist * math.cos(bearing),
+                             y + ground_dist * math.sin(bearing)])
     return float(point[0]), float(point[1])
 
 

@@ -252,6 +252,10 @@ CRASHING_CONFIGS = [
                  "body_step_cap must be at most", id="body_step_cap_past_diagonal"),
     pytest.param("mission", "camera_step_cap", math.nextafter(CAMERA_DIAGONAL, math.inf),
                  "camera_step_cap must be at most", id="camera_step_cap_past_diagonal"),
+    # a repeated seed ran its scenario twice per method, the second trial
+    # overwriting the first's directory and table.json counting both
+    pytest.param(None, "seeds", [1, 1], "seeds must be nonnegative and nonempty, "
+                 "with no seed repeated", id="seeds_repeated"),
 ]
 CONSTRUCTORS = {None: ExperimentConfig, "camera": CameraModel, "mission": BiLevelConfig}
 

@@ -22,6 +22,12 @@ def fine_ws():
                      (math.radians(-135.0), math.radians(-90.0)))
 
 
+# the mission's map updates: a coarse bump, and a fine bump or view discount
+COARSE_BUMP = dict(amplitude=50.0, sigma=1.5, factor=1.0)
+FINE_UPDATE = dict(amplitude=20.0, sigma=math.radians(5.0), factor=1.0, discount=0.5,
+                   view_half_widths=(math.radians(30.0), math.radians(22.5)))
+
+
 def detection(x, y, label="igneous", t=0.0):
     return DetectionEvent(time=t, body_pose=(x, y, 0.0), camera_angles=(0.0, -0.4),
                           label=label, world_point=(x, y))
@@ -82,14 +88,13 @@ class TestInitCoarse:
 class TestRegisterDetection:
     def test_background_is_identity(self, ws):
         imap = init_coarse(ws, (100, 100))
-        out = register_detection(imap, background())
+        out = register_detection(imap, background(), **COARSE_BUMP)
         assert out is imap
 
     def test_first_detection_peaks_at_point(self, ws):
         imap = init_coarse(ws, (100, 100),
                            [((20.0, 60.0, 15.0, 20.0), 5.0)])
-        out = register_detection(imap, detection(30.0, 40.0), amplitude=50.0,
-                                 sigma=1.5)
+        out = register_detection(imap, detection(30.0, 40.0), **COARSE_BUMP)
         idx = np.unravel_index(np.argmax(out.density), out.shape)
         centers = out.axis_centers()
         assert abs(centers[0][idx[0]] - 30.0) <= 1.0
@@ -98,9 +103,9 @@ class TestRegisterDetection:
 
     def test_second_nearby_detection_clipped(self, ws):
         imap = init_coarse(ws, (100, 100))
-        one = register_detection(imap, detection(30.0, 40.0))
-        two = register_detection(one, detection(30.2, 40.1), amplitude=50.0,
-                                 sigma=1.5, factor=0.1)
+        one = register_detection(imap, detection(30.0, 40.0), **COARSE_BUMP)
+        two = register_detection(one, detection(30.2, 40.1),
+                                 **dict(COARSE_BUMP, factor=0.1))
         # bump added on top of `one` is everywhere at most ~0.1 * 50 * uniform
         diff = two.density * (1.0 + 0.0) - one.density
         # account for renormalization: compare against a generous cap
@@ -110,8 +115,8 @@ class TestRegisterDetection:
 
     def test_far_detection_not_clipped(self, ws):
         imap = init_coarse(ws, (100, 100))
-        one = register_detection(imap, detection(30.0, 40.0))
-        two = register_detection(one, detection(70.0, 80.0))
+        one = register_detection(imap, detection(30.0, 40.0), **COARSE_BUMP)
+        two = register_detection(one, detection(70.0, 80.0), **COARSE_BUMP)
         diff = two.density - one.density
         assert diff.max() > 0.5 * 50.0 * imap.uniform_level()
 
@@ -122,7 +127,7 @@ class TestFloorAndNormalization:
         rng = np.random.default_rng(1)
         for i in range(30):
             x, y = rng.uniform(5, 95, 2)
-            imap = register_detection(imap, detection(x, y, t=float(i)))
+            imap = register_detection(imap, detection(x, y, t=float(i)), **COARSE_BUMP)
             imap.check_invariants()
             assert imap.density.min() >= imap.floor_level()
 
@@ -143,7 +148,7 @@ class TestUpdateFine:
     def test_discount_halves_viewed_window(self, fine_ws):
         imap = InfoMap(fine_ws, np.ones((54, 24)))
         out = update_fine(imap, (0.0, math.radians(-30.0)), detected=False,
-                          discount=0.5)
+                          **FINE_UPDATE)
         ratio = out.density / imap.density
         # viewed cells dropped relative to the rest, mass renormalized to 1
         # (the positivity floor mixes in ~2e-6 of uniform, hence the slack)
@@ -153,7 +158,7 @@ class TestUpdateFine:
     def test_detection_bump_is_argmax(self, fine_ws):
         imap = InfoMap(fine_ws, np.ones((54, 24)))
         angles = (0.0, math.radians(-20.0))
-        out = update_fine(imap, angles, detected=True)
+        out = update_fine(imap, angles, detected=True, **FINE_UPDATE)
         idx = np.unravel_index(np.argmax(out.density), out.shape)
         centers = out.axis_centers()
         assert abs(centers[0][idx[0]] - angles[0]) <= math.radians(5.0)
@@ -162,8 +167,8 @@ class TestUpdateFine:
     def test_repeat_detection_clipped(self, fine_ws):
         imap = InfoMap(fine_ws, np.ones((54, 24)))
         angles = (0.3, math.radians(-25.0))
-        one = update_fine(imap, angles, detected=True)
-        two = update_fine(one, angles, detected=True, factor=0.1)
+        one = update_fine(imap, angles, detected=True, **FINE_UPDATE)
+        two = update_fine(one, angles, detected=True, **dict(FINE_UPDATE, factor=0.1))
         gain_one = one.density.max() - imap.density.max()
         gain_two = two.density.max() - one.density.max()
         assert gain_two <= 0.15 * gain_one
@@ -210,7 +215,7 @@ class TestProjectToFine:
         pose = (49.5, 49.5, 0.0)
         bump_at = (52.5, 49.5)  # a cell center 3 m in front of the rover
         coarse = register_detection(coarse, detection(*bump_at), amplitude=80.0,
-                                    sigma=0.8)
+                                    sigma=0.8, factor=1.0)
         cam = CameraModel(mount_height=1.0)
         fine = project_to_fine(coarse, pose, cam, fine_ws, (108, 96))
         idx = np.unravel_index(np.argmax(fine.density), fine.shape)
@@ -258,7 +263,7 @@ class TestExports:
 
     def test_csv_preserves_densities(self, ws, tmp_path):
         imap = init_coarse(ws, (20, 20))
-        imap = register_detection(imap, detection(40.0, 40.0))
+        imap = register_detection(imap, detection(40.0, 40.0), **COARSE_BUMP)
         path = tmp_path / "m.csv"
         save_csv(imap, path)
         back = np.loadtxt(path, delimiter=",")

@@ -278,7 +278,7 @@ class TestCompare:
                             lambda config, seed: config.method)
         config = ExperimentConfig(mission=BiLevelConfig(time_budget=20.0), seeds=(1,))
         with pytest.raises(AssertionError, match="differs across methods"):
-            compare(config, methods=("bl-eto", "eto-fixed-camera"))
+            compare(config)
 
 
 class TestCli:
@@ -307,14 +307,33 @@ class TestCli:
         ("{not json", "cannot read config"),
         (json.dumps({"mission": {"time_budget": 30.0}, "colour": 1}), "colour"),
         (None, "cannot read config"),
-    ], ids=["malformed", "unknown-key", "missing-file"])
+        # exited 1 with a UnicodeDecodeError traceback
+        (b"\xff\xfe{}", "cannot read config"),
+    ], ids=["malformed", "unknown-key", "missing-file", "not-utf8"])
     def test_bad_config_exits_with_config_status(self, tmp_path, capsys,
                                                  command, text, message):
         path = tmp_path / "config.json"
         if text is not None:
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["metrics.json", "detections.jsonl"])
+    def test_inspect_of_a_file_that_is_no_json_exits_with_config_status(
+            self, tmp_path, capsys, name):
+        # exited 1 with a JSONDecodeError traceback
+        (tmp_path / "metrics.json").write_text("{}")
+        (tmp_path / name).write_text("{not json\n")
+        assert main(["inspect", "--log", str(tmp_path)]) == EXIT_CONFIG
+        assert f"cannot read {tmp_path / name}" in capsys.readouterr().err
+
+    def test_inspect_rejects_a_negative_head(self, tmp_path, capsys):
+        # printed every detection but the last
+        (tmp_path / "metrics.json").write_text("{}")
+        with pytest.raises(SystemExit) as exit_:
+            main(["inspect", "--log", str(tmp_path), "--head", "-1"])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "--head: must be a nonnegative integer, not '-1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_negative_seed_exits_with_config_status(self, tmp_path, capsys, command):

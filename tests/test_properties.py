@@ -50,8 +50,7 @@ class TestCoverageMemoryIdentity:
         # (T / (N + T))^2 times the plan's metric against the residual target
         past, plan, phi = case
         N, T = past.shape[0], plan.shape[0]
-        memory = CoverageMemory(BASIS)
-        memory.add(past)
+        memory = CoverageMemory(BASIS, past)
         whole = (N * memory.average() + T * trajectory_coefficients(BASIS, plan)) / (N + T)
         direct = ergodic_metric(BASIS, whole, phi)
         folded = CoverageCost(BASIS, plan, memory.residual_target(phi, T)).cost
@@ -60,6 +59,10 @@ class TestCoverageMemoryIdentity:
 
 coarse_update = st.tuples(st.just("coarse"), unit, unit, st.booleans())
 fine_update = st.tuples(st.just("fine"), unit, unit, st.booleans())
+# the mission's map updates: a coarse bump, and a fine bump or view discount
+COARSE_BUMP = dict(amplitude=50.0, sigma=1.5, factor=1.0)
+FINE_UPDATE = dict(amplitude=20.0, sigma=math.radians(5.0), factor=1.0, discount=0.5,
+                   view_half_widths=(math.radians(30.0), math.radians(22.5)))
 
 
 class TestMapInvariants:
@@ -75,12 +78,12 @@ class TestMapInvariants:
                 event = DetectionEvent(0.0, (50.0, 50.0, 0.0), (0.0, -0.4), label,
                                        point if detected else None)
                 before = coarse.density.copy()
-                updated = register_detection(coarse, event)
+                updated = register_detection(coarse, event, **COARSE_BUMP)
                 assert np.array_equal(coarse.density, before)
                 coarse = updated
             else:
                 angles = tuple(FINE.lows + np.array([a, b]) * FINE.lengths)
-                fine = update_fine(fine, angles, detected)
+                fine = update_fine(fine, angles, detected, **FINE_UPDATE)
             coarse.check_invariants()
             fine.check_invariants()
 

@@ -18,6 +18,11 @@ from bleto.solver import (_LBFGS_MEMORY, _costs, _max_feasible_alpha, _merit, _n
 from oracles import trajectory_coefficients
 
 
+# the solver effort of a problem that sets none: a tight tolerance and
+# generous caps, beyond any planner's
+EFFORT = dict(optimality_tol=1e-3, inner_cap=500, outer_rounds=8)
+
+
 def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
                    phi=None, weight=1e-6, **kw):
     ws = Workspace((100.0, 100.0))
@@ -28,7 +33,7 @@ def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
         basis=basis, target_coefficients=phi, model=UnicycleModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=dt,
         control_weight=weight,
-        bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5), 1.5 * 0.3 * dt), **kw)
+        bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5), 1.5 * 0.3 * dt), **{**EFFORT, **kw})
 
 
 def fine_problem(x0=(0.0, -0.35), horizon=5, modes=8, **kw):
@@ -40,7 +45,7 @@ def fine_problem(x0=(0.0, -0.35), horizon=5, modes=8, **kw):
         basis=basis, target_coefficients=phi, model=SingleIntegratorModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=0.4,
         control_weight=1e-2,
-        bounds=ControlBounds((-0.6, -0.6), (0.6, 0.6), 0.36), **kw)
+        bounds=ControlBounds((-0.6, -0.6), (0.6, 0.6), 0.36), **{**EFFORT, **kw})
 
 
 def random_feasible_z(problem, rng):
@@ -192,11 +197,7 @@ class TestSolve:
                              indexing="ij")
         vals = np.exp(-0.5 * ((cx - 40.0) ** 2 + (cy - 60.0) ** 2) / 2.0**2)
         phi = map_coefficients(basis, InfoMap(ws, vals))
-        prob = ErgodicProblem(
-            basis=basis, target_coefficients=phi, model=UnicycleModel(),
-            initial_state=np.array([40.0, 60.0, 0.5]), horizon=48, dt=1.0,
-            control_weight=10.0,
-            bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5), 0.45))
+        prob = coarse_problem(x0=(40.0, 60.0, 0.5), dt=1.0, phi=phi, weight=10.0)
         traj = solve(prob)
         stay = np.tile([40.0, 60.0], (48, 1))
         E_stay = ergodic_metric(basis, trajectory_coefficients(basis, stay), phi)

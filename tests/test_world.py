@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bleto.bench import ExperimentConfig, build_scenario
 from bleto.ergodic import Workspace
 from bleto.planner import BiLevelConfig
 from bleto.world import (CameraModel, Rock, Scenario, classify_view, generate_scenario,
@@ -12,6 +13,8 @@ from bleto.world import (CameraModel, Rock, Scenario, classify_view, generate_sc
 
 # the mission's occlusion sector, which it passes to the oracle
 YAW_LIMIT = BiLevelConfig.yaw_limit
+# the default coarse workspace, which holds every scenario's rocks
+SQUARE = Workspace((100.0, 100.0))
 
 
 def deg(a):
@@ -27,20 +30,20 @@ class TestGenerateScenario:
     def test_same_seed_identical(self):
         # the JSON form holds the seed, the workspace and every rock; its
         # digest is what pairs the methods' scenarios in ``bench.compare``
-        a = generate_scenario(42)
-        b = generate_scenario(42)
+        a = generate_scenario(42, 21, "uniform", SQUARE, ())
+        b = generate_scenario(42, 21, "uniform", SQUARE, ())
         assert scenario_to_json(a) == scenario_to_json(b)
 
     def test_zero_rocks(self):
-        s = generate_scenario(1, rock_count=0)
+        s = generate_scenario(1, 0, "uniform", SQUARE, ())
         assert s.rocks == ()
 
     def test_default_count(self):
-        assert len(generate_scenario(3).rocks) == 21
+        assert len(build_scenario(ExperimentConfig(), 3).rocks) == 21
 
     def test_quadrant_counts_uniform(self):
         # chi-square style check: each quadrant within 3 sigma of 25%
-        s = generate_scenario(123, rock_count=100_000)
+        s = generate_scenario(123, 100_000, "uniform", SQUARE, ())
         pos = np.array([[r.x, r.y] for r in s.rocks])
         n = pos.shape[0]
         p = 0.25
@@ -52,27 +55,26 @@ class TestGenerateScenario:
                 assert abs(count - n * p) < 3 * sigma
 
     def test_classes_fair(self):
-        s = generate_scenario(7, rock_count=10_000)
+        s = generate_scenario(7, 10_000, "uniform", SQUARE, ())
         igneous = sum(1 for r in s.rocks if r.kind == "igneous")
         assert abs(igneous - 5000) < 3 * math.sqrt(10_000 * 0.25)
 
     def test_epicenter_bias_mode(self):
         rects = [((20.0, 60.0, 15.0, 20.0), 5.0)]
-        s = generate_scenario(5, rock_count=4000, placement="epicenter-biased",
-                              epicenters=rects, epicenter_fraction=0.5)
+        s = generate_scenario(5, 4000, "epicenter-biased", SQUARE, rects)
         inside = sum(1 for r in s.rocks
                      if 20 <= r.x <= 35 and 60 <= r.y <= 80)
         # about half biased into 3% of the area plus the uniform share
         assert inside > 1800
 
     def test_json_round_trip(self):
-        s = generate_scenario(11, rock_count=5)
+        s = generate_scenario(11, 5, "uniform", SQUARE, ())
         again = scenario_from_json(scenario_to_json(s))
         assert again.rocks == s.rocks
         assert again.seed == s.seed
 
     def test_json_with_three_axes_rejected(self):
-        d = json.loads(scenario_to_json(generate_scenario(11, rock_count=0)))
+        d = json.loads(scenario_to_json(generate_scenario(11, 0, "uniform", SQUARE, ())))
         d["workspace"] = {"lengths": [100.0, 100.0, 10.0], "lows": [0.0, 0.0, 0.0]}
         with pytest.raises(ValueError, match="workspace is planar"):
             scenario_from_json(json.dumps(d))
@@ -148,19 +150,19 @@ class TestClassifyView:
 class TestProjectDetection:
     def test_forty_five_down_lands_one_meter_out(self, camera):
         pt = project_detection((10.0, 20.0, 0.0), (0.0, deg(-45.0)), camera,
-                               (0.0, 0.0))
+                               (0.0, 0.0), SQUARE)
         assert pt[0] == pytest.approx(11.0, abs=1e-12)
         assert pt[1] == pytest.approx(20.0, abs=1e-12)
 
     def test_shallow_ray_lands_four_meters_out(self, camera):
         pt = project_detection((10.0, 20.0, 0.0), (0.0, deg(-14.036)), camera,
-                               (0.0, 0.0))
+                               (0.0, 0.0), SQUARE)
         assert pt[0] == pytest.approx(14.0, abs=1e-3)
 
     def test_upward_ray_rejected(self, camera):
         with pytest.raises(ValueError):
             project_detection((0.0, 0.0, 0.0), (0.0, deg(5.0)), camera,
-                              (0.0, 0.0))
+                              (0.0, 0.0), SQUARE)
 
     def test_round_trip_localizes_rocks(self, camera):
         # classify then project: the recovered point must sit on the rock
