@@ -12,7 +12,8 @@ across reruns of the same seed), ``scenario.json``,
 ``map_final.pgm``/``map_final.csv``, ``solver_trace.csv`` (one row per
 solver iteration of the mission's first coarse plan) and ``timing.txt``
 (wall-clock, deliberately kept out of metrics.json).  Comparisons add
-``table.json`` and ``table.txt``.
+``table.json``, ``table.txt`` and ``scorecard.json`` (``scorecard``: per-seed
+rows and the paired differences of bl-eto against each baseline).
 """
 
 import hashlib
@@ -37,6 +38,8 @@ __all__ = [
     "score",
     "run_trial",
     "compare",
+    "scorecard",
+    "scorecard_row",
     "metrics_json_dict",
 ]
 
@@ -45,6 +48,9 @@ METHODS = {
     "eto-fixed-camera": "fixed",
     "eto-random-camera": "random",
 }
+
+
+_PARKED_STEP_M = 0.1  # a body step shorter than this leaves the rover parked
 
 
 class ConfigError(ValueError):
@@ -197,8 +203,78 @@ def _write_csv(path, header, rows):
             f.write(",".join(repr(v) for v in row) + "\n")
 
 
+def scorecard_row(metrics, log, scenario):
+    """One trial's scorecard row: what the mission imaged and how it moved.
+
+    ``imaged`` counts the distinct rocks nearest some detection's world
+    point (localization is exact, so that rock is the one imaged), and
+    ``path_per_imaged_m`` is the path length over it (``None`` when nothing
+    was imaged).  ``lock_on_share`` is the share of detections on the
+    most-detected rock (0 without a detection), ``parked_share`` the share
+    of body steps shorter than ``_PARKED_STEP_M`` (0 without a step).
+    """
+    rocks = np.array([(r.x, r.y) for r in scenario.rocks]).reshape(-1, 2)
+    points = np.array([ev.world_point for ev in log.detections()]).reshape(-1, 2)
+    per_rock = np.zeros(0, dtype=int)
+    if len(points) and len(rocks):
+        nearest = np.linalg.norm(points[:, None] - rocks[None], axis=2).argmin(axis=1)
+        per_rock = np.bincount(nearest)
+    imaged = int(np.count_nonzero(per_rock))
+    steps = np.linalg.norm(np.diff(np.array(log.body_states)[:, 1:3], axis=0), axis=1)
+    return {
+        "method": metrics.method,
+        "seed": metrics.seed,
+        "found": metrics.rocks_found,
+        "imaged": imaged,
+        "path_per_imaged_m": metrics.path_length_m / imaged if imaged else None,
+        "lock_on_share": float(per_rock.max() / len(points)) if per_rock.size else 0.0,
+        "parked_share": float(np.mean(steps < _PARKED_STEP_M)) if steps.size else 0.0,
+    }
+
+
+def _win_tie_loss(diffs):
+    return {"wins": sum(d > 0 for d in diffs), "ties": sum(d == 0 for d in diffs),
+            "losses": sum(d < 0 for d in diffs)}
+
+
+def scorecard(config, rows):
+    """The paired-seed scorecard of one comparison.
+
+    ``rows`` maps each method to its ``scorecard_row`` per seed, in the
+    order of ``config.seeds``.  Per baseline, ``paired`` holds the per-seed
+    differences bl-eto minus that baseline in found and imaged rocks, and
+    their win/tie/loss counts for bl-eto.
+    """
+    paired = {}
+    for baseline in ("eto-fixed-camera", "eto-random-camera"):
+        per_seed = [{"seed": ours["seed"],
+                     "found": ours["found"] - theirs["found"],
+                     "imaged": ours["imaged"] - theirs["imaged"]}
+                    for ours, theirs in zip(rows["bl-eto"], rows[baseline])]
+        paired[f"bl-eto - {baseline}"] = {
+            "per_seed": per_seed,
+            **{key: _win_tie_loss([d[key] for d in per_seed])
+               for key in ("found", "imaged")},
+        }
+    return {
+        "placement": config.placement,
+        "seeds": list(config.seeds),
+        "time_budget_s": config.mission.time_budget,
+        "rows": rows,
+        "totals": {method: {key: sum(row[key] for row in method_rows)
+                            for key in ("found", "imaged")}
+                   for method, method_rows in rows.items()},
+        "paired": paired,
+    }
+
+
 def run_trial(config, seed, out_dir=None):
     """Run one mission with the configured method on the seeded scenario."""
+    return _run_trial(config, seed, out_dir)[0]
+
+
+def _run_trial(config, seed, out_dir):
+    """``run_trial``, returning the trial's metrics, log and scenario."""
     scenario = build_scenario(config, seed)
     started = time.perf_counter()
     mission = Mission(config.mission, scenario, seed, camera_model=config.camera)
@@ -223,7 +299,7 @@ def run_trial(config, seed, out_dir=None):
                    log.first_coarse_trace)
         (out / "timing.txt").write_text(f"wall_clock_s={runtime:.3f}\n",
                                         encoding="utf-8")
-    return metrics
+    return metrics, log, scenario
 
 
 def _scenario_hash(config, seed):
@@ -238,17 +314,19 @@ def compare(config, out_dir=None):
     methods — the comparison is meaningless unless the worlds are paired.
     """
     results = {}
+    rows = {}
     hashes = {}
     for method in METHODS:
         cfg = config.for_method(method)
-        per_seed = []
+        results[method], rows[method] = [], []
         for seed in config.seeds:
             trial_dir = None
             if out_dir is not None:
                 trial_dir = Path(out_dir) / method / f"seed_{seed}"
-            per_seed.append(run_trial(cfg, seed, trial_dir))
+            metrics, log, scenario = _run_trial(cfg, seed, trial_dir)
+            results[method].append(metrics)
+            rows[method].append(scorecard_row(metrics, log, scenario))
             hashes.setdefault(seed, set()).add(_scenario_hash(cfg, seed))
-        results[method] = per_seed
     for seed, digests in hashes.items():
         if len(digests) != 1:
             raise AssertionError(f"scenario for seed {seed} differs across methods")
@@ -272,6 +350,9 @@ def compare(config, out_dir=None):
         (out / "table.json").write_text(
             json.dumps(table, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         (out / "table.txt").write_text(format_table(table), encoding="utf-8")
+        (out / "scorecard.json").write_text(
+            json.dumps(scorecard(config, rows), sort_keys=True, indent=2) + "\n",
+            encoding="utf-8")
     return table
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (one method; with ``--out`` it writes the trial files
 ``bench`` lists, ``solver_trace.csv`` of the first coarse plan among them),
-``compare`` (all three methods on paired seeds), ``inspect`` (summarize a
+``compare`` (all three methods on paired seeds; with ``--out`` it writes
+each trial, ``table.json`` and ``scorecard.json``), ``inspect`` (summarize a
 trial directory).  Exit code 0 on success, 2 on a bad config, option or
 trial file.
 """
@@ -31,10 +32,11 @@ def _load_config(path):
 
 
 def _load_trial_file(path, load):
-    """``load(path)``, or a ``ConfigError`` naming ``path`` if it holds no JSON."""
+    """``load(path)``, or a ``ConfigError`` naming ``path`` if ``load``
+    finds no JSON or a record it cannot read there (a ``ValueError``)."""
     try:
         return load(path)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 

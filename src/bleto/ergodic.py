@@ -9,9 +9,9 @@ the basis is smooth, the metric is differentiable with respect to the
 trajectory, which is what the trajectory optimizer needs.
 
 ``CoverageCost`` is the one place that turns trajectory points into that
-cost: it builds the per-axis basis tables of the points once, averages them
-into the trajectory's coefficients, and from the same tables finishes the
-gradient with respect to every point on demand.  The solver's merit
+cost: it builds the per-axis basis tables of the points once, contracts
+them into the trajectory's coefficients, and from the same tables finishes
+the gradient with respect to every point on demand.  The solver's merit
 (``solver._merit``) and the costs a solve reports (``solver._costs``) both
 go through it.
 
@@ -111,12 +111,16 @@ class FourierBasis:
     so that the L2 norm of every F_k over the workspace is exactly one.
     Mode order is row-major in (k_0, k_1).
 
-    The vectorized paths (``eval_points``, ``eval_points_with_gradient``
-    and the ``point_tables`` / ``table_values`` / ``table_gradients`` split
-    they are made of) take (m_0 + m_1)·T cosines and sines, one
-    (modes_per_axis[i], T) table each, and form every value or gradient
-    entry as one product of two table entries divided by h_k last: the
-    floating-point order of the form above, so the bits are equal to it.
+    Every F_k is a product of one cosine per axis, so the reference form of
+    anything summed over modes and points is a per-axis contraction:
+    ``point_tables`` takes (m_0 + m_1)·T cosines, one (modes_per_axis[i], T)
+    table per axis, and ``CoverageCost`` and ``map_coefficients`` contract
+    those tables with matrix products, never forming one entry per mode
+    and point.  Reassociating any of those sums changes the bits of every
+    mission (``solver``'s bit-for-bit rule).  ``eval_points`` and
+    ``eval_points_with_gradient`` still form each value or gradient entry
+    as one product of two table entries divided by h_k last, the
+    floating-point order of the product above.
     """
 
     def __init__(self, workspace, modes):
@@ -132,8 +136,8 @@ class FourierBasis:
         self.normalizers = np.sqrt(np.prod(ell, axis=1))
         # what the table paths would otherwise rebuild on every call: the
         # frequencies ω_{k,i} and their negatives as one (m_i, 1) column per
-        # axis, the axis lows, and the normalizers as divisors of (nK, T)
-        # values and (nK, T, 2) gradients
+        # axis, the axis lows, and the normalizers as divisors of the (nK, T)
+        # values and (nK, T, 2) gradients of the ``eval_points`` paths
         self._axis_frequencies = tuple(
             (np.arange(m) * np.pi / workspace.lengths[i])[:, None]
             for i, m in enumerate(self.modes_per_axis))
@@ -141,7 +145,10 @@ class FourierBasis:
         self._lows = tuple(workspace.lows)
         self._value_normalizers = self.normalizers[:, None]
         self._gradient_normalizers = self.normalizers[:, None, None]
-        for arr in (self.modes, self.weights, self.normalizers,
+        # weight_k / h_k on the (m_0, m_1) mode grid: the per-mode factor of
+        # the coverage gradient (``CoverageCost.gradient``)
+        self._mode_gains = (self.weights / self.normalizers).reshape(self.modes_per_axis)
+        for arr in (self.modes, self.weights, self.normalizers, self._mode_gains,
                     *self._axis_frequencies, *self._neg_frequencies):
             arr.flags.writeable = False
 
@@ -160,31 +167,31 @@ class FourierBasis:
 
     def point_tables(self, points, check=True):
         """Per-axis phase and cosine tables of many points, the input of
-        ``table_values`` and ``table_gradients``.
+        ``CoverageCost`` and of the ``eval_points`` paths.
 
-        Built once, they serve both, so a caller that needs the gradient
-        only later (the solver's line search) does not evaluate the point
-        twice.  ``check=False`` skips the conversion and the containment
-        test for callers that pass a (T, 2) float array already inside the
-        workspace (the solver's barrier keeps iterates inside).
+        ``check=False`` skips the conversion and the containment test for
+        callers that pass a (T, 2) float array already inside the workspace
+        (the solver's barrier keeps iterates inside).
         """
         if check:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             self.workspace.require_inside(points, what="trajectory point")
         return self._axis_tables(points.T)
 
-    def table_values(self, tables):
-        """Basis values from ``point_tables``, shape (n_modes, n_points)."""
-        cx, cy = tables[1]
-        return (cx[:, None] * cy[None]).reshape(-1, cx.shape[1]) / self._value_normalizers
+    def _values(self, cx, cy):
+        return (cx[:, None] * cy[None]).reshape(len(self), -1) / self._value_normalizers
 
-    def table_gradients(self, tables):
-        """Spatial gradients from ``point_tables``, shape (nK, T, 2).
+    def eval_points(self, points):
+        """Basis values at many points, shape (n_modes, n_points)."""
+        return self._values(*self.point_tables(points)[1])
+
+    def eval_points_with_gradient(self, points):
+        """Values and spatial gradients, shapes (nK, T) and (nK, T, 2).
 
         dF_k/dw_0 = (-ω_{k,0} sin(ω_{k,0} w_0)) cos(ω_{k,1} w_1) / h_k, and
         dF_k/dw_1 = (-ω_{k,1} sin(ω_{k,1} w_1)) cos(ω_{k,0} w_0) / h_k
         """
-        (px, py), (cx, cy) = tables
+        (px, py), (cx, cy) = self.point_tables(points)
         neg_x, neg_y = self._neg_frequencies
         T = cx.shape[1]
         grads = np.empty(self.modes_per_axis + (T, 2))
@@ -192,16 +199,7 @@ class FourierBasis:
         np.multiply((neg_y * np.sin(py))[None], cx[:, None], out=grads[..., 1])
         grads = grads.reshape(-1, T, 2)
         grads /= self._gradient_normalizers
-        return grads
-
-    def eval_points(self, points):
-        """Basis values at many points, shape (n_modes, n_points)."""
-        return self.table_values(self.point_tables(points))
-
-    def eval_points_with_gradient(self, points):
-        """Values and spatial gradients, shapes (nK, T) and (nK, T, 2)."""
-        tables = self.point_tables(points)
-        return self.table_values(tables), self.table_gradients(tables)
+        return self._values(cx, cy), grads
 
     def axis_cosines(self, axis_points):
         """Per-axis cosine tables for separable grid quadrature.
@@ -224,8 +222,7 @@ def map_coefficients(basis, grid_map):
         raise ValueError(f"map is not normalized (integral {integral!r})")
     cx, cy = basis.axis_cosines(grid_map.axis_centers())
     weighted = grid_map.density * grid_map.cell_area
-    coeffs = np.einsum("ai,bj,ij->ab", cx, cy, weighted).ravel()
-    return coeffs / basis.normalizers
+    return (cx @ weighted @ cy.T).ravel() / basis.normalizers
 
 
 def ergodic_metric(basis, coefficients, target_coefficients):
@@ -245,8 +242,17 @@ class CoverageCost:
         r_k = c_k - phi_k                  ``residual``
         E   = sum_k weight_k r_k^2         ``cost``
 
-    Construction evaluates the basis at the points once and keeps its
-    per-axis tables (``FourierBasis.point_tables``); ``gradient`` finishes
+    Every sum over modes and points is a per-axis contraction of the
+    points' cosine and sine tables (``FourierBasis.point_tables``), the
+    (m_0, T) and (m_1, T) arrays C_x, C_y, S_x, S_y: with modes on their
+    (m_0, m_1) grid, c = (C_x C_y^T) / (h T), and ``gradient`` contracts
+    the weighted residual W_ab = weight_ab r_ab / h_ab once per axis,
+
+        dE/dx_t = (2/T) sum_a (-ω_a S_x[a, t]) (W C_y)[a, t]
+        dE/dy_t = (2/T) sum_b (-ω_b S_y[b, t]) (W^T C_x)[b, t]
+
+    so no (n_modes, T) value or (n_modes, T, 2) gradient array is formed.
+    Construction builds the tables and the cost; ``gradient`` finishes
     dE/dw_t from them only when asked, as the solver's line search needs.
     ``check=False`` skips the conversion, the length check and the
     containment test for callers that pass a nonempty (T, 2) float array
@@ -263,16 +269,20 @@ class CoverageCost:
         self.basis = basis
         self.horizon = points.shape[0]
         self.tables = basis.point_tables(points, check)
-        self.coefficients = basis.table_values(self.tables).sum(axis=1) / self.horizon
+        cx, cy = self.tables[1]
+        self.coefficients = (cx @ cy.T).ravel() / (basis.normalizers * self.horizon)
         self.residual = self.coefficients - target_coefficients
         r = self.residual
         self.cost = float((basis.weights * r * r).sum())
 
     def gradient(self, weight=1.0):
-        """``weight`` times dE/dw_t for every point, shape (T, 2).
-
-        Row t is  weight (2/T) sum_k weight_k r_k grad F_k(w_t).
-        """
+        """``weight`` times dE/dw_t for every point, shape (T, 2)."""
         basis = self.basis
-        coeff = weight * 2.0 * basis.weights * self.residual / self.horizon
-        return np.einsum("k,ktv->tv", coeff, basis.table_gradients(self.tables))
+        (px, py), (cx, cy) = self.tables
+        neg_x, neg_y = basis._neg_frequencies
+        W = (weight * 2.0 / self.horizon) * (
+            basis._mode_gains * self.residual.reshape(basis.modes_per_axis))
+        g = np.empty((self.horizon, 2))
+        g[:, 0] = ((neg_x * np.sin(px)) * (W @ cy)).sum(axis=0)
+        g[:, 1] = ((neg_y * np.sin(py)) * (W.T @ cx)).sum(axis=0)
+        return g

@@ -80,14 +80,27 @@ class DetectionEvent:
 
     @classmethod
     def from_json_dict(cls, d):
-        wp = d["world_point"]
-        return cls(
-            time=float(d["time"]),
-            body_pose=tuple(float(x) for x in d["body_pose"]),
-            camera_angles=tuple(float(x) for x in d["camera_angles"]),
-            label=str(d["label"]),
-            world_point=None if wp is None else tuple(float(x) for x in wp),
-        )
+        """The event ``to_json_dict`` wrote; a ``ValueError`` naming the
+        record if it lacks a field or holds a value of the wrong kind."""
+        try:
+            wp = d["world_point"]
+            return cls(
+                time=float(d["time"]),
+                body_pose=_numbers(d["body_pose"], 3),
+                camera_angles=_numbers(d["camera_angles"], 2),
+                label=str(d["label"]),
+                world_point=None if wp is None else _numbers(wp, 2),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"not a detection event ({exc!r}): {d!r}") from exc
+
+
+def _numbers(values, count):
+    """``values`` as a tuple of ``count`` floats."""
+    numbers = tuple(float(x) for x in values)
+    if len(numbers) != count:
+        raise ValueError(f"{count} numbers expected, got {len(numbers)}")
+    return numbers
 
 
 class InfoMap:

@@ -22,22 +22,28 @@ barrier weight change the merit itself.
 
 Bit-for-bit rule.  A solve spends its time in per-call numpy overhead, not
 in arithmetic, so the inner loop is written for few numpy calls, but every
-float it produces comes from the same ufunc or BLAS call, on the same
-operands, in the same order as the plain form would compute it: 1-D dot
-products call ``ndarray.dot`` (the BLAS ddot that ``@`` reaches too),
-norms call ``_norm`` (numpy's own definition of ``np.linalg.norm`` for a
-1-D vector), projections call ``ndarray.clip`` (the ufunc behind
-``np.clip``), and ``_merit`` and ``_max_feasible_alpha`` slice ``z`` by its
-fixed layout instead of going through ``ErgodicProblem.split``.  Rewrites
-that change the bits are not speed-ups under this rule:
+float it produces comes from one fixed ufunc or BLAS call, on fixed
+operands, in a fixed order: 1-D dot products call ``ndarray.dot`` (the
+BLAS ddot that ``@`` reaches too), norms call ``_norm`` (numpy's own
+definition of ``np.linalg.norm`` for a 1-D vector), projections call
+``ndarray.clip`` (the ufunc behind ``np.clip``), and ``_merit`` and
+``_max_feasible_alpha`` slice ``z`` by its fixed layout instead of going
+through ``ErgodicProblem.split``.  The coverage sums are per-axis matrix
+products of the basis tables (``ergodic.CoverageCost``); that contraction
+is the reference form.  A rewrite that changes the bits changes every
+mission, so it is a behaviour change, not a speed-up:
 
-* reassociating a sum or a product;
-* folding ``1/h_k`` into coefficients, or multiplying by a reciprocal
-  where the code divides;
+* reassociating a sum or a product, the per-axis contraction included
+  (going back to one entry per mode and point, or contracting the axes in
+  another order);
+* folding a divisor such as ``1/h_k`` into other factors, or multiplying
+  by a reciprocal where the code divides;
 * merging separate ``.sum()`` calls;
-* replacing an ``einsum`` or a sequential dot with ``@``, ``tensordot`` or
-  a matrix product.
+* replacing an ``einsum``, a matrix product or a sequential dot with
+  another contraction.
 
+Such a change re-records the pins and shows the paired-seed scorecard
+(``bench.scorecard``) before and after it.
 ``tests/test_solver.py::TestByteIdentity`` pins the outputs of three
 solves, and the golden mission digests pin whole missions.
 

@@ -25,3 +25,42 @@ def mode_index(basis, k):
             raise ValueError(f"mode {k} not in basis")
         idx = idx * mi + ki
     return idx
+
+
+def frequencies(basis):
+    """omega_{k,i} = k_i pi / L_i, one (nK, 2) row per mode."""
+    return basis.modes * np.pi / basis.workspace.lengths
+
+
+def product_form_values(basis, points):
+    """prod_i cos(omega_{k,i} w_i) / h_k over every (mode, point, axis)."""
+    rel = np.atleast_2d(points) - basis.workspace.lows
+    phases = frequencies(basis)[:, None, :] * rel[None, :, :]
+    return np.prod(np.cos(phases), axis=2) / basis.normalizers[:, None]
+
+
+def product_form_gradients(basis, points):
+    """Spatial gradients: -omega_i sin_i times the other axes' cosines."""
+    omega = frequencies(basis)
+    rel = np.atleast_2d(points) - basis.workspace.lows
+    phases = omega[:, None, :] * rel[None, :, :]
+    cos = np.cos(phases)
+    sin = np.sin(phases)
+    grads = np.empty(cos.shape)
+    for i in range(2):
+        others = np.prod(np.delete(cos, i, axis=2), axis=2)
+        grads[:, :, i] = -omega[:, i:i + 1] * sin[:, :, i] * others
+    grads /= basis.normalizers[:, None, None]
+    return grads
+
+
+def product_form_coverage(basis, points, target_coefficients, weight=1.0):
+    """Coefficients, cost and ``weight`` times the cost gradient of a point
+    sequence, summed over the full (mode, point) product-form arrays."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    T = pts.shape[0]
+    c = product_form_values(basis, pts).sum(axis=1) / T
+    r = c - target_coefficients
+    coeff = weight * 2.0 * basis.weights * r / T
+    grad = np.einsum("k,ktv->tv", coeff, product_form_gradients(basis, pts))
+    return c, float(np.sum(basis.weights * r * r)), grad

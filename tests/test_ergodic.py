@@ -6,12 +6,9 @@ import pytest
 from bleto.ergodic import (CoverageCost, FourierBasis, OutsideWorkspaceError,
                            Workspace, ergodic_metric, map_coefficients)
 from bleto.infomap import InfoMap, init_coarse
-from oracles import mode_index, trajectory_coefficients
-
-
-def frequencies(basis):
-    """Oracle: omega_{k,i} = k_i pi / L_i, one (nK, 2) row per mode."""
-    return basis.modes * np.pi / basis.workspace.lengths
+from oracles import (frequencies, mode_index, product_form_coverage,
+                     product_form_gradients, product_form_values,
+                     trajectory_coefficients)
 
 
 def basis_value(basis, k_index, point):
@@ -35,6 +32,14 @@ def basis_gradient(basis, k_index, point):
         others = np.prod(np.delete(c, i))
         grad[i] = -om[i] * s[i] * others / basis.normalizers[k_index]
     return grad
+
+
+def assert_close(got, want):
+    """Equal to rounding: every entry to 1e-12 relative, or to 1e-14 of the
+    largest entry where a sum cancels to near zero.  The library's per-axis
+    contractions reassociate the oracles' sums, so the bits differ."""
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
 
 
 def simpson_weights(n_nodes, length):
@@ -176,28 +181,6 @@ class TestBasisGradient:
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-9)
 
 
-def product_form_values(basis, points):
-    """Reference: prod_i cos(omega_{k,i} w_i) / h_k over every (mode, point, axis)."""
-    rel = np.atleast_2d(points) - basis.workspace.lows
-    phases = frequencies(basis)[:, None, :] * rel[None, :, :]
-    return np.prod(np.cos(phases), axis=2) / basis.normalizers[:, None]
-
-
-def product_form_gradients(basis, points):
-    """Reference gradients: -omega_i sin_i times the other axes' cosines."""
-    omega = frequencies(basis)
-    rel = np.atleast_2d(points) - basis.workspace.lows
-    phases = omega[:, None, :] * rel[None, :, :]
-    cos = np.cos(phases)
-    sin = np.sin(phases)
-    grads = np.empty(cos.shape)
-    for i in range(2):
-        others = np.prod(np.delete(cos, i, axis=2), axis=2)
-        grads[:, :, i] = -omega[:, i:i + 1] * sin[:, :, i] * others
-    grads /= basis.normalizers[:, None, None]
-    return grads
-
-
 SEPARABLE_CASES = {
     "coarse-10x10": (Workspace((100.0, 100.0)), 10),
     "fine-8x8": (Workspace((2.0 * math.radians(135.0), math.radians(120.0)),
@@ -260,28 +243,12 @@ class TestSeparableKernel:
             expect = reference_point_tables(basis, pts)
             for got, ref in zip(tables, expect):
                 assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-            assert np.array_equal(basis.table_values(tables),
-                                  reference_table_values(basis, expect))
-            assert np.array_equal(basis.table_gradients(tables),
-                                  reference_table_gradients(basis, expect))
 
 
 def reference_axis_frequencies(basis):
     """Per-axis (m_i, 1) frequency columns, built as the basis builds them."""
     return [(np.arange(m) * np.pi / basis.workspace.lengths[i])[:, None]
             for i, m in enumerate(basis.modes_per_axis)]
-
-
-def reference_grid_product(basis, tables, skip=None):
-    """Left-to-right product of per-axis tables over the mode grid."""
-    v = 2
-    out = None
-    for i, table in enumerate(tables):
-        if i == skip:
-            continue
-        slot = tuple(slice(None) if j == i else None for j in range(v)) + (slice(None),)
-        out = table[slot] if out is None else out * table[slot]
-    return out
 
 
 def reference_point_tables(basis, points):
@@ -292,33 +259,6 @@ def reference_point_tables(basis, points):
               for omega, pts_i, low in zip(reference_axis_frequencies(basis), pts.T,
                                            basis.workspace.lows)]
     return phases, [np.cos(p) for p in phases]
-
-
-def reference_table_values(basis, tables):
-    """``FourierBasis.table_values`` as it was: the normalizer column built
-    on each call."""
-    cos = tables[1]
-    values = reference_grid_product(basis, cos)
-    return values.reshape(len(basis), cos[0].shape[1]) / basis.normalizers[:, None]
-
-
-def reference_table_gradients(basis, tables):
-    """``FourierBasis.table_gradients`` as it was: each frequency column
-    negated and the normalizers broadcast on each call."""
-    phases, cos = tables
-    v, T = len(cos), cos[0].shape[1]
-    grads = np.empty(basis.modes_per_axis + (T, v))
-    for i, (omega, p) in enumerate(zip(reference_axis_frequencies(basis), phases)):
-        slot = tuple(slice(None) if j == i else None for j in range(v)) + (slice(None),)
-        dcos = (-omega * np.sin(p))[slot]
-        others = reference_grid_product(basis, cos, skip=i)
-        if others is None:
-            grads[..., i] = dcos
-        else:
-            np.multiply(dcos, others, out=grads[..., i])
-    grads = grads.reshape(len(basis), T, v)
-    grads /= basis.normalizers[:, None, None]
-    return grads
 
 
 class TestTrajectoryCoefficients:
@@ -389,6 +329,16 @@ class TestMapCoefficients:
         direct = np.array([basis_value(basis, k, center) for k in range(len(basis))])
         # floor mixing adds ~2e-6 of the uniform map's coefficients
         assert np.max(np.abs(phi - direct)) < 1e-4
+
+    def test_matches_the_cell_sum_of_basis_values(self, basis8, square100):
+        # the per-axis contraction against sum_cells F_k(center) density area
+        rng = np.random.default_rng(41)
+        imap = InfoMap(square100, rng.random((40, 25)))
+        gx, gy = np.meshgrid(*imap.axis_centers(), indexing="ij")
+        centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        mass = imap.density.ravel() * imap.cell_area
+        expect = product_form_values(basis8, centers) @ mass
+        assert_close(map_coefficients(basis8, imap), expect)
 
     def test_unnormalized_map_rejected(self, basis8, square100):
         imap = InfoMap(square100, np.ones((50, 50)))
@@ -473,7 +423,8 @@ class TestMetricGradient:
 
 
 class TestCoverageCost:
-    """The kernel reproduces the metric's and the old gradient's floats."""
+    """The per-axis contraction agrees with the product-form sums to
+    rounding: it reassociates them, so the bits differ."""
 
     @pytest.fixture
     def case(self, basis8, square100):
@@ -485,19 +436,31 @@ class TestCoverageCost:
     def test_cost_equals_metric_of_coefficients(self, case):
         basis, pts, phi = case
         cost = CoverageCost(basis, pts, phi)
-        c = trajectory_coefficients(basis, pts)
-        assert np.array_equal(cost.coefficients, c)
-        assert np.array_equal(cost.residual, c - phi)
-        assert cost.cost == ergodic_metric(basis, c, phi)
+        c, E, _ = product_form_coverage(basis, pts, phi)
+        assert_close(cost.coefficients, c)
+        assert_close(cost.residual, c - phi)
+        assert cost.cost == ergodic_metric(basis, cost.coefficients, phi)
+        assert cost.cost == pytest.approx(E, rel=1e-12)
 
     @pytest.mark.parametrize("weight", [1.0, 0.37, 1234.5])
     def test_gradient_matches_reference_expression(self, case, weight):
         basis, pts, phi = case
-        _, grads = basis.eval_points_with_gradient(pts)
-        r = trajectory_coefficients(basis, pts) - phi
-        coeff = weight * 2.0 * basis.weights * r / pts.shape[0]
-        expect = np.einsum("k,ktv->tv", coeff, grads)
-        assert np.array_equal(CoverageCost(basis, pts, phi).gradient(weight), expect)
+        _, _, expect = product_form_coverage(basis, pts, phi, weight)
+        assert_close(CoverageCost(basis, pts, phi).gradient(weight), expect)
+
+    def test_fine_basis_and_short_horizon(self):
+        # the camera's offset, non-square workspace at a sweep's horizon
+        workspace, modes = SEPARABLE_CASES["fine-8x8"]
+        basis = FourierBasis(workspace, modes)
+        rng = np.random.default_rng(31)
+        phi = rng.normal(scale=0.1, size=len(basis))
+        for T in (1, 5):
+            pts = workspace.lows + rng.random((T, 2)) * workspace.lengths
+            cost = CoverageCost(basis, pts, phi)
+            c, E, grad = product_form_coverage(basis, pts, phi, 0.37)
+            assert_close(cost.coefficients, c)
+            assert cost.cost == pytest.approx(E, rel=1e-12)
+            assert_close(cost.gradient(0.37), grad)
 
     def test_unchecked_cost_matches_checked(self, case):
         basis, pts, phi = case

@@ -9,15 +9,14 @@ change that is meant to be a pure refactor or speed-up must keep every
 digest; a change that alters behaviour on purpose must update the digests
 and say why.
 
-The digests were recorded with the product-form basis kernel
-(``prod_i cos(omega_{k,i} w_i)`` over every mode, point and axis, at commit
-9c045c1), before the separable per-axis kernel replaced it, on linux
-x86-64 with numpy 2.4.6 and scipy-openblas.  The fixed-camera runs see no
+The digests were recorded with the per-axis coverage contraction
+(``ergodic.CoverageCost`` and ``map_coefficients`` as matrix products of the
+basis tables), which replaced the per-mode value and gradient arrays and
+so changed the bits of every mission, on linux x86-64 with numpy 2.4.6 and
+scipy-openblas, BLAS on one thread.  The fixed-camera runs see no
 detection within 120 s, so their image logs do not depend on the seed;
 bl-eto on seed 1 detects a rock and so exercises the map updates.  The
-eto-random-camera digests were recorded later, at commit dc748b1, before
-the solver's line search kept each trial's merit evaluation; its seed-1
-run detects a rock, its seed-2 run does not.
+random camera's seed-1 run detects a rock, its seed-2 run does not.
 """
 
 import hashlib
@@ -31,44 +30,46 @@ GOLDEN_BUDGET_S = 120.0
 
 GOLDEN = {
     ("bl-eto", 1): {
-        "metrics.json": "b9695847df48a73f7ebab79e744abd47ea7784b059a7e7f7e01068786f3a1ba8",
-        "detections.jsonl": "d8225b5b1ac598f53610c683b224848c6374a7ed6a67f7a82078d35383b00a86",
+        "metrics.json": "ddf0ae6deccd4970d4325a18fbdaa899c7ae757118799ca166695aed8fa8616c",
+        "detections.jsonl": "232c294c3281ded48a76523ba6b94f5ee97e67e6d74a84715da661e48a0f1c92",
     },
     ("bl-eto", 2): {
-        "metrics.json": "025543d6327ed93847629b749589ca5d4dc8c10471d3417d32ead14d4c847997",
-        "detections.jsonl": "0daf66f91deccc030fa54d9a2fbd6752790a4f5ded9c6b13d2e4c973cf771c00",
+        "metrics.json": "f29cb8159bf99370380ffbf8356104f92b05aa291911b916311172e4be19a280",
+        "detections.jsonl": "adfffefa78537bc154c0f2cd4ea268f119c6af889cc54396b41b9aed9479f461",
     },
     ("eto-fixed-camera", 1): {
-        "metrics.json": "35dfa9f9585c64a3010db035b7a398d2af7a82ad800e59aea2b95afdee394f40",
-        "detections.jsonl": "ab982b9a3c3b67ad60bc2b94945cb2c65e02fcc4e10b9d5bd9e6c8a9ceabbeb9",
+        "metrics.json": "77af691b429fedaab82a86dff6bc4ba407589b38049deb6ca5c38c44f6f13c42",
+        "detections.jsonl": "1ae4c4699120b2bc1bf372cec582d1a00a9381884d63d67d2ba52b0ec908d360",
     },
     ("eto-fixed-camera", 2): {
-        "metrics.json": "7b8af64dd57155e819fc5fb058860f45561c30139d423f743f247db833f2f46b",
-        "detections.jsonl": "ab982b9a3c3b67ad60bc2b94945cb2c65e02fcc4e10b9d5bd9e6c8a9ceabbeb9",
+        "metrics.json": "753c7aa10688ea06a8c43b71e661ab04ae2834a00bc23e4b1b18954662603a7c",
+        "detections.jsonl": "1ae4c4699120b2bc1bf372cec582d1a00a9381884d63d67d2ba52b0ec908d360",
     },
     ("eto-random-camera", 1): {
-        "metrics.json": "ef6f55409bbe1172fd04cdbcc3bb78a5b8e39e1b03dbd7dae1938f1bb05be956",
-        "detections.jsonl": "1ec15b5e5ea5bf0d96f7a0bb89354fa53b63f7f2f56472cef7411071ae638849",
+        "metrics.json": "9424eb73a631b7f463fdc2173f1177633143fdef6e2b1411822ce89a4cabfe6e",
+        "detections.jsonl": "5d211003c35fe2ee940d79fb6c83359cbc641042bc3039b58b9d62392b89a761",
     },
     ("eto-random-camera", 2): {
-        "metrics.json": "457917157fd1867fca7f0485a176cdf81709d182e2f967d4af40af89ff18dc64",
-        "detections.jsonl": "8ddcb7f5727c75c05bb6e8e3ccee4fe7c084a558e29bc25b5c0713f2b986aaea",
+        "metrics.json": "eaf268e588cf8a9623cfa375d1aa00f3ec935af8b12be4b213906086791c2b1a",
+        "detections.jsonl": "28b40bc0d56dbf41c84c8eda895369412513ac8a40b31eef0da3d42f9ac1736c",
     },
 }
 
 
 # The seed-1 missions of the benchmark's three workloads at its own budgets,
-# configured as perfbench/workloads.py configures them, with the metrics.json
-# digests of perfbench/baseline.json (recorded at commit d490cd6).  The
-# receding mission makes 12 detections; the open-loop one covers the cold
-# solve, many fine solves and replans after an exhausted plan.
+# configured as perfbench/workloads.py configures them, with their
+# metrics.json digests.  These were recorded with the per-axis contraction;
+# the digests in perfbench/baseline.json come from the per-mode arrays
+# before it and no longer match.  The open-loop mission covers the cold
+# solve, many fine solves and replans after an exhausted plan; the receding
+# one makes 20 detections.
 BENCHMARK_WORKLOADS = {
     "receding": ("bl-eto", 300.0, False,
-                 "ff2218f9e4ec4d21306e118caea34df362ddc5727fe7074e3af257fd9fd6187e"),
+                 "e01a42786198023af522cfed2a4d598af4f8988791f03e3c8d518b283fc7e23c"),
     "open-loop": ("bl-eto", 2700.0, True,
-                  "e4fa91d5cc3cdb2eec3af334e5d56942a4523946c6b9e32296ac68d60ecac9d4"),
+                  "1f9a323665ac48cd27af4db5b82ae6f5f1c540f05563ea791332512825ffdcbb"),
     "fixed-camera": ("eto-fixed-camera", 300.0, False,
-                     "aed3ba6068146f551bc573bd08468356d462878e17acaf9106879f786ca7b61f"),
+                     "b8ea09f422b3ee81f1be7be802e45a4ba2461fee6e0b98aadd54c132daa1b9e5"),
 }
 
 

@@ -4,9 +4,10 @@ Short missions (30–300 s of simulated time) check the invariants the
 docstrings of ``planner``, ``bench`` and ``cli`` promise: the clock is the
 sum of its charges, sweeps take ``fine_horizon`` images, the first charge
 at or after the budget ends the mission whichever action it pays for, each
-coarse map is transformed once, comparisons stay paired, bad input exits
-with status 2, and ``run --out`` writes the solver trace of the mission's
-own first coarse plan.
+coarse map is transformed once, comparisons stay paired and write a
+scorecard that agrees with their trials, bad input exits with status 2,
+and ``run --out`` writes the solver trace of the mission's own first
+coarse plan.
 """
 
 import functools
@@ -22,7 +23,10 @@ import bleto.planner
 from bleto.bench import ExperimentConfig, build_scenario, compare
 from bleto.cli import EXIT_CONFIG, EXIT_OK, main
 from bleto.dynamics import UnicycleModel
-from bleto.planner import BiLevelConfig, Mission
+from bleto.ergodic import Workspace
+from bleto.infomap import DetectionEvent
+from bleto.planner import BiLevelConfig, Mission, MissionLog
+from bleto.world import Rock, Scenario
 
 SWEEP_BUDGET_S = 120.0
 
@@ -281,6 +285,57 @@ class TestCompare:
             compare(config)
 
 
+class TestScorecard:
+    def test_compare_writes_a_paired_scorecard(self, tmp_path):
+        seeds = (1, 2)
+        config = ExperimentConfig(mission=BiLevelConfig(time_budget=SWEEP_BUDGET_S),
+                                  seeds=seeds)
+        compare(config, out_dir=tmp_path)
+        card = json.loads((tmp_path / "scorecard.json").read_text())
+        assert card["seeds"] == list(seeds) and card["placement"] == "uniform"
+        for method in bleto.bench.METHODS:
+            rows = card["rows"][method]
+            assert [row["seed"] for row in rows] == list(seeds)
+            for row in rows:
+                metrics = json.loads(
+                    (tmp_path / method / f"seed_{row['seed']}" / "metrics.json").read_text())
+                assert row["found"] == metrics["rocks_found"]
+                assert 0 <= row["imaged"] <= metrics["detections"]
+                assert 0.0 <= row["lock_on_share"] <= 1.0
+                assert 0.0 <= row["parked_share"] <= 1.0
+        assert sorted(card["paired"]) == ["bl-eto - eto-fixed-camera",
+                                          "bl-eto - eto-random-camera"]
+        for baseline, pair in card["paired"].items():
+            other = baseline.split(" - ")[1]
+            for key in ("found", "imaged"):
+                assert sum(pair[key].values()) == len(seeds)
+                assert [d[key] for d in pair["per_seed"]] == [
+                    ours[key] - theirs[key]
+                    for ours, theirs in zip(card["rows"]["bl-eto"], card["rows"][other])]
+
+    def test_row_counts_the_rock_each_detection_images(self):
+        scenario = Scenario(Workspace((100.0, 100.0)),
+                            (Rock(10.0, 10.0, "igneous"), Rock(13.0, 10.0, "igneous"),
+                             Rock(80.0, 80.0, "sedimentary")))
+
+        def event(point):
+            return DetectionEvent(0.0, (0.0, 0.0, 0.0), (0.0, 0.0),
+                                  "background" if point is None else "igneous", point)
+
+        log = MissionLog(
+            body_states=[(0.0, 50.0, 50.0, 0.0, 0.0, 0.0), (15.0, 50.05, 50.0, 0.0, 0.0, 0.0),
+                         (30.0, 53.0, 54.0, 0.0, 0.0, 0.0)],
+            events=[event((10.0, 10.0))] * 3 + [event((80.0, 80.0)), event(None)],
+            path_length=5.05)
+        metrics = bleto.bench.score(log, scenario, 5.0, "bl-eto", 1)
+        row = bleto.bench.scorecard_row(metrics, log, scenario)
+        # the sighting of the first rock also credits the second, 3 m away
+        assert (metrics.rocks_found, row["imaged"]) == (3, 2)
+        assert row["path_per_imaged_m"] == pytest.approx(5.05 / 2)
+        assert row["lock_on_share"] == 0.75
+        assert row["parked_share"] == 0.5
+
+
 class TestCli:
     def test_run_inspect_and_compare(self, tmp_path, capsys):
         config = write_config(tmp_path, {"mission": {"time_budget": 30.0},
@@ -326,6 +381,22 @@ class TestCli:
         (tmp_path / name).write_text("{not json\n")
         assert main(["inspect", "--log", str(tmp_path)]) == EXIT_CONFIG
         assert f"cannot read {tmp_path / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"time": 1},
+        [1, 2],
+        {"time": 1.0, "body_pose": [50, 50, 0], "camera_angles": [0, 0],
+         "label": "igneous", "world_point": [10.0]},
+    ], ids=["missing-keys", "not-an-object", "short-world-point"])
+    def test_inspect_of_a_record_that_is_no_detection_exits_with_config_status(
+            self, tmp_path, capsys, record):
+        # the first exited 1 with a KeyError traceback
+        (tmp_path / "metrics.json").write_text("{}")
+        (tmp_path / "detections.jsonl").write_text(json.dumps(record) + "\n")
+        assert main(["inspect", "--log", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'detections.jsonl'}" in err
+        assert "not a detection event" in err
 
     def test_inspect_rejects_a_negative_head(self, tmp_path, capsys):
         # printed every detection but the last

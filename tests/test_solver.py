@@ -401,22 +401,22 @@ def interior_walks(problem, rng, n):
 class TestByteIdentity:
     """The solver's output is pinned to the byte.
 
-    The digests were recorded at commit dc748b1, before the line search
-    kept each trial's merit evaluation (one evaluation per trial point, the
-    accepted trial finishing its own gradient, the fraction-to-boundary
-    rule reading the iterate's cached margins), on linux x86-64 with numpy
-    2.4.6 and scipy-openblas.  A change meant as a pure speed-up must keep
-    them; one that alters the solver on purpose must update them and say
-    why.  The settings are the mission's: a cold coarse replan, a warm
+    The digests were recorded with the per-axis coverage contraction
+    (``ergodic.CoverageCost`` as matrix products of the basis tables),
+    which reassociated the coverage sums and so changed every solve's
+    bits, on linux x86-64 with numpy 2.4.6 and scipy-openblas, BLAS on one
+    thread.  A change meant as a pure speed-up must keep them; one that
+    alters the solver or its arithmetic on purpose must update them and
+    say why.  The settings are the mission's: a cold coarse replan, a warm
     one from ``shift_warm_start`` after one executed step, and a fine
     (camera) solve.
     """
 
     COARSE = dict(dt=15.0, inner_cap=150, outer_rounds=6, optimality_tol=1e-2)
     DIGESTS = {
-        "cold": "567e61f93e7fe8d6870f14f628af0d5e04bec3524cc0daa957f77aa3162f80e0",
-        "warm": "fe43cf3d62bd6a391eaff52fd35ed3a13b21ebc3314d718619e7553dafc3b85a",
-        "fine": "7ee19da3ce130f09b06ec13a7f3cdd83cd42551f59ab375d48c6a3030b3c46eb",
+        "cold": "dfe4de50ad6d82f8fc05e318c1d5499a7237a1bd99704a24d4cfa0aea6af747d",
+        "warm": "54c7c196370baeb64bfd6061297122e5bed125462806ad641d3ae9c34e332da3",
+        "fine": "66fdb4933dfa9e31aae080a9bf81c1333610bcf787995685d990b19dfbe58373",
     }
 
     def test_solves_match_pinned_digests(self):
