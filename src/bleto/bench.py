@@ -13,7 +13,8 @@ across reruns of the same seed), ``scenario.json``,
 solver iteration of the mission's first coarse plan) and ``timing.txt``
 (wall-clock, deliberately kept out of metrics.json).  Comparisons add
 ``table.json``, ``table.txt`` and ``scorecard.json`` (``scorecard``: per-seed
-rows and the paired differences of bl-eto against each baseline).
+rows, the number of distinct paths per method and the paired differences
+of bl-eto against each baseline).
 """
 
 import hashlib
@@ -161,19 +162,16 @@ def build_scenario(config, seed):
 
 
 def score(log, scenario, identification_radius, method, seed):
-    """Count a rock as found iff some detection's projected world point lies
-    within the identification radius of its true position."""
+    """Count a rock as found iff it is the nearest rock to some detection's
+    projected world point and lies within the identification radius of it:
+    each detection credits at most one rock."""
     detections = log.detections()
     for ev in detections:
         if not scenario.workspace.contains(ev.world_point):
             raise ValueError("detection outside the scenario workspace: "
                              "log and ground truth do not match")
-    points = np.array([ev.world_point for ev in detections]).reshape(-1, 2)
-    found = 0
-    for rock in scenario.rocks:
-        if points.size and np.min(np.linalg.norm(
-                points - np.array([rock.x, rock.y]), axis=1)) <= identification_radius:
-            found += 1
+    nearest, dist = ws.nearest_rocks(scenario, [ev.world_point for ev in detections])
+    found = len(set(nearest[dist <= identification_radius].tolist()))
     total = len(scenario.rocks)
     return TrialMetrics(
         method=method,
@@ -207,18 +205,15 @@ def scorecard_row(metrics, log, scenario):
     """One trial's scorecard row: what the mission imaged and how it moved.
 
     ``imaged`` counts the distinct rocks nearest some detection's world
-    point (localization is exact, so that rock is the one imaged), and
-    ``path_per_imaged_m`` is the path length over it (``None`` when nothing
-    was imaged).  ``lock_on_share`` is the share of detections on the
-    most-detected rock (0 without a detection), ``parked_share`` the share
-    of body steps shorter than ``_PARKED_STEP_M`` (0 without a step).
+    point (``world.nearest_rocks``; localization is exact, so that rock is
+    the one imaged), and ``path_per_imaged_m`` is the path length over it
+    (``None`` when nothing was imaged).  ``lock_on_share`` is the share of
+    detections on the most-detected rock (0 without a detection),
+    ``parked_share`` the share of body steps shorter than
+    ``_PARKED_STEP_M`` (0 without a step).
     """
-    rocks = np.array([(r.x, r.y) for r in scenario.rocks]).reshape(-1, 2)
-    points = np.array([ev.world_point for ev in log.detections()]).reshape(-1, 2)
-    per_rock = np.zeros(0, dtype=int)
-    if len(points) and len(rocks):
-        nearest = np.linalg.norm(points[:, None] - rocks[None], axis=2).argmin(axis=1)
-        per_rock = np.bincount(nearest)
+    nearest, _ = ws.nearest_rocks(scenario, [ev.world_point for ev in log.detections()])
+    per_rock = np.bincount(nearest[nearest >= 0])
     imaged = int(np.count_nonzero(per_rock))
     steps = np.linalg.norm(np.diff(np.array(log.body_states)[:, 1:3], axis=0), axis=1)
     return {
@@ -227,7 +222,7 @@ def scorecard_row(metrics, log, scenario):
         "found": metrics.rocks_found,
         "imaged": imaged,
         "path_per_imaged_m": metrics.path_length_m / imaged if imaged else None,
-        "lock_on_share": float(per_rock.max() / len(points)) if per_rock.size else 0.0,
+        "lock_on_share": float(per_rock.max() / len(nearest)) if per_rock.size else 0.0,
         "parked_share": float(np.mean(steps < _PARKED_STEP_M)) if steps.size else 0.0,
     }
 
@@ -237,13 +232,16 @@ def _win_tie_loss(diffs):
             "losses": sum(d < 0 for d in diffs)}
 
 
-def scorecard(config, rows):
+def scorecard(config, rows, trajectories):
     """The paired-seed scorecard of one comparison.
 
     ``rows`` maps each method to its ``scorecard_row`` per seed, in the
-    order of ``config.seeds``.  Per baseline, ``paired`` holds the per-seed
-    differences bl-eto minus that baseline in found and imaged rocks, and
-    their win/tie/loss counts for bl-eto.
+    order of ``config.seeds``, and ``trajectories`` maps it to each seed's
+    ``MissionLog.body_states``.  ``distinct_paths`` counts the distinct
+    paths per method: a mission that sees no rock does not depend on its
+    seed, so seeds can repeat one path.  Per baseline, ``paired`` holds the
+    per-seed differences bl-eto minus that baseline in found and imaged
+    rocks, and their win/tie/loss counts for bl-eto.
     """
     paired = {}
     for baseline in ("eto-fixed-camera", "eto-random-camera"):
@@ -261,6 +259,8 @@ def scorecard(config, rows):
         "seeds": list(config.seeds),
         "time_budget_s": config.mission.time_budget,
         "rows": rows,
+        "distinct_paths": {method: len(set(map(tuple, paths)))
+                           for method, paths in trajectories.items()},
         "totals": {method: {key: sum(row[key] for row in method_rows)
                             for key in ("found", "imaged")}
                    for method, method_rows in rows.items()},
@@ -315,10 +315,11 @@ def compare(config, out_dir=None):
     """
     results = {}
     rows = {}
+    trajectories = {}
     hashes = {}
     for method in METHODS:
         cfg = config.for_method(method)
-        results[method], rows[method] = [], []
+        results[method], rows[method], trajectories[method] = [], [], []
         for seed in config.seeds:
             trial_dir = None
             if out_dir is not None:
@@ -326,6 +327,7 @@ def compare(config, out_dir=None):
             metrics, log, scenario = _run_trial(cfg, seed, trial_dir)
             results[method].append(metrics)
             rows[method].append(scorecard_row(metrics, log, scenario))
+            trajectories[method].append(log.body_states)
             hashes.setdefault(seed, set()).add(_scenario_hash(cfg, seed))
     for seed, digests in hashes.items():
         if len(digests) != 1:
@@ -351,7 +353,7 @@ def compare(config, out_dir=None):
             json.dumps(table, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         (out / "table.txt").write_text(format_table(table), encoding="utf-8")
         (out / "scorecard.json").write_text(
-            json.dumps(scorecard(config, rows), sort_keys=True, indent=2) + "\n",
+            json.dumps(scorecard(config, rows, trajectories), sort_keys=True, indent=2) + "\n",
             encoding="utf-8")
     return table
 

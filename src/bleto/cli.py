@@ -4,7 +4,8 @@ Subcommands: ``run`` (one method; with ``--out`` it writes the trial files
 ``bench`` lists, ``solver_trace.csv`` of the first coarse plan among them),
 ``compare`` (all three methods on paired seeds; with ``--out`` it writes
 each trial, ``table.json`` and ``scorecard.json``), ``inspect`` (summarize a
-trial directory).  Exit code 0 on success, 2 on a bad config, option or
+trial directory, naming the rock of ``scenario.json`` nearest each
+detection it prints).  Exit code 0 on success, 2 on a bad config, option or
 trial file.
 """
 
@@ -17,6 +18,7 @@ from pathlib import Path
 from .bench import (METHODS, ConfigError, ExperimentConfig, compare,
                     format_table, metrics_json_dict, run_trial)
 from .infomap import load_detections_jsonl
+from .world import nearest_rocks, scenario_from_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,14 +77,22 @@ def _cmd_inspect(args):
     metrics = _load_trial_file(metrics_path,
                                lambda p: json.loads(p.read_text(encoding="utf-8")))
     print(json.dumps(metrics, sort_keys=True, indent=2))
+    scenario_path = trial / "scenario.json"
+    scenario = scenario_path.exists() and _load_trial_file(
+        scenario_path, lambda p: scenario_from_json(p.read_text(encoding="utf-8")))
     detections_path = trial / "detections.jsonl"
     if detections_path.exists():
         events = _load_trial_file(detections_path, load_detections_jsonl)
         hits = [e for e in events if e.is_detection]
         print(f"events: {len(events)} images, {len(hits)} detections")
-        for e in hits[: args.head]:
+        shown = hits[: args.head]
+        rocks = [""] * len(shown)
+        if scenario and scenario.rocks:
+            rocks = [f"  nearest rock {i} ({scenario.rocks[i].kind}) at {d:.2f} m"
+                     for i, d in zip(*nearest_rocks(scenario, [e.world_point for e in shown]))]
+        for e, rock in zip(shown, rocks):
             print(f"  t={e.time:9.2f}  {e.label:<12} at "
-                  f"({e.world_point[0]:.2f}, {e.world_point[1]:.2f})")
+                  f"({e.world_point[0]:.2f}, {e.world_point[1]:.2f}){rock}")
     for name in ("trajectory.csv", "map_final.pgm", "solver_trace.csv", "table.json"):
         p = trial / name
         if p.exists():

@@ -17,16 +17,13 @@ __all__ = [
 
 
 class ControlBounds:
-    """Per-channel control box plus the per-step position-change cap."""
+    """Per-channel control box."""
 
-    def __init__(self, lower, upper, max_step):
+    def __init__(self, lower, upper):
         self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if self.lower.shape != self.upper.shape or np.any(self.lower >= self.upper):
             raise ValueError("need lower < upper per control channel")
-        if max_step <= 0:
-            raise ValueError("max_step must be positive")
-        self.max_step = float(max_step)
 
     def clip(self, controls):
         return np.clip(controls, self.lower, self.upper)

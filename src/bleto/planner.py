@@ -40,7 +40,7 @@ from . import infomap as im
 from . import world as ws
 from .dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel
 from .ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
-from .solver import ErgodicProblem, _least_step_cap, shift_warm_start, solve
+from .solver import ErgodicProblem, shift_warm_start, solve
 
 __all__ = [
     "BiLevelConfig",
@@ -104,12 +104,10 @@ class BiLevelConfig:
     fine_horizon: int = 5
     coarse_dt: float = 15.0
     fine_dt: float = 0.4
-    # actuation limits
+    # actuation limits: the control boxes, the only limits on a step
     body_speed_max: float = 0.3
     body_turn_max: float = 0.5
-    body_step_cap: float = 6.75
     camera_rate_max: float = 0.6
-    camera_step_cap: float = 0.36
     # body steps between receding coarse replans
     replan_interval: int = 1
     # simulated-time charges
@@ -132,7 +130,7 @@ class BiLevelConfig:
         if self.replan_interval < 1:
             raise ValueError("replan_interval must be at least 1")
         for name in ("coarse_dt", "fine_dt", "time_budget", "body_speed_max", "body_turn_max",
-                     "camera_rate_max", "body_step_cap", "camera_step_cap", "yaw_limit"):
+                     "camera_rate_max", "yaw_limit"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("coarse_plan_time", "fine_plan_time", "image_time"):
@@ -155,24 +153,20 @@ class BiLevelConfig:
         if not fine.contains(self.camera_start):
             raise ValueError("camera_start lies outside the fine workspace "
                              "of yaw_limit and pitch_bounds")
-        # a cap that an initial guess of the solver can step past leaves it
-        # no feasible start (``solver._least_step_cap``); a cap longer than
-        # its workspace's diagonal never binds
-        body_longest = self.coarse_dt * self.body_speed_max
-        camera_longest = self.fine_dt * math.hypot(self.camera_rate_max, self.camera_rate_max)
-        for name, longest, lengths, inputs in (
-                ("body_step_cap", body_longest, coarse.lengths,
-                 "coarse_dt, body_speed_max and coarse_lengths"),
-                ("camera_step_cap", camera_longest, fine.lengths,
-                 "fine_dt, camera_rate_max, yaw_limit and pitch_bounds")):
-            cap, diagonal = getattr(self, name), math.hypot(*lengths)
-            least = _least_step_cap(longest, lengths)
-            if not cap >= least:
-                raise ValueError(f"{name} must be at least {least!r}: the longest step of "
-                                 f"the control box plus the solver's guess offsets ({inputs})")
-            if not cap <= diagonal:
-                raise ValueError(f"{name} must be at most {diagonal!r}, "
-                                 "the diagonal of its workspace")
+        # no step can cross more than its workspace: a longer step of a
+        # control box (coarse_dt * body_speed_max for the body, fine_dt *
+        # camera_rate_max * sqrt 2 for the camera) only overflows the solver
+        for what, longest, inputs, lengths, workspace in (
+                ("body", self.coarse_dt * self.body_speed_max,
+                 "coarse_dt and body_speed_max", coarse.lengths, "coarse_lengths"),
+                ("camera", self.fine_dt * math.hypot(self.camera_rate_max,
+                                                     self.camera_rate_max),
+                 "fine_dt and camera_rate_max", fine.lengths, "yaw_limit and pitch_bounds")):
+            diagonal = math.hypot(*lengths)
+            if not longest <= diagonal:
+                raise ValueError(f"{inputs} give the {what} a longest step of {longest!r}, "
+                                 f"past {diagonal!r}, the diagonal of the workspace of "
+                                 f"{workspace}")
         for rect, multiplier in self.epicenters:
             x0, y0, w, h = rect
             if not (w > 0 and h > 0):
@@ -268,8 +262,7 @@ def ergodic_coarse_planner(body_pose, phi, basis, config, memory, warm_start=Non
         model=UnicycleModel(), initial_state=body_pose, horizon=config.coarse_horizon,
         dt=config.coarse_dt, control_weight=_COARSE_CONTROL_WEIGHT,
         bounds=ControlBounds((-config.body_speed_max, -config.body_turn_max),
-                             (config.body_speed_max, config.body_turn_max),
-                             config.body_step_cap),
+                             (config.body_speed_max, config.body_turn_max)),
         inner_cap=inner_cap, outer_rounds=outer_rounds, optimality_tol=_COARSE_OPTIMALITY_TOL)
     return solve(problem, warm_start=warm_start)
 
@@ -289,7 +282,7 @@ def ergodic_fine_planner(camera_angles, phi, basis, config, memory, warm_start=N
         basis=basis, target_coefficients=memory.residual_target(phi, config.fine_horizon),
         model=SingleIntegratorModel(), initial_state=camera_angles, horizon=config.fine_horizon,
         dt=config.fine_dt, control_weight=_FINE_CONTROL_WEIGHT,
-        bounds=ControlBounds((-rate, -rate), (rate, rate), config.camera_step_cap),
+        bounds=ControlBounds((-rate, -rate), (rate, rate)),
         inner_cap=_FINE_INNER_CAP, outer_rounds=_FINE_OUTER_ROUNDS,
         optimality_tol=_FINE_OPTIMALITY_TOL)
     return solve(problem, warm_start=warm_start)

@@ -5,11 +5,17 @@ u_0..u_{T-1}; x_0 is pinned.  A state's first two coordinates are its
 position in the planar workspace (``states[:, :2]``).  The cost is their
 coverage metric (``ergodic.CoverageCost``) plus w·Σ|u_t|², w the scalar
 ``control_weight``.
-Dynamics enter as equality constraints handled by an augmented Lagrangian
-(penalty growing tenfold per outer round), control boxes are enforced by
-projection inside the quasi-Newton iteration, and the per-step position cap
-plus workspace containment are enforced by a logarithmic barrier whose
-coefficient is driven from 1 down to 1e-4 across the outer rounds.
+Three kinds of constraint remain, each with one mechanism:
+
+* dynamics, as equality constraints handled by an augmented Lagrangian
+  (penalty growing tenfold per outer round);
+* control boxes, by projection inside the quasi-Newton iteration;
+* workspace containment of every free position, by a logarithmic barrier
+  whose coefficient is driven from 1 down to 1e-4 across the outer rounds.
+
+A box on the controls bounds each step of a plan, since every returned
+plan is re-rolled from its clipped controls; there is no separate limit on
+how far a position moves per step.
 
 The inner loop evaluates the merit once per trial point.  ``_merit`` returns
 the value of a trial together with a record of what it computed (coverage
@@ -263,14 +269,10 @@ def _merit(problem, z, lam, rho, mu, scale, sig):
 
     rel = pts[1:] - ws.lows
     m_hi = ws.lengths - rel
-    diffs = pts[1:] - pts[:-1]
-    slack = problem.bounds.max_step**2 - (diffs * diffs).sum(axis=1)
-    least = min(rel.min(), m_hi.min(), slack.min())
-    if least <= 0.0:
+    if min(rel.min(), m_hi.min()) <= 0.0:
         return np.inf, (np.nan, np.nan), None
 
-    n_barrier = rel.size + m_hi.size + slack.size
-    kappa = mu / n_barrier
+    kappa = mu / (rel.size + m_hi.size)
 
     cost = CoverageCost(problem.basis, pts, problem.target_coefficients, check=False)
     Ru = us * problem.control_weight
@@ -279,11 +281,11 @@ def _merit(problem, z, lam, rho, mu, scale, sig):
     d_raw = _defects(problem, states, us)
     d = d_raw / sig
     al = float((lam * d).sum() + 0.5 * rho * (d * d).sum())
-    bar = -kappa * float(np.log(rel).sum() + np.log(m_hi).sum() + np.log(slack).sum())
+    bar = -kappa * float(np.log(rel).sum() + np.log(m_hi).sum())
     J = scale * (cost.cost + ctrl) + al + bar
     aux = (cost.cost, float(np.abs(d_raw).max()))
     point = _MeritPoint(problem, lam, rho, scale, sig, kappa, states, us,
-                        cost, Ru, d, rel, m_hi, diffs, slack)
+                        cost, Ru, d, rel, m_hi)
     return J, aux, point
 
 
@@ -300,11 +302,9 @@ class _MeritPoint:
     Fields: the merit's parameters (``lam`` to ``sig`` as passed to
     ``_merit``, ``kappa`` the barrier weight per margin); the point's
     ``states`` and controls ``us``; the ``CoverageCost`` of its positions,
-    ``Ru`` = w us and the scaled defects ``d``; and the barrier margins:
+    ``Ru`` = w us and the scaled defects ``d``; and the barrier margins
     ``m_lo`` and ``m_hi``, the distances of every free position to the low
-    and high workspace faces, ``diffs``, the position steps (the first
-    from the pinned initial state), and ``slack``, the step-cap margin
-    max_step^2 - |diff|^2.
+    and high workspace faces.
     """
 
     problem: ErgodicProblem
@@ -320,8 +320,6 @@ class _MeritPoint:
     d: np.ndarray
     m_lo: np.ndarray
     m_hi: np.ndarray
-    diffs: np.ndarray
-    slack: np.ndarray
 
     def gradient(self):
         """Merit gradient with respect to the decision vector."""
@@ -329,9 +327,6 @@ class _MeritPoint:
         kappa, states, us = self.kappa, self.states, self.us
         g_pts = self.cost.gradient(self.scale)
         g_pts[1:] += kappa * (1.0 / self.m_hi - 1.0 / self.m_lo)
-        g_step = kappa * 2.0 * self.diffs / self.slack[:, None]
-        g_pts[1:] += g_step
-        g_pts[:-1] -= g_step
 
         g_states = np.zeros(states.shape)
         g_states[:, :2] = g_pts
@@ -345,31 +340,16 @@ class _MeritPoint:
 
 
 def _max_feasible_alpha(problem, point, step_z):
-    """Largest step multiple keeping every barrier margin positive
-    (fraction-to-boundary rule: linear containment margins plus the
-    quadratic per-step position-change slack) for a step ``step_z`` from
-    the point whose merit evaluation is ``point``; its finite merit means
-    it is strictly interior.  The margins are the ones the merit already
-    computed."""
+    """Largest step multiple keeping every workspace margin positive
+    (fraction-to-boundary rule) for a step ``step_z`` from the point whose
+    merit evaluation is ``point``; its finite merit means it is strictly
+    interior.  The margins are the ones the merit already computed."""
     dxs = step_z[: problem.n_state_vars].reshape(problem.horizon - 1, -1)
     dpts = dxs[:, :2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         # distance to the face each coordinate moves toward, over its speed
         gap = np.where(dpts < 0.0, point.m_lo, point.m_hi)
         alpha = (gap / np.abs(dpts)).min(initial=np.inf, where=dpts != 0.0)
-
-        # step-cap slack: |diff + a*ddiff|^2 reaches max_step^2 at the root of
-        # |ddiff|^2 a^2 + 2 (diff.ddiff) a + (|diff|^2 - max_step^2) = 0;
-        # the first point is pinned, so its step is zero
-        ddiff = np.empty_like(dpts)
-        ddiff[0] = dpts[0]
-        np.subtract(dpts[1:], dpts[:-1], out=ddiff[1:])
-        a = (ddiff * ddiff).sum(axis=1)
-        b = 2.0 * (point.diffs * ddiff).sum(axis=1)
-        c = -point.slack
-        disc = np.sqrt(np.maximum(b ** 2 - 4.0 * a * c, 0.0))
-        roots = (-b + disc) / (2.0 * a)
-        alpha = roots.min(initial=alpha, where=(a > 0.0) & (roots > 0.0))
     return float(alpha) if math.isfinite(alpha) else 1.0
 
 
@@ -437,25 +417,6 @@ def _nudge_interior(problem, states):
     return out
 
 
-def _least_step_cap(longest_step, workspace_lengths):
-    """The smallest position-step cap at which every initial iterate of
-    ``solve`` lies inside the barrier, for a control box whose longest
-    position step over one ``dt`` is ``longest_step``:
-
-        longest_step + 2 _GUESS_WIGGLE sqrt(2) + _INTERIOR_MARGIN |lengths|
-
-    A warm guess rolls out clipped controls, so it steps at most
-    ``longest_step``; the cold guess steps at most half of it, and its
-    wiggle can lengthen a step by ``2 _GUESS_WIGGLE`` per axis.
-    ``_nudge_interior`` clamps the free positions into a box, which shortens
-    the steps between them and lengthens the first, from the unclamped
-    initial position, by at most the margin vector's length.  Every step
-    stays strictly below the returned cap.
-    """
-    return (longest_step + 2.0 * _GUESS_WIGGLE * math.sqrt(2.0)
-            + _INTERIOR_MARGIN * math.hypot(*workspace_lengths))
-
-
 def _reroll(problem, controls, diag):
     """Clip ``controls`` to their boxes and roll them out from the initial
     state, so dynamics hold exactly.  Positions the rollout carries outside
@@ -475,9 +436,9 @@ def solve(problem, warm_start=None):
 
     Returns a feasible trajectory: the final controls are clipped to their
     boxes and re-rolled through the dynamics, so defects vanish to machine
-    precision; the barrier keeps every free state inside the workspace and
-    every position step below the cap.  If optimization fails to beat the
-    initial guess the guess itself is returned flagged ``converged=False``.
+    precision, and the barrier keeps every free state inside the workspace.
+    If optimization fails to beat the initial guess the guess itself is
+    returned flagged ``converged=False``.
     The diagnostics record every inner step in ``trace``.
     """
     if warm_start is not None:

@@ -32,6 +32,7 @@ __all__ = [
     "CameraModel",
     "Scenario",
     "generate_scenario",
+    "nearest_rocks",
     "classify_view",
     "project_detection",
     "scenario_to_json",
@@ -162,6 +163,19 @@ def generate_scenario(seed, rock_count, placement, workspace, epicenters):
     return Scenario(workspace=workspace, rocks=tuple(rocks), seed=seed)
 
 
+def nearest_rocks(scenario, points):
+    """For each of ``points`` (x, y), the index of the nearest rock of
+    ``scenario`` and its distance, as two arrays; with no rock, index -1
+    at an infinite distance."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    rocks = np.array([(r.x, r.y) for r in scenario.rocks]).reshape(-1, 2)
+    if not len(rocks):
+        return np.full(len(points), -1), np.full(len(points), np.inf)
+    dist = np.linalg.norm(points[:, None] - rocks[None], axis=2)
+    nearest = dist.argmin(axis=1)
+    return nearest, dist[np.arange(len(points)), nearest]
+
+
 def _wrap_angle(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -242,7 +256,12 @@ def scenario_to_json(scenario):
 
 
 def scenario_from_json(text):
+    """The scenario ``scenario_to_json`` wrote; a ``ValueError`` if
+    ``text`` is no JSON or no scenario."""
     d = json.loads(text)
-    ws = Workspace(d["workspace"]["lengths"], d["workspace"]["lows"])
-    rocks = tuple(Rock(float(r["x"]), float(r["y"]), str(r["class"])) for r in d["rocks"])
-    return Scenario(workspace=ws, rocks=rocks, seed=d.get("seed"))
+    try:
+        ws = Workspace(d["workspace"]["lengths"], d["workspace"]["lows"])
+        rocks = tuple(Rock(float(r["x"]), float(r["y"]), str(r["class"])) for r in d["rocks"])
+        return Scenario(workspace=ws, rocks=rocks, seed=d.get("seed"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"not a scenario ({exc!r})") from exc

@@ -19,6 +19,25 @@ from bleto.world import CameraModel
 BODY_DIAGONAL = math.hypot(*BiLevelConfig.coarse_lengths)
 CAMERA_DIAGONAL = math.hypot(2.0 * BiLevelConfig.yaw_limit,
                              BiLevelConfig.pitch_bounds[1] - BiLevelConfig.pitch_bounds[0])
+# the messages of a control box whose longest step crosses that diagonal
+BODY_PAST = "coarse_dt and body_speed_max give the body a longest step"
+CAMERA_PAST = "fine_dt and camera_rate_max give the camera a longest step"
+
+
+def longest_step_values(factor):
+    """Each of coarse_dt, body_speed_max, fine_dt and camera_rate_max at
+    ``factor`` times the value whose longest step, the other default
+    unchanged, is its workspace's diagonal."""
+    cfg = BiLevelConfig
+    return {
+        "coarse_dt": factor * BODY_DIAGONAL / cfg.body_speed_max,
+        "body_speed_max": factor * BODY_DIAGONAL / cfg.coarse_dt,
+        "fine_dt": factor * CAMERA_DIAGONAL / (cfg.camera_rate_max * math.sqrt(2.0)),
+        "camera_rate_max": factor * CAMERA_DIAGONAL / (cfg.fine_dt * math.sqrt(2.0)),
+    }
+
+
+PAST_DIAGONAL = longest_step_values(1.0 + 1e-12)
 
 
 class TestHorizons:
@@ -115,12 +134,8 @@ BAD_GEOMETRY = [
                  id="body_speed_max"),
     pytest.param("body_turn_max", 0.0, "body_turn_max must be positive",
                  id="body_turn_max"),
-    pytest.param("body_step_cap", -1.0, "body_step_cap must be positive",
-                 id="body_step_cap"),
     pytest.param("camera_rate_max", 0.0, "camera_rate_max must be positive",
                  id="camera_rate_max"),
-    pytest.param("camera_step_cap", 0.0, "camera_step_cap must be positive",
-                 id="camera_step_cap"),
     pytest.param("pitch_bounds", [0.5, -1.5], "pitch_bounds must be increasing",
                  id="pitch_bounds"),
     pytest.param("camera_start", [3.0, 0.0],
@@ -133,9 +148,8 @@ BAD_GEOMETRY = [
     pytest.param("fixed_pitch", 2.0, "fixed_pitch lies outside pitch_bounds",
                  id="fixed_pitch"),
     # a non-finite length, low or limit was accepted, or rejected under the
-    # name of another field: a start pose outside the workspace or a step
-    # cap of at least inf; an infinite step cap stopped the mission's first
-    # solve, and an infinite turn rate ran on through NaN arithmetic
+    # name of another field, and an infinite turn rate ran on through NaN
+    # arithmetic
     pytest.param("coarse_lengths", [100.0, float("nan")],
                  "coarse_lengths must be a list of the form", id="coarse_lengths_nan"),
     pytest.param("coarse_lengths", [100.0, float("inf")],
@@ -148,10 +162,6 @@ BAD_GEOMETRY = [
                  id="body_speed_max_infinite"),
     pytest.param("camera_rate_max", float("inf"),
                  "camera_rate_max must be a finite number", id="camera_rate_max_infinite"),
-    pytest.param("body_step_cap", float("inf"), "body_step_cap must be a finite number",
-                 id="body_step_cap_infinite"),
-    pytest.param("camera_step_cap", float("inf"),
-                 "camera_step_cap must be a finite number", id="camera_step_cap_infinite"),
     pytest.param("body_turn_max", float("inf"), "body_turn_max must be a finite number",
                  id="body_turn_max_infinite"),
 ]
@@ -183,10 +193,9 @@ class TestGeometryValidation:
 
 
 # configs that passed validation and then stopped with a traceback and exit
-# status 1: a wrong type or vector length, or a step cap below the longest
-# step of the solver's initial guess ("initial iterate infeasible for the
-# barrier"); from the bool rows on, configs that ran with exit status 0 on a
-# wrong value; each row is (section, field, value, message)
+# status 1: a wrong type or vector length; from the bool rows on, configs
+# that ran with exit status 0 on a wrong value; each row is (section, field,
+# value, message)
 CRASHING_CONFIGS = [
     pytest.param(None, "rock_count", 1.5, "rock_count must be an integer", id="rock_count"),
     pytest.param(None, "placement", "clustered", "unknown placement 'clustered'",
@@ -203,10 +212,6 @@ CRASHING_CONFIGS = [
                  id="coarse_lows"),
     pytest.param("mission", "coarse_horizon", 2.5, "coarse_horizon must be an integer",
                  id="coarse_horizon"),
-    pytest.param("mission", "body_step_cap", 4.0, "body_step_cap must be at least",
-                 id="body_step_cap"),
-    pytest.param("mission", "camera_step_cap", 0.2, "camera_step_cap must be at least",
-                 id="camera_step_cap"),
     pytest.param(None, "rock_count", True, "rock_count must be an integer",
                  id="rock_count_bool"),
     pytest.param(None, "identification_radius", True,
@@ -242,16 +247,20 @@ CRASHING_CONFIGS = [
                  "fine_plan_time must be a finite number", id="fine_plan_time_infinite"),
     pytest.param("mission", "image_time", float("inf"),
                  "image_time must be a finite number", id="image_time_infinite"),
-    # a step cap longer than its workspace's diagonal never binds; at 1e300
-    # the first solve overflowed squaring it
-    pytest.param("mission", "body_step_cap", 1e300, "body_step_cap must be at most",
-                 id="body_step_cap_huge"),
-    pytest.param("mission", "camera_step_cap", 1e300, "camera_step_cap must be at most",
-                 id="camera_step_cap_huge"),
-    pytest.param("mission", "body_step_cap", math.nextafter(BODY_DIAGONAL, math.inf),
-                 "body_step_cap must be at most", id="body_step_cap_past_diagonal"),
-    pytest.param("mission", "camera_step_cap", math.nextafter(CAMERA_DIAGONAL, math.inf),
-                 "camera_step_cap must be at most", id="camera_step_cap_past_diagonal"),
+    # a control box whose longest step crosses its workspace's diagonal: at
+    # 1e300, with no such relation, the first solve found no interior start
+    pytest.param("mission", "coarse_dt", 1e300, BODY_PAST, id="coarse_dt_huge"),
+    pytest.param("mission", "body_speed_max", 1e300, BODY_PAST, id="body_speed_max_huge"),
+    pytest.param("mission", "fine_dt", 1e300, CAMERA_PAST, id="fine_dt_huge"),
+    pytest.param("mission", "camera_rate_max", 1e300, CAMERA_PAST, id="camera_rate_max_huge"),
+    pytest.param("mission", "coarse_dt", PAST_DIAGONAL["coarse_dt"], BODY_PAST,
+                 id="coarse_dt_past_diagonal"),
+    pytest.param("mission", "body_speed_max", PAST_DIAGONAL["body_speed_max"], BODY_PAST,
+                 id="body_speed_max_past_diagonal"),
+    pytest.param("mission", "fine_dt", PAST_DIAGONAL["fine_dt"], CAMERA_PAST,
+                 id="fine_dt_past_diagonal"),
+    pytest.param("mission", "camera_rate_max", PAST_DIAGONAL["camera_rate_max"],
+                 CAMERA_PAST, id="camera_rate_max_past_diagonal"),
     # a repeated seed ran its scenario twice per method, the second trial
     # overwriting the first's directory and table.json counting both
     pytest.param(None, "seeds", [1, 1], "seeds must be nonnegative and nonempty, "
@@ -402,6 +411,10 @@ REMOVED_SWITCHES = [
     ("mission", "track_noise", 0.0),
     ("camera", "offset_noise", 0.0),
     ("camera", "false_positive_rate", 0.0),
+    # per-step position caps no returned plan reached: the control boxes
+    # are the only step limits
+    ("mission", "body_step_cap", 6.75),
+    ("mission", "camera_step_cap", 0.36),
 ]
 
 
@@ -500,7 +513,8 @@ class TestExtremeNumbers:
         # a config that passes validation runs a 20 s bl-eto mission to exit
         # status 0 and strict-JSON metrics; one that does not exits 2 and
         # names the field, also where a huge magnitude breaks a relation to
-        # another field (a 1e300 coarse_dt makes body_step_cap too short)
+        # another field (a 1e300 coarse_dt makes the body's longest step
+        # cross its workspace)
         value = with_entry(getattr(CONSTRUCTORS[section](), name), path, extreme)
         config = {"mission": {"time_budget": 20.0}}
         (config if section is None else config.setdefault(section, {}))[name] = value
@@ -533,40 +547,23 @@ class TestJsonForm:
         assert len(trials[0]) > 1 and trials[0] == trials[1]
 
 
-class TestStepCaps:
-    """The least accepted caps: the longest step of the control box (the
-    body's speed limit over ``coarse_dt``, the camera's rate box diagonal
-    over ``fine_dt``), plus the cold guess's wiggle of 1 mm per axis twice,
-    plus the interior nudge, 1e-3 of the workspace diagonal."""
+class TestLongestSteps:
+    """A control box's longest step over one step time (coarse_dt *
+    body_speed_max for the body, fine_dt * camera_rate_max * sqrt 2 for the
+    camera) may reach its workspace's diagonal, and no further."""
 
-    @staticmethod
-    def least_caps():
-        cfg = BiLevelConfig()
-        fine_lengths = (2.0 * cfg.yaw_limit, cfg.pitch_bounds[1] - cfg.pitch_bounds[0])
-        body = (cfg.coarse_dt * cfg.body_speed_max + 2.0 * 1e-3 * math.sqrt(2)
-                + 1e-3 * math.hypot(*cfg.coarse_lengths))
-        camera = (cfg.fine_dt * math.hypot(cfg.camera_rate_max, cfg.camera_rate_max)
-                  + 2.0 * 1e-3 * math.sqrt(2) + 1e-3 * math.hypot(*fine_lengths))
-        return body, camera
+    @pytest.mark.parametrize("field", sorted(PAST_DIAGONAL))
+    def test_a_step_just_short_of_the_diagonal_is_accepted(self, field):
+        # just past it, each field is rejected (CRASHING_CONFIGS)
+        BiLevelConfig(**{field: longest_step_values(1.0 - 1e-12)[field]})
 
-    def test_least_caps_are_the_boundary(self):
-        body, camera = self.least_caps()
-        assert 4.5 < body < BiLevelConfig.body_step_cap
-        assert 0.6 * 0.4 * math.sqrt(2) < camera < BiLevelConfig.camera_step_cap
-        BiLevelConfig(body_step_cap=body, camera_step_cap=camera)
-        for field, cap in (("body_step_cap", body), ("camera_step_cap", camera)):
-            with pytest.raises(ValueError, match=f"{field} must be at least"):
-                BiLevelConfig(**{field: math.nextafter(cap, 0.0)})
-
-    def test_greatest_caps_are_the_diagonals(self):
-        BiLevelConfig(body_step_cap=BODY_DIAGONAL, camera_step_cap=CAMERA_DIAGONAL)
-
-    def test_mission_at_the_least_caps_completes(self):
-        # from corners of both workspaces, where the nudge moves the first
-        # free position of every guess the most
-        body, camera = self.least_caps()
-        mission = BiLevelConfig(time_budget=120.0, body_step_cap=body,
-                                camera_step_cap=camera, start_pose=(100.0, 0.0, 0.0),
+    def test_mission_at_the_longest_steps_completes(self):
+        # from corners of both workspaces, each box's longest step just short
+        # of its workspace's diagonal
+        fast = longest_step_values(1.0 - 1e-12)
+        mission = BiLevelConfig(time_budget=120.0, body_speed_max=fast["body_speed_max"],
+                                camera_rate_max=fast["camera_rate_max"],
+                                start_pose=(100.0, 0.0, 0.0),
                                 camera_start=(-BiLevelConfig.yaw_limit,
                                               BiLevelConfig.pitch_bounds[0]))
         metrics = run_trial(ExperimentConfig(mission=mission), 1)

@@ -95,12 +95,12 @@ class TestRollout:
 class TestControlBounds:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ControlBounds((0.0, 0.0), (0.0, 1.0), 0.5)
+            ControlBounds((0.0, 0.0), (0.0, 1.0))
         with pytest.raises(ValueError):
-            ControlBounds((-1.0,), (1.0,), 0.0)
+            ControlBounds((-1.0,), (1.0, 1.0))
 
     def test_clip(self):
-        b = ControlBounds((-0.3, -0.5), (0.3, 0.5), 0.45)
+        b = ControlBounds((-0.3, -0.5), (0.3, 0.5))
         u = np.array([[1.0, -2.0], [0.1, 0.2]])
         out = b.clip(u)
         assert np.allclose(out, [[0.3, -0.5], [0.1, 0.2]])

@@ -9,14 +9,14 @@ change that is meant to be a pure refactor or speed-up must keep every
 digest; a change that alters behaviour on purpose must update the digests
 and say why.
 
-The digests were recorded with the per-axis coverage contraction
-(``ergodic.CoverageCost`` and ``map_coefficients`` as matrix products of the
-basis tables), which replaced the per-mode value and gradient arrays and
-so changed the bits of every mission, on linux x86-64 with numpy 2.4.6 and
-scipy-openblas, BLAS on one thread.  The fixed-camera runs see no
-detection within 120 s, so their image logs do not depend on the seed;
-bl-eto on seed 1 detects a rock and so exercises the map updates.  The
-random camera's seed-1 run detects a rock, its seed-2 run does not.
+The digests were recorded after the per-step position cap left the solver,
+which changed its barrier and so the bits of every mission, and after
+``bench.score`` began crediting each detection's nearest rock only, on
+linux x86-64 with numpy 2.4.6 and scipy-openblas, BLAS on one thread.  The
+fixed-camera runs see no detection within 120 s, so their image logs do
+not depend on the seed; bl-eto on seed 1 detects a rock and so exercises
+the map updates.  The random camera's seed-1 run detects a rock, its
+seed-2 run does not.
 """
 
 import hashlib
@@ -30,46 +30,46 @@ GOLDEN_BUDGET_S = 120.0
 
 GOLDEN = {
     ("bl-eto", 1): {
-        "metrics.json": "ddf0ae6deccd4970d4325a18fbdaa899c7ae757118799ca166695aed8fa8616c",
-        "detections.jsonl": "232c294c3281ded48a76523ba6b94f5ee97e67e6d74a84715da661e48a0f1c92",
+        "metrics.json": "ab5a9c8df9272b14d7604ebb53f2d737ea9c4d64f6b7d7eab063462893379f45",
+        "detections.jsonl": "87fc36e78bd6f945f713c37e7bbe4d7c2b0d2f3aa16a00afdd1054b7101b1838",
     },
     ("bl-eto", 2): {
-        "metrics.json": "f29cb8159bf99370380ffbf8356104f92b05aa291911b916311172e4be19a280",
-        "detections.jsonl": "adfffefa78537bc154c0f2cd4ea268f119c6af889cc54396b41b9aed9479f461",
+        "metrics.json": "95917b72e365fbc04c6da9823f102a43e3fa212fe1bbb8978064de61cec60ad3",
+        "detections.jsonl": "790d76890e6efb734889e74f5edc30c65dc37cc9a6bd92f2a8183bb2c0cb02b4",
     },
     ("eto-fixed-camera", 1): {
-        "metrics.json": "77af691b429fedaab82a86dff6bc4ba407589b38049deb6ca5c38c44f6f13c42",
-        "detections.jsonl": "1ae4c4699120b2bc1bf372cec582d1a00a9381884d63d67d2ba52b0ec908d360",
+        "metrics.json": "d2cd93f735f5114beef3cdf6ff1a1587b260a821e4ae5d2758f4bbfb646bb78e",
+        "detections.jsonl": "e5908220325bc71bfbe5decd56cfe96abd37e4e74015f08be9d3e0df030f8660",
     },
     ("eto-fixed-camera", 2): {
-        "metrics.json": "753c7aa10688ea06a8c43b71e661ab04ae2834a00bc23e4b1b18954662603a7c",
-        "detections.jsonl": "1ae4c4699120b2bc1bf372cec582d1a00a9381884d63d67d2ba52b0ec908d360",
+        "metrics.json": "99c21fcdc6104a655633ebb3c50728dc47ce94a0b5e3f1f5e50ad3439828cbb0",
+        "detections.jsonl": "e5908220325bc71bfbe5decd56cfe96abd37e4e74015f08be9d3e0df030f8660",
     },
     ("eto-random-camera", 1): {
-        "metrics.json": "9424eb73a631b7f463fdc2173f1177633143fdef6e2b1411822ce89a4cabfe6e",
-        "detections.jsonl": "5d211003c35fe2ee940d79fb6c83359cbc641042bc3039b58b9d62392b89a761",
+        "metrics.json": "a78193c66c3f0fdbd17d59a3ac2d32a20b9679a21cd3fac2a8678659e7e9d72a",
+        "detections.jsonl": "d8b06339fb04922f404d3dc6e933798c563e7a9c90806cfbc3c3d35213b8004a",
     },
     ("eto-random-camera", 2): {
-        "metrics.json": "eaf268e588cf8a9623cfa375d1aa00f3ec935af8b12be4b213906086791c2b1a",
-        "detections.jsonl": "28b40bc0d56dbf41c84c8eda895369412513ac8a40b31eef0da3d42f9ac1736c",
+        "metrics.json": "e030137f0101b8a82cd805c2b3169249d7f5e8d90431b3efd3c9dcc763405904",
+        "detections.jsonl": "c91bbb69479ec2873b23d156fc7431196ff036fe0b22202ecf468336d5311ded",
     },
 }
 
 
 # The seed-1 missions of the benchmark's three workloads at its own budgets,
 # configured as perfbench/workloads.py configures them, with their
-# metrics.json digests.  These were recorded with the per-axis contraction;
-# the digests in perfbench/baseline.json come from the per-mode arrays
-# before it and no longer match.  The open-loop mission covers the cold
-# solve, many fine solves and replans after an exhausted plan; the receding
-# one makes 20 detections.
+# metrics.json digests.  These were recorded without the per-step position
+# cap; the digests in perfbench/baseline.json are older and no longer
+# match.  The open-loop mission covers the cold solve, many fine solves and
+# replans after an exhausted plan, and makes 13 detections; the receding
+# one makes 7.
 BENCHMARK_WORKLOADS = {
     "receding": ("bl-eto", 300.0, False,
-                 "e01a42786198023af522cfed2a4d598af4f8988791f03e3c8d518b283fc7e23c"),
+                 "dc86d3870aa4e5127e93fcbe50b17383f4723f89fe277e2bf725ec1f88596f6f"),
     "open-loop": ("bl-eto", 2700.0, True,
-                  "1f9a323665ac48cd27af4db5b82ae6f5f1c540f05563ea791332512825ffdcbb"),
+                  "183c7f1fd2032097f6bb1e39fa3ece9f2506e0232e189b2b209171360044dfb7"),
     "fixed-camera": ("eto-fixed-camera", 300.0, False,
-                     "b8ea09f422b3ee81f1be7be802e45a4ba2461fee6e0b98aadd54c132daa1b9e5"),
+                     "68b57ca0690b4e0178d316bdd0ff566f48180a9aa4eddeb7631fb12ea3a796e4"),
 }
 
 

@@ -11,6 +11,7 @@ coarse plan.
 """
 
 import functools
+import hashlib
 import json
 import math
 
@@ -26,7 +27,7 @@ from bleto.dynamics import UnicycleModel
 from bleto.ergodic import Workspace
 from bleto.infomap import DetectionEvent
 from bleto.planner import BiLevelConfig, Mission, MissionLog
-from bleto.world import Rock, Scenario
+from bleto.world import Rock, Scenario, scenario_to_json
 
 SWEEP_BUDGET_S = 120.0
 
@@ -110,6 +111,21 @@ class TestMissionInvariants:
         assert all(np.diff(ends) == per_sweep)
         # only the final sweep, cut short by the clock, has no body step
         assert 0 <= len(log.events) - ends[-1] <= per_sweep
+
+    def test_every_move_stays_inside_its_control_box(self, sweep_case):
+        # the control boxes are the only step limits: a body step is at most
+        # coarse_dt * body_speed_max long, and the optimized camera moves at
+        # most fine_dt * camera_rate_max per axis between images (the random
+        # camera jumps by design, the fixed one stays)
+        method, log = sweep_case
+        cfg = BiLevelConfig()
+        steps = np.diff(np.array(log.body_states)[:, 1:3], axis=0)
+        assert len(steps) > 1
+        assert np.hypot(*steps.T).max() <= cfg.coarse_dt * cfg.body_speed_max * (1 + 1e-9)
+        if method != "eto-random-camera":
+            moves = np.abs(np.diff([e.camera_angles for e in log.events], axis=0))
+            most = cfg.fine_dt * cfg.camera_rate_max if method == "bl-eto" else 0.0
+            assert moves.max() <= most * (1 + 1e-9)
 
     @pytest.mark.parametrize("method,action", CLOCK_CASES)
     def test_the_budget_ends_the_mission_within_any_action(self, method, action):
@@ -286,7 +302,7 @@ class TestCompare:
 
 
 class TestScorecard:
-    def test_compare_writes_a_paired_scorecard(self, tmp_path):
+    def test_compare_writes_a_paired_scorecard(self, tmp_path, capsys):
         seeds = (1, 2)
         config = ExperimentConfig(mission=BiLevelConfig(time_budget=SWEEP_BUDGET_S),
                                   seeds=seeds)
@@ -312,6 +328,15 @@ class TestScorecard:
                 assert [d[key] for d in pair["per_seed"]] == [
                     ours[key] - theirs[key]
                     for ours, theirs in zip(card["rows"]["bl-eto"], card["rows"][other])]
+        # the fixed camera sees no rock in 120 s, so both seeds run one path
+        paths = {method: len({hashlib.sha256(
+                     (tmp_path / method / f"seed_{seed}" / "trajectory.csv").read_bytes()
+                 ).hexdigest() for seed in seeds}) for method in bleto.bench.METHODS}
+        assert card["distinct_paths"] == paths and paths["eto-fixed-camera"] == 1
+        # bl-eto's seed-1 trial detects a rock, which inspect names
+        capsys.readouterr()
+        assert main(["inspect", "--log", str(tmp_path / "bl-eto" / "seed_1")]) == EXIT_OK
+        assert "nearest rock" in capsys.readouterr().out
 
     def test_row_counts_the_rock_each_detection_images(self):
         scenario = Scenario(Workspace((100.0, 100.0)),
@@ -329,11 +354,25 @@ class TestScorecard:
             path_length=5.05)
         metrics = bleto.bench.score(log, scenario, 5.0, "bl-eto", 1)
         row = bleto.bench.scorecard_row(metrics, log, scenario)
-        # the sighting of the first rock also credits the second, 3 m away
-        assert (metrics.rocks_found, row["imaged"]) == (3, 2)
+        # each detection credits only its nearest rock, not the second one
+        # 3 m from the first
+        assert (metrics.rocks_found, row["imaged"]) == (2, 2)
         assert row["path_per_imaged_m"] == pytest.approx(5.05 / 2)
         assert row["lock_on_share"] == 0.75
         assert row["parked_share"] == 0.5
+
+    def test_a_detection_credits_only_its_nearest_rock(self):
+        # one detection on a rock, 4.5 m from another rock that lies within
+        # the identification radius of it too
+        scenario = Scenario(Workspace((100.0, 100.0)),
+                            (Rock(20.0, 20.0, "igneous"), Rock(24.5, 20.0, "sedimentary")))
+        log = MissionLog(
+            body_states=[(0.0, 20.0, 18.0, 0.0, 0.0, 0.0)],
+            events=[DetectionEvent(0.0, (20.0, 18.0, 0.0), (0.0, 0.0), "igneous",
+                                   (20.0, 20.0))])
+        metrics = bleto.bench.score(log, scenario, 5.0, "bl-eto", 1)
+        assert metrics.rocks_found == 1
+        assert bleto.bench.scorecard_row(metrics, log, scenario)["imaged"] == 1
 
 
 class TestCli:
@@ -397,6 +436,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"cannot read {tmp_path / 'detections.jsonl'}" in err
         assert "not a detection event" in err
+
+    def test_inspect_names_the_nearest_rock(self, tmp_path, capsys):
+        # each printed detection names the rock of scenario.json nearest it,
+        # by index, class and distance
+        scenario = Scenario(Workspace((100.0, 100.0)),
+                            (Rock(80.0, 80.0, "igneous"), Rock(20.0, 20.0, "sedimentary")))
+        (tmp_path / "scenario.json").write_text(scenario_to_json(scenario))
+        (tmp_path / "metrics.json").write_text("{}")
+        event = DetectionEvent(3.0, (20.0, 17.0, 0.0), (0.0, 0.0), "sedimentary",
+                               (20.0, 20.25))
+        (tmp_path / "detections.jsonl").write_text(json.dumps(event.to_json_dict()) + "\n")
+        assert main(["inspect", "--log", str(tmp_path)]) == EXIT_OK
+        assert ("sedimentary  at (20.00, 20.25)  nearest rock 1 (sedimentary) at 0.25 m"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"rocks": []}',
+                                      '{"workspace": {"lengths": [1, 1], "lows": [0, 0]}, '
+                                      '"rocks": [{"x": 0.5, "y": 0.5, "class": "basalt"}]}'],
+                             ids=["not-json", "not-an-object", "no-workspace", "bad-class"])
+    def test_inspect_of_an_unreadable_scenario_exits_with_config_status(
+            self, tmp_path, capsys, text):
+        (tmp_path / "metrics.json").write_text("{}")
+        (tmp_path / "scenario.json").write_text(text)
+        assert main(["inspect", "--log", str(tmp_path)]) == EXIT_CONFIG
+        assert f"cannot read {tmp_path / 'scenario.json'}" in capsys.readouterr().err
 
     def test_inspect_rejects_a_negative_head(self, tmp_path, capsys):
         # printed every detection but the last

@@ -33,7 +33,7 @@ def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
         basis=basis, target_coefficients=phi, model=UnicycleModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=dt,
         control_weight=weight,
-        bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5), 1.5 * 0.3 * dt), **{**EFFORT, **kw})
+        bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5)), **{**EFFORT, **kw})
 
 
 def fine_problem(x0=(0.0, -0.35), horizon=5, modes=8, **kw):
@@ -45,7 +45,15 @@ def fine_problem(x0=(0.0, -0.35), horizon=5, modes=8, **kw):
         basis=basis, target_coefficients=phi, model=SingleIntegratorModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=0.4,
         control_weight=1e-2,
-        bounds=ControlBounds((-0.6, -0.6), (0.6, 0.6), 0.36), **{**EFFORT, **kw})
+        bounds=ControlBounds((-0.6, -0.6), (0.6, 0.6)), **{**EFFORT, **kw})
+
+
+def longest_step(problem):
+    """The longest position step of the control box over one ``dt``: the
+    speed limit of a unicycle, the diagonal of a single integrator's rate
+    box."""
+    reach = problem.dt * np.maximum(-problem.bounds.lower, problem.bounds.upper)
+    return float(reach[0] if isinstance(problem.model, UnicycleModel) else np.hypot(*reach))
 
 
 def random_feasible_z(problem, rng):
@@ -88,15 +96,15 @@ class TestProblemValidation:
 
 
 def random_walk_z(problem, rng):
-    """Decision vector whose states form a bounded random walk, so the
-    per-step position-change barrier stays feasible."""
+    """Decision vector whose states form a bounded random walk in steps
+    the control box could take, strictly inside the workspace."""
     T, n, m = problem.horizon, problem.model.state_dim, problem.model.control_dim
     v = 2
     ws = problem.workspace
     xs = np.zeros((T - 1, n))
     pos = ws.lows + 0.5 * ws.lengths
     for t in range(T - 1):
-        pos = np.clip(pos + rng.uniform(-0.5, 0.5, v) * problem.bounds.max_step,
+        pos = np.clip(pos + rng.uniform(-0.5, 0.5, v) * longest_step(problem),
                       ws.lows + 0.02 * ws.lengths, ws.highs - 0.02 * ws.lengths)
         xs[t, :v] = pos
         if n > v:
@@ -221,7 +229,7 @@ class TestSolve:
             assert np.all(traj.controls >= prob.bounds.lower - 1e-12)
             assert np.all(traj.controls <= prob.bounds.upper + 1e-12)
             steps = np.linalg.norm(np.diff(traj.states[:, :2], axis=0), axis=1)
-            assert steps.max() <= prob.bounds.max_step + 1e-8
+            assert steps.max() <= longest_step(prob) * (1.0 + 1e-9)
             assert prob.workspace.contains(traj.states[:, :2]).all()
 
     def test_deterministic_to_the_bit(self):
@@ -357,7 +365,8 @@ def solve_digest(traj):
 def reference_max_feasible_alpha(problem, z, step_z):
     """The fraction-to-boundary rule computed from ``z`` itself, as the
     solver did before it read the margins of the iterate's merit
-    evaluation; kept as the reference for ``_max_feasible_alpha``."""
+    evaluation; kept as the reference for ``_max_feasible_alpha``.  The
+    workspace faces are the only boundary."""
     xs, _ = problem.split(z)
     dxs, _ = problem.split(step_z)
     v = 2
@@ -368,21 +377,14 @@ def reference_max_feasible_alpha(problem, z, step_z):
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.where(dpts < 0.0, rel, ws.lengths - rel)
         alpha = np.min(gap / np.abs(dpts), initial=np.inf, where=dpts != 0.0)
-        diff = np.diff(pts, axis=0, prepend=problem.initial_state[None, :v])
-        ddiff = np.diff(dpts, axis=0, prepend=np.zeros((1, v)))
-        a = np.sum(ddiff * ddiff, axis=1)
-        b = 2.0 * np.sum(diff * ddiff, axis=1)
-        c = np.sum(diff * diff, axis=1) - problem.bounds.max_step**2
-        disc = np.sqrt(np.maximum(b ** 2 - 4.0 * a * c, 0.0))
-        roots = (-b + disc) / (2.0 * a)
-        alpha = np.min(roots, initial=alpha, where=(a > 0.0) & (roots > 0.0))
     return float(alpha) if np.isfinite(alpha) else 1.0
 
 
 def interior_walks(problem, rng, n):
     """n decision vectors whose positions walk from the initial state in
-    steps of at most 0.71 of the step cap and stay 2% inside the workspace,
-    so every one is strictly interior for the barrier."""
+    steps of at most 0.71 of the control box's longest step and stay 2%
+    inside the workspace, so every one is strictly interior for the
+    barrier."""
     T, nx, m = problem.horizon, problem.model.state_dim, problem.model.control_dim
     v = 2
     ws = problem.workspace
@@ -390,7 +392,7 @@ def interior_walks(problem, rng, n):
     pos = np.tile(problem.initial_state[:v], (n, 1))
     xs = np.zeros((n, T - 1, nx))
     for t in range(T - 1):
-        step = rng.uniform(-0.5, 0.5, (n, v)) * problem.bounds.max_step
+        step = rng.uniform(-0.5, 0.5, (n, v)) * longest_step(problem)
         pos = np.clip(pos + step, lo, hi)
         xs[:, t, :v] = pos
     xs[:, :, v:] = rng.uniform(-math.pi, math.pi, (n, T - 1, nx - v))
@@ -401,11 +403,10 @@ def interior_walks(problem, rng, n):
 class TestByteIdentity:
     """The solver's output is pinned to the byte.
 
-    The digests were recorded with the per-axis coverage contraction
-    (``ergodic.CoverageCost`` as matrix products of the basis tables),
-    which reassociated the coverage sums and so changed every solve's
-    bits, on linux x86-64 with numpy 2.4.6 and scipy-openblas, BLAS on one
-    thread.  A change meant as a pure speed-up must keep them; one that
+    The digests were recorded after the per-step position cap and its
+    barrier left the solver, which changed every solve's iterates, on
+    linux x86-64 with numpy 2.4.6 and scipy-openblas, BLAS on one thread.
+    A change meant as a pure speed-up must keep them; one that
     alters the solver or its arithmetic on purpose must update them and
     say why.  The settings are the mission's: a cold coarse replan, a warm
     one from ``shift_warm_start`` after one executed step, and a fine
@@ -414,9 +415,9 @@ class TestByteIdentity:
 
     COARSE = dict(dt=15.0, inner_cap=150, outer_rounds=6, optimality_tol=1e-2)
     DIGESTS = {
-        "cold": "dfe4de50ad6d82f8fc05e318c1d5499a7237a1bd99704a24d4cfa0aea6af747d",
-        "warm": "54c7c196370baeb64bfd6061297122e5bed125462806ad641d3ae9c34e332da3",
-        "fine": "66fdb4933dfa9e31aae080a9bf81c1333610bcf787995685d990b19dfbe58373",
+        "cold": "f74722e7580b82c43717adc042946ba3daec68700b955b7b15f568c9fd9997fe",
+        "warm": "c06c8f13e43f0b328c0c747d23ce1ef754b3b919f30d19b1509b6c488a9f9de6",
+        "fine": "8a8175f976c6c6f3fdfbc0adf9b8e6d404416bf34903633896af844ca309d10a",
     }
 
     def test_solves_match_pinned_digests(self):
@@ -435,8 +436,7 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("make", ["coarse", "fine"])
     def test_cached_margins_match_reference_rule(self, make):
-        # starts near a corner, so the walks reach the workspace faces and
-        # a face binds about as often as the step cap does
+        # starts near a corner, so the walks reach the workspace faces
         if make == "coarse":
             prob = coarse_problem(x0=(4.0, 96.0, 0.3), dt=15.0)
         else:
@@ -457,7 +457,7 @@ class TestByteIdentity:
             elif k % 2:  # every position shifts alike: the workspace faces bind
                 dxs, _ = prob.split(step_z)
                 dxs[:, :v] = dxs[0, :v]
-            else:  # some coordinates stand still; mostly the step cap binds
+            else:  # some coordinates stand still
                 step_z[rng.random(z.size) < 0.2] = 0.0
             assert (_max_feasible_alpha(prob, point, step_z)
                     == reference_max_feasible_alpha(prob, z, step_z))
@@ -520,7 +520,7 @@ class TestLeanForms:
         # controls; a speed box starting at zero makes signed-zero ties
         prob = dataclasses.replace(
             coarse_problem(horizon=12, modes=4),
-            bounds=ControlBounds((0.0, -0.5), (0.3, 0.5), 6.75))
+            bounds=ControlBounds((0.0, -0.5), (0.3, 0.5)))
         lower, upper = prob.decision_bounds()
         rng = np.random.default_rng(62)
         special = np.array([0.0, -0.0, 0.3, -0.5, 0.5, np.inf, -np.inf, np.nan])
