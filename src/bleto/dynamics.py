@@ -72,6 +72,17 @@ class UnicycleModel:
         B[:, 2, 1] = dt
         return A, B
 
+    def vjp(self, states, controls, dt, r):
+        """(Aᵀr, Bᵀr) for the Jacobians A, B of ``jacobians`` and one
+        cotangent row r_t per step, without forming A or B."""
+        h = states[:, 2]
+        sin_h, cos_h = np.sin(h), np.cos(h)
+        dt_v = dt * controls[:, 0]
+        g_x = r.copy()
+        g_x[:, 2] += dt_v * cos_h * r[:, 1] - dt_v * sin_h * r[:, 0]
+        g_u = np.stack((dt * cos_h * r[:, 0] + dt * sin_h * r[:, 1], dt * r[:, 2]), axis=1)
+        return g_x, g_u
+
 
 class SingleIntegratorModel:
     """First-order point; state and control share the workspace coordinates."""
@@ -92,6 +103,10 @@ class SingleIntegratorModel:
         B = np.zeros((T, 2, 2))
         B.reshape(T, 4)[:, ::3] = dt
         return A, B
+
+    def vjp(self, states, controls, dt, r):
+        """(Aᵀr, Bᵀr) with A = I and B = dt I."""
+        return r.copy(), dt * r
 
 
 def rollout(model, initial_state, controls, dt):

@@ -34,10 +34,19 @@ BLAS ddot that ``@`` reaches too), norms call ``_norm`` (numpy's own
 definition of ``np.linalg.norm`` for a 1-D vector), projections call
 ``ndarray.clip`` (the ufunc behind ``np.clip``), and ``_merit`` and
 ``_max_feasible_alpha`` slice ``z`` by its fixed layout instead of going
-through ``ErgodicProblem.split``.  The coverage sums are per-axis matrix
-products of the basis tables (``ergodic.CoverageCost``); that contraction
-is the reference form.  A rewrite that changes the bits changes every
-mission, so it is a behaviour change, not a speed-up:
+through ``ErgodicProblem.split``.  Three forms are the reference for what
+they compute:
+
+* the coverage sums are per-axis matrix products of the basis tables
+  (``ergodic.CoverageCost``);
+* the quasi-Newton direction is the compact L-BFGS product of
+  ``_CompactLbfgs``: matrix–vector products with the pairs' rows and the
+  kept R⁻¹, not the two-loop recursion's sequential dots;
+* the dynamics term of the gradient is each model's ``vjp``, written out
+  per entry rather than contracted from its ``jacobians``.
+
+A rewrite that changes the bits changes every mission, so it is a
+behaviour change, not a speed-up:
 
 * reassociating a sum or a product, the per-axis contraction included
   (going back to one entry per mode and point, or contracting the axes in
@@ -45,8 +54,9 @@ mission, so it is a behaviour change, not a speed-up:
 * folding a divisor such as ``1/h_k`` into other factors, or multiplying
   by a reciprocal where the code divides;
 * merging separate ``.sum()`` calls;
-* replacing an ``einsum``, a matrix product or a sequential dot with
-  another contraction.
+* replacing an ``einsum`` or a matrix product with another contraction,
+  such as the compact L-BFGS product with the two-loop recursion, or
+  updating R⁻¹ in another way.
 
 Such a change re-records the pins and shows the paired-seed scorecard
 (``bench.scorecard``) before and after it.
@@ -331,11 +341,11 @@ class _MeritPoint:
         g_states = np.zeros(states.shape)
         g_states[:, :2] = g_pts
         g_us = self.scale * 2.0 * self.Ru
-        A, B = model.jacobians(states[:-1], us[:-1], problem.dt)
         r = (self.lam + self.rho * self.d) / self.sig
         g_states[1:] += r
-        g_states[:-1] -= np.einsum("tij,ti->tj", A, r)
-        g_us[:-1] -= np.einsum("tij,ti->tj", B, r)
+        r_x, r_u = model.vjp(states[:-1], us[:-1], problem.dt, r)
+        g_states[:-1] -= r_x
+        g_us[:-1] -= r_u
         return problem.join(g_states[1:], g_us)
 
 
@@ -359,20 +369,73 @@ def _norm(x):
     return math.sqrt(x.dot(x))
 
 
-def _two_loop(g, pairs):
-    q = np.array(g)
-    alphas = []
-    for s, y, rho_i in reversed(pairs):
-        a = rho_i * s.dot(q)
-        q -= a * y
-        alphas.append(a)
-    if pairs:
-        s, y, _ = pairs[-1]
-        q *= s.dot(y) / y.dot(y)
-    for (s, y, rho_i), a in zip(pairs, reversed(alphas)):
-        b = rho_i * y.dot(q)
-        q += (a - b) * s
-    return q
+class _CompactLbfgs:
+    """The limited-memory BFGS inverse Hessian H of the newest ``memory``
+    curvature pairs (s, y), in the compact form of Byrd, Nocedal & Schnabel
+    ("Representations of quasi-Newton matrices and their use in limited
+    memory methods", 1994).
+
+    With S and Y the pairs as rows, R the upper triangle of SYᵀ, D its
+    diagonal (the sᵀy) and γ = sᵀy/yᵀy of the newest pair,
+
+        H g = γ q + Sᵀ R⁻ᵀ (D u − γ Y q),   u = R⁻¹ S g,  q = g − Yᵀ u.
+
+    u and q are the two-loop recursion's first-loop multipliers and vector,
+    here from matrix–vector products; Y q is taken from q itself rather
+    than as γYYᵀu − γYg, whose terms cancel as q shrinks.  The rows live in
+    a 2·``memory``-row window, so the kept pairs are always one contiguous
+    slice and dropping the oldest moves nothing.  R⁻¹ is kept beside them:
+    the inverse of R's trailing block is the trailing block of R⁻¹, and a
+    new pair adds the column −R⁻¹(S y)/sᵀy and the diagonal 1/sᵀy.  Entries
+    below the diagonal are never written, so they stay zero.
+    """
+
+    def __init__(self, n, memory):
+        self._memory = memory
+        self._s = np.zeros((2 * memory, n))
+        self._y = np.zeros((2 * memory, n))
+        self._sy = np.zeros(2 * memory)
+        self._r_inv = np.zeros((2 * memory, 2 * memory))
+        self._lo = self._hi = 0  # the kept pairs are rows lo..hi-1
+        self._gamma = 1.0
+
+    def clear(self):
+        self._lo = self._hi = 0
+
+    def append(self, s, y, sy):
+        """Keep the pair (s, y) with sᵀy = ``sy`` > 0, dropping the oldest
+        pair when ``memory`` are kept."""
+        lo, hi, m = self._lo, self._hi, self._memory
+        if hi - lo == m:
+            lo += 1
+        if hi == 2 * m:  # the window is at the end of its rows: move it to the start
+            k = hi - lo
+            for buf in (self._s, self._y, self._sy):
+                buf[:k] = buf[lo:hi]
+            self._r_inv[:k, :k] = self._r_inv[lo:hi, lo:hi]
+            lo, hi = 0, k
+        self._s[hi] = s
+        self._y[hi] = y
+        self._sy[hi] = sy
+        r_inv = self._r_inv
+        r_inv[lo:hi, hi] = r_inv[lo:hi, lo:hi].dot(self._s[lo:hi].dot(y)) * (-1.0 / sy)
+        r_inv[hi, hi] = 1.0 / sy
+        self._lo, self._hi = lo, hi + 1
+        self._gamma = sy / y.dot(y)
+
+    def apply(self, g):
+        """H g; g itself while no pair is kept."""
+        lo, hi = self._lo, self._hi
+        if lo == hi:
+            return g.copy()
+        S, Y, r_inv = self._s[lo:hi], self._y[lo:hi], self._r_inv[lo:hi, lo:hi]
+        u = r_inv.dot(S.dot(g))
+        q = g - u.dot(Y)
+        w = self._sy[lo:hi] * u
+        w -= self._gamma * Y.dot(q)
+        q *= self._gamma
+        q += w.dot(r_inv).dot(S)
+        return q
 
 
 def default_initial_guess(problem):
@@ -472,6 +535,7 @@ def solve(problem, warm_start=None):
     scale = _objective_scale(problem)
     sig = _wavelength_scales(problem)
     precond = _preconditioner(problem, sig)
+    lbfgs = _CompactLbfgs(z.size, _LBFGS_MEMORY)
 
     diag = SolveDiagnostics(initial_cost=init_objective)
     aborted = False
@@ -487,7 +551,7 @@ def solve(problem, warm_start=None):
         round_start = f
         # while the barrier is still strong there is no point polishing
         inner_tol = max(problem.optimality_tol, 1e-2 * mu)
-        pairs = deque(maxlen=_LBFGS_MEMORY)
+        lbfgs.clear()
         it = 0
         round_fails = 0
         pg_norm = np.inf
@@ -502,17 +566,17 @@ def solve(problem, warm_start=None):
             window.append(f)
             if len(window) == window.maxlen and window[0] - f <= 1e-9 * (1.0 + abs(f)):
                 break  # this round has flattened out; let the multipliers move
-            direction = -_two_loop(g_w, pairs)
+            direction = -lbfgs.apply(g_w)
             if direction.dot(g_w) >= 0.0:
                 direction = -g_w
-                pairs.clear()
+                lbfgs.clear()
             step_z = precond * direction
             alpha = min(1.0, 0.95 * _max_feasible_alpha(problem, point, step_z))
             accepted = None
             for _ in range(30):
                 z_new = (z + alpha * step_z).clip(lower, upper)
                 step = z_new - z
-                if _norm(step) == 0.0:
+                if not step.any():
                     break
                 f_new, aux_new, trial = _merit(problem, z_new, lam, rho, mu, scale, sig)
                 if f_new <= f + _ARMIJO * min(0.0, float(g.dot(step))):
@@ -524,7 +588,7 @@ def solve(problem, warm_start=None):
                 fails += 1
                 round_fails += 1
                 diag.line_search_failures += 1
-                pairs.clear()
+                lbfgs.clear()
                 if fails >= _LS_FAIL_LIMIT:
                     aborted = True
                     break
@@ -538,7 +602,7 @@ def solve(problem, warm_start=None):
             y_w = precond * (g_new - g)
             sy = float(s_w.dot(y_w))
             if sy > 1e-8 * (_norm(s_w) * _norm(y_w)):
-                pairs.append((s_w, y_w, 1.0 / sy))
+                lbfgs.append(s_w, y_w, sy)
             z, f, g, aux, point = z_new, f_new, g_new, aux_new, accepted
         diag.iterations += it
         diag.merit_rounds.append((round_start, f))

@@ -64,3 +64,22 @@ def product_form_coverage(basis, points, target_coefficients, weight=1.0):
     coeff = weight * 2.0 * basis.weights * r / T
     grad = np.einsum("k,ktv->tv", coeff, product_form_gradients(basis, pts))
     return c, float(np.sum(basis.weights * r * r)), grad
+
+
+def reference_two_loop(g, pairs):
+    """The L-BFGS inverse-Hessian product H g by the two-loop recursion
+    over ``pairs`` of (s, y, 1/sᵀy), oldest first, with the scaling
+    γ = sᵀy/yᵀy of the newest pair; g itself when there is no pair."""
+    q = np.array(g)
+    alphas = []
+    for s, y, rho_i in reversed(pairs):
+        a = rho_i * s.dot(q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= s.dot(y) / y.dot(y)
+    for (s, y, rho_i), a in zip(pairs, reversed(alphas)):
+        b = rho_i * y.dot(q)
+        q += (a - b) * s
+    return q

@@ -92,6 +92,33 @@ class TestRollout:
         assert np.allclose(states[-1], [3.0, 3.0])
 
 
+class TestVjp:
+    """Each model's vector–Jacobian product gives the floats of the
+    ``einsum`` over its ``jacobians``, signed zeros aside."""
+
+    @pytest.mark.parametrize("model", [UnicycleModel(), SingleIntegratorModel()],
+                             ids=["unicycle", "integrator"])
+    def test_vjp_matches_einsum_over_jacobians(self, model):
+        rng = np.random.default_rng(8)
+        zeros = np.array([0.0, -0.0])
+        for T in (1, 4, 47):
+            for _ in range(200):
+                # views of larger arrays, as the solver passes them, with
+                # a share of entries +0 or -0 in states, controls and r
+                states = rng.normal(size=(T + 1, model.state_dim)) * 10.0
+                controls = rng.normal(size=(T + 1, model.control_dim))
+                r = rng.normal(size=(T, model.state_dim)) * 10.0 ** rng.uniform(-5, 3)
+                for a in (states, controls, r):
+                    pick = rng.random(a.shape) < 0.3
+                    a[pick] = rng.choice(zeros, pick.sum())
+                dt = float(10.0 ** rng.uniform(-2, 2))
+                A, B = model.jacobians(states[:-1], controls[:-1], dt)
+                got = model.vjp(states[:-1], controls[:-1], dt, r)
+                expect = (np.einsum("tij,ti->tj", A, r), np.einsum("tij,ti->tj", B, r))
+                for g, e in zip(got, expect):
+                    assert np.array_equal(g, e)
+
+
 class TestControlBounds:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,10 @@ change that is meant to be a pure refactor or speed-up must keep every
 digest; a change that alters behaviour on purpose must update the digests
 and say why.
 
-The digests were recorded after the per-step position cap left the solver,
-which changed its barrier and so the bits of every mission, and after
-``bench.score`` began crediting each detection's nearest rock only, on
-linux x86-64 with numpy 2.4.6 and scipy-openblas, BLAS on one thread.  The
+The digests were recorded after the solver's L-BFGS two-loop recursion
+gave way to its compact matrix form, which changed the last bits of every
+solve and so every mission, on linux x86-64 with numpy 2.4.6 and
+scipy-openblas, BLAS on one thread.  The
 fixed-camera runs see no detection within 120 s, so their image logs do
 not depend on the seed; bl-eto on seed 1 detects a rock and so exercises
 the map updates.  The random camera's seed-1 run detects a rock, its
@@ -30,46 +30,46 @@ GOLDEN_BUDGET_S = 120.0
 
 GOLDEN = {
     ("bl-eto", 1): {
-        "metrics.json": "ab5a9c8df9272b14d7604ebb53f2d737ea9c4d64f6b7d7eab063462893379f45",
-        "detections.jsonl": "87fc36e78bd6f945f713c37e7bbe4d7c2b0d2f3aa16a00afdd1054b7101b1838",
+        "metrics.json": "5de1fc40739bcbbb0f8de7f2301aed4ccac9c789b6a9b5df6940bcee7eb460e0",
+        "detections.jsonl": "62678df33798f3400a0ae463a1d304b7fd0dc5efb2a3478eeadf40d84338678f",
     },
     ("bl-eto", 2): {
-        "metrics.json": "95917b72e365fbc04c6da9823f102a43e3fa212fe1bbb8978064de61cec60ad3",
-        "detections.jsonl": "790d76890e6efb734889e74f5edc30c65dc37cc9a6bd92f2a8183bb2c0cb02b4",
+        "metrics.json": "4f81befe392d32b6320aad8d206dfce17278b9c9ced4bf2e9f33897ae10e308f",
+        "detections.jsonl": "d4e98ebf533c0faffac388525f20bb3b6c94cf20ae680d2c5d470e740e88004b",
     },
     ("eto-fixed-camera", 1): {
-        "metrics.json": "d2cd93f735f5114beef3cdf6ff1a1587b260a821e4ae5d2758f4bbfb646bb78e",
-        "detections.jsonl": "e5908220325bc71bfbe5decd56cfe96abd37e4e74015f08be9d3e0df030f8660",
+        "metrics.json": "cec21f2ac7b8440c7743f97a9e869d46429b7eaca266c6b2ab43b32e39fdac64",
+        "detections.jsonl": "c38c1cfbd4f7f291585f0afbef500152565d162a1d483b01b57d89ea0df8ee7f",
     },
     ("eto-fixed-camera", 2): {
-        "metrics.json": "99c21fcdc6104a655633ebb3c50728dc47ce94a0b5e3f1f5e50ad3439828cbb0",
-        "detections.jsonl": "e5908220325bc71bfbe5decd56cfe96abd37e4e74015f08be9d3e0df030f8660",
+        "metrics.json": "54b42ad4d5d3fb97c83fc4dd89b6c0a5f90c93ab16214e2a0d932dd81a455722",
+        "detections.jsonl": "c38c1cfbd4f7f291585f0afbef500152565d162a1d483b01b57d89ea0df8ee7f",
     },
     ("eto-random-camera", 1): {
-        "metrics.json": "a78193c66c3f0fdbd17d59a3ac2d32a20b9679a21cd3fac2a8678659e7e9d72a",
-        "detections.jsonl": "d8b06339fb04922f404d3dc6e933798c563e7a9c90806cfbc3c3d35213b8004a",
+        "metrics.json": "1b6307391b083d8ccdbeb7ec35d3ab8ccef87dfac97fe87461f084024e2e0d0f",
+        "detections.jsonl": "bef049cfffcb6a0a2dae23204b3743be9596c2c8679adaae08538499338b88a8",
     },
     ("eto-random-camera", 2): {
-        "metrics.json": "e030137f0101b8a82cd805c2b3169249d7f5e8d90431b3efd3c9dcc763405904",
-        "detections.jsonl": "c91bbb69479ec2873b23d156fc7431196ff036fe0b22202ecf468336d5311ded",
+        "metrics.json": "00fd2459a6dd0ffb5d2e4d882c5a993e50e94fcef1397e760ec046282460a89f",
+        "detections.jsonl": "6035ea79a2e04e5382e8b7f561059d1bda4071dad99dbaa1ebdd82e3f380ef16",
     },
 }
 
 
 # The seed-1 missions of the benchmark's three workloads at its own budgets,
 # configured as perfbench/workloads.py configures them, with their
-# metrics.json digests.  These were recorded without the per-step position
-# cap; the digests in perfbench/baseline.json are older and no longer
+# metrics.json digests.  These were recorded with the compact L-BFGS
+# product; the digests in perfbench/baseline.json are older and no longer
 # match.  The open-loop mission covers the cold solve, many fine solves and
-# replans after an exhausted plan, and makes 13 detections; the receding
+# replans after an exhausted plan, and makes 12 detections; the receding
 # one makes 7.
 BENCHMARK_WORKLOADS = {
     "receding": ("bl-eto", 300.0, False,
-                 "dc86d3870aa4e5127e93fcbe50b17383f4723f89fe277e2bf725ec1f88596f6f"),
+                 "f7b0ee63b7726de4d109ddce010ea9df209c9d8e3c4ebabb6ac2a154a6f0b0e3"),
     "open-loop": ("bl-eto", 2700.0, True,
-                  "183c7f1fd2032097f6bb1e39fa3ece9f2506e0232e189b2b209171360044dfb7"),
+                  "d011b2acc1256e80abb23340fbf25dfe7c4c7999844a6a8785bb2f37c5801c72"),
     "fixed-camera": ("eto-fixed-camera", 300.0, False,
-                     "68b57ca0690b4e0178d316bdd0ff566f48180a9aa4eddeb7631fb12ea3a796e4"),
+                     "d4cf16c42a2b8c9866a0370e0680bfce76c8ac7fb861ae228e5ba35cabce76aa"),
 }
 
 

@@ -12,10 +12,10 @@ from bleto.ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficie
 from bleto.infomap import InfoMap, init_coarse
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
                           shift_warm_start, solve)
-from bleto.solver import (_LBFGS_MEMORY, _costs, _max_feasible_alpha, _merit, _norm,
-                          _objective_scale, _preconditioner, _two_loop,
+from bleto.solver import (_LBFGS_MEMORY, _CompactLbfgs, _costs, _max_feasible_alpha,
+                          _merit, _norm, _objective_scale, _preconditioner,
                           _wavelength_scales)
-from oracles import trajectory_coefficients
+from oracles import reference_two_loop, trajectory_coefficients
 
 
 # the solver effort of a problem that sets none: a tight tolerance and
@@ -403,28 +403,35 @@ def interior_walks(problem, rng, n):
 class TestByteIdentity:
     """The solver's output is pinned to the byte.
 
-    The digests were recorded after the per-step position cap and its
-    barrier left the solver, which changed every solve's iterates, on
-    linux x86-64 with numpy 2.4.6 and scipy-openblas, BLAS on one thread.
-    A change meant as a pure speed-up must keep them; one that
-    alters the solver or its arithmetic on purpose must update them and
-    say why.  The settings are the mission's: a cold coarse replan, a warm
-    one from ``shift_warm_start`` after one executed step, and a fine
-    (camera) solve.
+    The digests were recorded after the L-BFGS two-loop recursion gave way
+    to its compact matrix form (``_CompactLbfgs``), which changed every
+    solve's iterates in their last bits, on linux x86-64 with numpy 2.4.6
+    and scipy-openblas, BLAS on one thread.  A change meant as a pure
+    speed-up must keep them; one that alters the solver or its arithmetic
+    on purpose must update them and say why.  The settings are the
+    mission's: a cold coarse replan, a warm one, and a fine (camera) solve.
+
+    The warm case is a link of the chain cold → warm₁ → warm₂ → …, each
+    link the replan from its predecessor's state 1 through
+    ``shift_warm_start``: the first link whose line search fails at least
+    once, so that the pinned warm solve takes the failure path.
     """
 
     COARSE = dict(dt=15.0, inner_cap=150, outer_rounds=6, optimality_tol=1e-2)
+    WARM_LINK = 3
     DIGESTS = {
-        "cold": "f74722e7580b82c43717adc042946ba3daec68700b955b7b15f568c9fd9997fe",
-        "warm": "c06c8f13e43f0b328c0c747d23ce1ef754b3b919f30d19b1509b6c488a9f9de6",
-        "fine": "8a8175f976c6c6f3fdfbc0adf9b8e6d404416bf34903633896af844ca309d10a",
+        "cold": "8a2dae2936791c72541d7433910bdef64527e360bd3c841fe7a9d50c5b3c20be",
+        "warm": "ab80fb21b8199a8de1f42dc5b2e03385f40bfc5927ddca3c362b2dfa1e8f59c1",
+        "fine": "f48a99b784df10df5856585ef42008e9297fec0e9f65641bafc9158f051c0cb1",
     }
 
     def test_solves_match_pinned_digests(self):
         cold = solve(coarse_problem(x0=(30.0, 70.0, 1.0), **self.COARSE))
         warm_kw = dict(self.COARSE, inner_cap=60, outer_rounds=2)
-        warm = solve(coarse_problem(x0=cold.states[1], **warm_kw),
-                     warm_start=shift_warm_start(cold))
+        warm = cold
+        for _ in range(self.WARM_LINK):
+            warm = solve(coarse_problem(x0=warm.states[1], **warm_kw),
+                         warm_start=shift_warm_start(warm))
         fine = solve(fine_problem())
         digests = {"cold": solve_digest(cold), "warm": solve_digest(warm),
                    "fine": solve_digest(fine)}
@@ -465,23 +472,64 @@ class TestByteIdentity:
         assert checked == n
 
 
-def reference_two_loop(g, pairs):
-    """The L-BFGS two-loop recursion with ``@`` dot products, as the solver
-    wrote it before it called ``ndarray.dot``; kept as the reference for
-    ``_two_loop``."""
-    q = np.array(g)
-    alphas = []
-    for s, y, rho_i in reversed(pairs):
-        a = rho_i * (s @ q)
-        q -= a * y
-        alphas.append(a)
-    if pairs:
-        s, y, _ = pairs[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho_i), a in zip(pairs, reversed(alphas)):
-        b = rho_i * (y @ q)
-        q += (a - b) * s
-    return q
+def curvature_pairs(rng, n, count):
+    """``count`` random (s, y, sᵀy) with sᵀy > 0: steps of scales from 1e-4
+    to 1e2 and gradient changes through a positive diagonal curvature of
+    spread 100, plus noise."""
+    pairs = []
+    while len(pairs) < count:
+        s = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 2)
+        y = s * rng.uniform(0.1, 10.0, n) + 1e-3 * rng.normal(size=n)
+        sy = float(s.dot(y))
+        if sy > 0.0:
+            pairs.append((s, y, sy))
+    return pairs
+
+
+class TestCompactLbfgs:
+    """``_CompactLbfgs`` forms the two-loop recursion's product
+    (``oracles.reference_two_loop``) in matrix form: equal in exact
+    arithmetic, within 1e-12 relative in floats, on random pairs of the
+    solver's sizes (18 entries for the default fine problem, 237 for the
+    default coarse one)."""
+
+    SIZES = (1, 2, 18, 33, 237, 400)
+
+    @staticmethod
+    def assert_matches(lbfgs, kept, rng, n):
+        pairs = [(s, y, 1.0 / sy) for s, y, sy in kept]
+        for _ in range(3):
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)
+            got, expect = lbfgs.apply(g), reference_two_loop(g, pairs)
+            assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    # 0, 1 and a full memory of pairs, and more than two memories' worth,
+    # which moves the window back to the start of its rows
+    @pytest.mark.parametrize("n_pairs", [0, 1, _LBFGS_MEMORY, 2 * _LBFGS_MEMORY + 7])
+    def test_matches_two_loop(self, n_pairs):
+        rng = np.random.default_rng(60 + n_pairs)
+        for n in self.SIZES:
+            for _ in range(20):
+                lbfgs = _CompactLbfgs(n, _LBFGS_MEMORY)
+                kept = deque(maxlen=_LBFGS_MEMORY)
+                for pair in curvature_pairs(rng, n, n_pairs):
+                    lbfgs.append(*pair)
+                    kept.append(pair)
+                self.assert_matches(lbfgs, kept, rng, n)
+
+    def test_matches_after_every_append_and_clear(self):
+        # the fine problem's size, 18 variables, with the solver's 15 pairs
+        rng = np.random.default_rng(63)
+        lbfgs = _CompactLbfgs(18, _LBFGS_MEMORY)
+        kept = deque(maxlen=_LBFGS_MEMORY)
+        for k, pair in enumerate(curvature_pairs(rng, 18, 200)):
+            if k % 37 == 36:
+                lbfgs.clear()
+                kept.clear()
+                self.assert_matches(lbfgs, kept, rng, 18)
+            lbfgs.append(*pair)
+            kept.append(pair)
+            self.assert_matches(lbfgs, kept, rng, 18)
 
 
 class TestLeanForms:
@@ -490,19 +538,6 @@ class TestLeanForms:
     the default fine problem, 237 for the default coarse one)."""
 
     SIZES = (1, 2, 18, 33, 237, 400)
-
-    @pytest.mark.parametrize("n_pairs", [0, 1, _LBFGS_MEMORY])
-    def test_two_loop_matches_reference(self, n_pairs):
-        rng = np.random.default_rng(60 + n_pairs)
-        for n in self.SIZES:
-            for _ in range(50):
-                pairs = deque(maxlen=_LBFGS_MEMORY)
-                for _ in range(n_pairs):
-                    s = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 2)
-                    y = s * rng.uniform(0.1, 10.0, n) + 1e-3 * rng.normal(size=n)
-                    pairs.append((s, y, 1.0 / float(s @ y)))
-                g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)
-                assert np.array_equal(_two_loop(g, pairs), reference_two_loop(g, pairs))
 
     def test_norm_matches_numpy(self):
         rng = np.random.default_rng(61)
