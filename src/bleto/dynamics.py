@@ -83,6 +83,21 @@ class UnicycleModel:
         g_u = np.stack((dt * cos_h * r[:, 0] + dt * sin_h * r[:, 1], dt * r[:, 2]), axis=1)
         return g_x, g_u
 
+    def rollout(self, first, controls, dt):
+        """States x_0..x_T from x_0 = ``first`` through the T ``controls``.
+        Each coordinate of ``step`` is a running sum, so each is one
+        ``cumsum`` of the same terms in the same order: the headings of
+        h_0 and dt·w, then the positions of x_0 and (dt·v)·cos h, y_0 and
+        (dt·v)·sin h."""
+        heading = np.cumsum(np.concatenate(([first[2]], dt * controls[:, 1])))
+        h = heading[:-1]
+        dt_v = dt * controls[:, 0]
+        states = np.empty((heading.size, 3))
+        states[:, 0] = np.cumsum(np.concatenate(([first[0]], dt_v * np.cos(h))))
+        states[:, 1] = np.cumsum(np.concatenate(([first[1]], dt_v * np.sin(h))))
+        states[:, 2] = heading
+        return states
+
 
 class SingleIntegratorModel:
     """First-order point; state and control share the workspace coordinates."""
@@ -108,19 +123,23 @@ class SingleIntegratorModel:
         """(Aᵀr, Bᵀr) with A = I and B = dt I."""
         return r.copy(), dt * r
 
+    def rollout(self, first, controls, dt):
+        """States x_0..x_T from x_0 = ``first`` through the T ``controls``:
+        the running sums of x_0 and dt·u, added in ``step``'s order."""
+        return np.cumsum(np.concatenate((first[None], dt * controls)), axis=0)
+
 
 def rollout(model, initial_state, controls, dt):
     """States x_0..x_{T-1} from x_0 = initial_state and x_{t+1} = f(x_t, u_t).
 
     Returns exactly T = len(controls) states, so the final control only
     enters through the control cost, never through a visible transition.
+    Each model's ``rollout`` forms them without a loop, bit for bit the
+    states of stepping ``step`` T - 1 times.
     """
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    T = controls.shape[0]
-    if T < 1:
+    if controls.shape[0] < 1:
         raise ValueError("need at least one control")
-    states = np.empty((T, model.state_dim))
-    states[0] = np.asarray(initial_state, dtype=float)
-    for t in range(T - 1):
-        states[t + 1] = model.step(states[t], controls[t], dt)
-    return states
+    first = np.empty(model.state_dim)
+    first[:] = np.asarray(initial_state, dtype=float)
+    return model.rollout(first, controls[:-1], dt)

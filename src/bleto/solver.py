@@ -72,17 +72,39 @@ caps.  Everything else is a module constant, the same for every problem:
 A solve owns its problem data exclusively and uses no randomness, so
 identical inputs produce bit-identical outputs; independent solves can run
 in parallel.
+
+Cold-solve memo.  That contract is what lets ``solve`` keep the results of
+cold solves (``warm_start is None``) and return a kept one when the same
+problem comes again: a mission's opening body plan depends only on the
+prior map, the start pose and the planner's constants, so it is the same
+solve for every seed and every method of a process.  The key holds the
+exact bytes of every ``ErgodicProblem`` field, built by walking
+``dataclasses.fields``: the basis's workspace lengths, lows and modes, the
+target coefficients, the model's type, the initial state, the control
+bounds, the horizon, ``dt``, the control weight, the tolerance and both
+caps.  A field value of a type the key builder does not know raises
+``TypeError`` rather than risk a false hit.  A hit returns a copy: fresh
+states, controls and multipliers, and a new trace list sharing the kept
+(immutable) trace rows, so no caller can change what the next hit
+returns.  At most ``_COLD_MEMO_SIZE`` (four) solves are kept, the oldest
+evicted first; threads share them under one lock.  Warm solves are never
+kept: before a mission's first detection they repeat across seeds too, so
+keeping them would turn whole missions into lookups, and a long mission
+would pin thousands of trajectories.
 """
 
+import dataclasses
 import math
+import struct
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import ControlBounds, rollout
-from .ergodic import CoverageCost
+from .dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel, rollout
+from .ergodic import CoverageCost, FourierBasis
 
 __all__ = [
     "ErgodicProblem",
@@ -103,6 +125,7 @@ _BARRIER_FINAL = 1e-4    # barrier weight floor, and a warm solve's weight
 _ARMIJO = 1e-4           # sufficient-decrease constant of the line search
 _LS_FAIL_LIMIT = 20      # consecutive line-search failures that abort a solve
 _LBFGS_MEMORY = 15       # curvature pairs kept by the quasi-Newton update
+_COLD_MEMO_SIZE = 4      # cold solves kept by ``solve``, oldest evicted first
 
 
 @dataclass
@@ -494,6 +517,48 @@ def _reroll(problem, controls, diag):
     return states, controls
 
 
+_cold_memo = {}  # cold-problem key -> the Trajectory its solve returned
+_cold_memo_lock = threading.Lock()
+
+
+def _key_part(value):
+    """The exact, hashable form of one problem input: its type and its
+    bytes.  ``TypeError`` for a type this does not know, never a guess."""
+    if type(value) is np.ndarray and not value.dtype.hasobject:
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, np.generic) and not value.dtype.hasobject:
+        return ("scalar", value.dtype.str, value.tobytes())
+    if type(value) in (bool, int):
+        return (type(value), value)
+    if type(value) is float:
+        return (float, struct.pack("<d", value))
+    if type(value) is FourierBasis:
+        return ("basis", _key_part(value.workspace.lengths), _key_part(value.workspace.lows),
+                value.modes_per_axis)
+    if type(value) is ControlBounds:
+        return ("bounds", _key_part(value.lower), _key_part(value.upper))
+    if type(value) in (UnicycleModel, SingleIntegratorModel):
+        return ("model", type(value))
+    raise TypeError(f"cold-solve memo: no exact key for a {type(value).__name__}")
+
+
+def _cold_key(problem):
+    """The memo key of a cold solve of ``problem``: every field, exactly."""
+    return tuple((f.name, _key_part(getattr(problem, f.name)))
+                 for f in dataclasses.fields(problem))
+
+
+def _copy_trajectory(traj):
+    """A trajectory no caller shares with ``traj``: copied arrays and new
+    lists; the trace rows and round pairs are tuples of floats, so they
+    are shared."""
+    d = traj.diagnostics
+    diag = dataclasses.replace(d, merit_rounds=list(d.merit_rounds),
+                               multipliers=d.multipliers.copy(), trace=list(d.trace))
+    return dataclasses.replace(traj, states=traj.states.copy(),
+                               controls=traj.controls.copy(), diagnostics=diag)
+
+
 def solve(problem, warm_start=None):
     """Minimize the coverage objective subject to dynamics and bounds.
 
@@ -503,7 +568,28 @@ def solve(problem, warm_start=None):
     If optimization fails to beat the initial guess the guess itself is
     returned flagged ``converged=False``.
     The diagnostics record every inner step in ``trace``.
+
+    A cold solve (no ``warm_start``) of a problem solved before in this
+    process returns a copy of the kept result (the module docstring's
+    cold-solve memo), bit-identical to a new solve.
     """
+    if warm_start is not None:
+        return _solve_uncached(problem, warm_start)
+    key = _cold_key(problem)
+    with _cold_memo_lock:
+        kept = _cold_memo.get(key)
+    if kept is None:
+        kept = _solve_uncached(problem, None)
+        with _cold_memo_lock:
+            if key not in _cold_memo:  # another thread may have kept it meanwhile
+                while len(_cold_memo) >= _COLD_MEMO_SIZE:
+                    del _cold_memo[next(iter(_cold_memo))]
+                _cold_memo[key] = kept
+    return _copy_trajectory(kept)
+
+
+def _solve_uncached(problem, warm_start):
+    """``solve`` without the memo: the optimization itself."""
     if warm_start is not None:
         if warm_start.horizon != problem.horizon:
             raise ValueError("warm start horizon mismatch")

@@ -83,3 +83,14 @@ def reference_two_loop(g, pairs):
         b = rho_i * y.dot(q)
         q += (a - b) * s
     return q
+
+
+def reference_rollout(model, initial_state, controls, dt):
+    """States x_0..x_{T-1} of T controls by stepping ``model.step`` once
+    per transition: the loop ``dynamics.rollout`` replaced."""
+    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    states = np.empty((controls.shape[0], model.state_dim))
+    states[0] = np.asarray(initial_state, dtype=float)
+    for t in range(controls.shape[0] - 1):
+        states[t + 1] = model.step(states[t], controls[t], dt)
+    return states

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bleto.dynamics import (ControlBounds, SingleIntegratorModel,
                             UnicycleModel, rollout)
+from oracles import reference_rollout
 
 
 class TestUnicycleStep:
@@ -90,6 +94,48 @@ class TestRollout:
         controls[-1] = 1e9  # must not affect anything visible
         states = rollout(model, np.zeros(2), controls, 1.0)
         assert np.allclose(states[-1], [3.0, 3.0])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def rollout_case(draw):
+    """(model, start, controls, dt): random starts, controls of 1 to 60
+    steps and step times, each entry from zero and tiny to 1e6."""
+    model = draw(st.sampled_from([UnicycleModel(), SingleIntegratorModel()]))
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    start = draw(arrays(np.float64, model.state_dim, elements=value))
+    steps = draw(st.integers(1, 60))
+    controls = draw(arrays(np.float64, (steps, model.control_dim), elements=value))
+    dt = draw(st.floats(1e-6, 1e3))
+    return model, start, controls, dt
+
+
+class TestClosedFormRollout:
+    """Each model's loop-free ``rollout`` gives the bits of stepping
+    ``step`` once per transition (``oracles.reference_rollout``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rollout_case())
+    def test_bit_equal_to_the_step_loop(self, case):
+        model, start, controls, dt = case
+        got = rollout(model, start, controls, dt)
+        assert np.array_equal(bits(got), bits(reference_rollout(model, start, controls, dt)))
+
+    @pytest.mark.parametrize("model", [UnicycleModel(), SingleIntegratorModel()],
+                             ids=["unicycle", "integrator"])
+    def test_bit_equal_at_the_planners_sizes(self, model):
+        # the body's 48-step plans at 15 s, the camera's 5-step sweeps at 0.4 s
+        rng = np.random.default_rng(70)
+        for steps, dt, box in ((48, 15.0, (0.3, 0.5)), (5, 0.4, (0.6, 0.6))):
+            for _ in range(200):
+                start = rng.uniform(-3.0, 100.0, model.state_dim)
+                controls = rng.uniform(-1.0, 1.0, (steps, model.control_dim)) * box
+                got = rollout(model, start, controls, dt)
+                assert np.array_equal(
+                    bits(got), bits(reference_rollout(model, start, controls, dt)))
 
 
 class TestVjp:

@@ -6,8 +6,8 @@ sum of its charges, sweeps take ``fine_horizon`` images, the first charge
 at or after the budget ends the mission whichever action it pays for, each
 coarse map is transformed once, comparisons stay paired and write a
 scorecard that agrees with their trials, bad input exits with status 2,
-and ``run --out`` writes the solver trace of the mission's own first
-coarse plan.
+``run --out`` writes the solver trace of the mission's own first coarse
+plan, and a process solves that plan once yet writes each trial's bytes.
 """
 
 import functools
@@ -21,6 +21,7 @@ import pytest
 import bleto.bench
 import bleto.infomap
 import bleto.planner
+import bleto.solver
 from bleto.bench import ExperimentConfig, build_scenario, compare
 from bleto.cli import EXIT_CONFIG, EXIT_OK, main
 from bleto.dynamics import UnicycleModel
@@ -210,6 +211,53 @@ class TestMissionInvariants:
         assert all(workspace.contains(point) for point in hits)
         recorded = json.loads((first / "metrics.json").read_text())
         assert recorded["final_ergodic_metric"] is not None
+
+
+def count_cold_body_solves(monkeypatch, owner, attr):
+    """Wrap ``owner.attr``, a solve function, to count its cold solves of
+    the body (unicycle) problem; returns the one-entry count list."""
+    count = [0]
+    real = getattr(owner, attr)
+
+    def counting(problem, warm_start=None):
+        if warm_start is None and isinstance(problem.model, UnicycleModel):
+            count[0] += 1
+        return real(problem, warm_start)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return count
+
+
+class TestColdPlanMemo:
+    """A process solves a mission's opening body plan once (the cold-solve
+    memo of ``solver``); every trial still writes its own bytes."""
+
+    def test_a_memo_hit_writes_the_bytes_of_a_miss(self, tmp_path, monkeypatch):
+        config = ExperimentConfig.from_dict({"mission": {"time_budget": 60.0}})
+        bleto.solver._cold_memo.clear()
+        bleto.bench.run_trial(config.for_method("eto-fixed-camera"), 2)
+        runs = count_cold_body_solves(monkeypatch, bleto.solver, "_solve_uncached")
+        hit, miss = tmp_path / "hit", tmp_path / "miss"
+        bleto.bench.run_trial(config, 1, hit)
+        assert runs == [0]
+        bleto.solver._cold_memo.clear()
+        bleto.bench.run_trial(config, 1, miss)
+        assert runs == [1]
+        names = sorted(path.name for path in hit.iterdir())
+        assert names == sorted(path.name for path in miss.iterdir())
+        for name in names:
+            if name != "timing.txt":
+                assert (hit / name).read_bytes() == (miss / name).read_bytes(), name
+
+    def test_compare_solves_the_opening_plan_once(self, monkeypatch):
+        bleto.solver._cold_memo.clear()
+        runs = count_cold_body_solves(monkeypatch, bleto.solver, "_solve_uncached")
+        plans = count_cold_body_solves(monkeypatch, bleto.planner, "solve")
+        seeds = (1, 2)
+        config = ExperimentConfig(mission=BiLevelConfig(time_budget=30.0), seeds=seeds)
+        compare(config)
+        assert runs == [1]
+        assert plans == [len(seeds) * len(bleto.bench.METHODS)]
 
 
 class TestRepeatSightings:

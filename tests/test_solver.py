@@ -1,20 +1,25 @@
+import copy
 import dataclasses
 import hashlib
 import math
 import struct
+import sys
+import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import bleto.solver
 from bleto.dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel
 from bleto.ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
 from bleto.infomap import InfoMap, init_coarse
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
                           shift_warm_start, solve)
-from bleto.solver import (_LBFGS_MEMORY, _CompactLbfgs, _costs, _max_feasible_alpha,
-                          _merit, _norm, _objective_scale, _preconditioner,
-                          _wavelength_scales)
+from bleto.solver import (_COLD_MEMO_SIZE, _LBFGS_MEMORY, _CompactLbfgs, _cold_key,
+                          _costs, _max_feasible_alpha, _merit, _norm,
+                          _objective_scale, _preconditioner, _wavelength_scales)
 from oracles import reference_two_loop, trajectory_coefficients
 
 
@@ -236,6 +241,7 @@ class TestSolve:
         prob_a = coarse_problem(x0=(20.0, 30.0, 0.3), horizon=16, modes=5)
         prob_b = coarse_problem(x0=(20.0, 30.0, 0.3), horizon=16, modes=5)
         ta = solve(prob_a)
+        bleto.solver._cold_memo.clear()  # the second solve runs, too
         tb = solve(prob_b)
         assert np.array_equal(ta.states, tb.states)
         assert np.array_equal(ta.controls, tb.controls)
@@ -362,6 +368,209 @@ def solve_digest(traj):
     return h.hexdigest()
 
 
+def count_uncached_solves(monkeypatch):
+    """Wrap the solver's uncached path; returns the list of the warm starts
+    it is called with, one entry per solve that runs."""
+    runs = []
+    real = bleto.solver._solve_uncached
+
+    def counting(problem, warm_start):
+        runs.append(warm_start)
+        return real(problem, warm_start)
+
+    monkeypatch.setattr(bleto.solver, "_solve_uncached", counting)
+    return runs
+
+
+def one_ulp_up(values, index):
+    out = np.array(values, dtype=float)
+    out[index] = np.nextafter(out[index], np.inf)
+    return out
+
+
+def memo_problem(**kw):
+    """A cold coarse problem small and cheap enough to solve many times."""
+    return coarse_problem(**{**dict(horizon=8, modes=4, inner_cap=6, outer_rounds=2), **kw})
+
+
+def with_basis(problem, lengths=(100.0, 100.0), lows=(0.0, 0.0), modes=4, **kw):
+    return dataclasses.replace(problem, basis=FourierBasis(Workspace(lengths, lows), modes),
+                               **kw)
+
+
+def with_bound(problem, side, index):
+    lower, upper = problem.bounds.lower, problem.bounds.upper
+    if side == "lower":
+        lower = one_ulp_up(lower, index)
+    else:
+        upper = one_ulp_up(upper, index)
+    return dataclasses.replace(problem, bounds=ControlBounds(lower, upper))
+
+
+# problems that differ from ``memo_problem()`` in one input, named by the
+# ErgodicProblem field it belongs to; the basis's modes and the model fix
+# the shapes of the target and of the initial state, so those two cases
+# change the dependent field as well
+MEMO_VARIANTS = {
+    ("basis", "lengths"): lambda p: with_basis(p, lengths=(100.0, np.nextafter(100.0, 200.0))),
+    ("basis", "lows"): lambda p: with_basis(p, lows=(0.0, -0.5)),
+    ("basis", "modes"): lambda p: with_basis(
+        p, modes=5, target_coefficients=np.resize(p.target_coefficients, 25)),
+    ("target_coefficients", "one ulp"): lambda p: dataclasses.replace(
+        p, target_coefficients=one_ulp_up(p.target_coefficients, 3)),
+    ("model", "type"): lambda p: dataclasses.replace(
+        p, model=SingleIntegratorModel(), initial_state=p.initial_state[:2]),
+    ("initial_state", "one ulp"): lambda p: dataclasses.replace(
+        p, initial_state=one_ulp_up(p.initial_state, 1)),
+    ("horizon", "+1"): lambda p: dataclasses.replace(p, horizon=p.horizon + 1),
+    ("dt", "one ulp"): lambda p: dataclasses.replace(p, dt=float(np.nextafter(p.dt, np.inf))),
+    ("control_weight", "one ulp"): lambda p: dataclasses.replace(
+        p, control_weight=float(np.nextafter(p.control_weight, 1.0))),
+    ("bounds", "lower speed"): lambda p: with_bound(p, "lower", 0),
+    ("bounds", "lower turn"): lambda p: with_bound(p, "lower", 1),
+    ("bounds", "upper speed"): lambda p: with_bound(p, "upper", 0),
+    ("bounds", "upper turn"): lambda p: with_bound(p, "upper", 1),
+    ("optimality_tol", "one ulp"): lambda p: dataclasses.replace(
+        p, optimality_tol=float(np.nextafter(p.optimality_tol, 1.0))),
+    ("inner_cap", "+1"): lambda p: dataclasses.replace(p, inner_cap=p.inner_cap + 1),
+    ("outer_rounds", "+1"): lambda p: dataclasses.replace(p, outer_rounds=p.outer_rounds + 1),
+}
+
+
+class YieldingDict(dict):
+    """A dict that gives other threads the interpreter after each lookup
+    and size check, so that an unlocked check-then-act on it interleaves
+    between the check and the act."""
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        time.sleep(0)
+        return found
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(0)
+        return size
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0)
+        return value
+
+
+class TestColdMemo:
+    """``solve`` keeps its cold solves (the ``solver`` module docstring's
+    memo): a repeat is a copy of the first, bit for bit; a problem that
+    differs in any input runs; warm solves always run; the memo never
+    holds more than ``_COLD_MEMO_SIZE`` solves."""
+
+    @pytest.fixture(autouse=True)
+    def runs(self, monkeypatch):
+        bleto.solver._cold_memo.clear()
+        return count_uncached_solves(monkeypatch)
+
+    def test_hit_returns_the_miss(self, runs):
+        miss = solve(memo_problem())
+        hit = solve(memo_problem())
+        assert runs == [None]
+        assert solve_digest(hit) == solve_digest(miss)
+        assert hit.diagnostics.trace == miss.diagnostics.trace
+        assert hit.diagnostics.trace is not miss.diagnostics.trace
+
+    def test_variants_cover_every_field(self):
+        names = {f.name for f in dataclasses.fields(ErgodicProblem)}
+        assert {name for name, _ in MEMO_VARIANTS} == names
+
+    @pytest.mark.parametrize("variant", list(MEMO_VARIANTS),
+                             ids=[" ".join(v) for v in MEMO_VARIANTS])
+    def test_any_changed_input_misses(self, runs, variant):
+        base = memo_problem()
+        other = MEMO_VARIANTS[variant](base)
+        name = variant[0]
+        # the key sees the named field alone change
+        alone = copy.copy(base)
+        setattr(alone, name, getattr(other, name))
+        assert _cold_key(alone) != _cold_key(base)
+        first = solve(base)
+        solve(other)
+        assert runs == [None, None]
+        assert solve_digest(solve(base)) == solve_digest(first)
+        assert len(runs) == 2
+
+    def test_a_type_the_key_does_not_know_raises(self, runs):
+        class Unicycle(UnicycleModel):
+            pass
+
+        with pytest.raises(TypeError, match="no exact key"):
+            solve(dataclasses.replace(memo_problem(), model=Unicycle()))
+        assert runs == []
+
+    def test_mutating_a_result_leaves_the_next_hit_alone(self, runs):
+        miss = solve(memo_problem())
+        digest, trace = solve_digest(miss), list(miss.diagnostics.trace)
+        hit = solve(memo_problem())
+        for traj in (miss, hit):
+            d = traj.diagnostics
+            for arr in (traj.states, traj.controls, d.multipliers):
+                arr[...] = np.nan
+            d.trace.append((0, 0.0, 0.0, 0.0, 0.0))
+            del d.trace[0]
+            d.merit_rounds.clear()
+        again = solve(memo_problem())
+        assert runs == [None]
+        assert solve_digest(again) == digest
+        assert again.diagnostics.trace == trace
+
+    def test_warm_solves_always_run(self, runs):
+        cold = solve(memo_problem())
+        warm_problem = memo_problem(x0=cold.states[1])
+        warm = [solve(warm_problem, warm_start=shift_warm_start(cold)) for _ in range(2)]
+        assert len(runs) == 3 and runs[1] is not None and runs[2] is not None
+        assert solve_digest(warm[0]) == solve_digest(warm[1])
+        assert len(bleto.solver._cold_memo) == 1
+
+    def test_memo_is_capped_and_evicts_the_oldest(self, runs):
+        starts = [(10.0 + 5.0 * k, 50.0, 0.0) for k in range(3 * _COLD_MEMO_SIZE)]
+        for x0 in starts:
+            solve(memo_problem(x0=x0))
+            assert len(bleto.solver._cold_memo) <= _COLD_MEMO_SIZE
+        assert len(runs) == len(starts)
+        solve(memo_problem(x0=starts[-1]))  # among the newest: kept
+        assert len(runs) == len(starts)
+        solve(memo_problem(x0=starts[0]))  # the oldest: evicted
+        assert len(runs) == len(starts) + 1
+
+    def test_threads_share_the_memo_safely(self, monkeypatch):
+        # more threads than cores, switching often, against a stub solve so
+        # that the threads spend their time inserting and evicting, and a
+        # memo that lets another thread run inside each of its checks: no
+        # thread raises, each gets its own problem's trajectory, and the
+        # memo stays within its cap
+        problems = [memo_problem(x0=(10.0 + k, 40.0, 0.0)) for k in range(4 * _COLD_MEMO_SIZE)]
+        solved = {id(p): solve(p) for p in problems}
+        monkeypatch.setattr(bleto.solver, "_solve_uncached",
+                            lambda problem, warm_start: solved[id(problem)])
+        monkeypatch.setattr(bleto.solver, "_cold_memo", YieldingDict())
+
+        def work(offset):
+            for k in range(300):
+                problem = problems[(offset + k) % len(problems)]
+                traj = solve(problem)
+                assert np.array_equal(traj.states, solved[id(problem)].states)
+                assert len(bleto.solver._cold_memo) <= _COLD_MEMO_SIZE
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, offset) for offset in range(8)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(bleto.solver._cold_memo) <= _COLD_MEMO_SIZE
+
+
 def reference_max_feasible_alpha(problem, z, step_z):
     """The fraction-to-boundary rule computed from ``z`` itself, as the
     solver did before it read the margins of the iterate's merit
@@ -425,7 +634,11 @@ class TestByteIdentity:
         "fine": "f48a99b784df10df5856585ef42008e9297fec0e9f65641bafc9158f051c0cb1",
     }
 
-    def test_solves_match_pinned_digests(self):
+    def test_solves_match_pinned_digests(self, monkeypatch):
+        # the pins are taken from solves that run (memo misses), then a memo
+        # hit of each cold case is checked against the same pin
+        bleto.solver._cold_memo.clear()
+        runs = count_uncached_solves(monkeypatch)
         cold = solve(coarse_problem(x0=(30.0, 70.0, 1.0), **self.COARSE))
         warm_kw = dict(self.COARSE, inner_cap=60, outer_rounds=2)
         warm = cold
@@ -436,10 +649,16 @@ class TestByteIdentity:
         digests = {"cold": solve_digest(cold), "warm": solve_digest(warm),
                    "fine": solve_digest(fine)}
         assert digests == self.DIGESTS
+        assert len(runs) == self.WARM_LINK + 2
         # every case runs the line search, failures included
         for traj in (cold, warm, fine):
             assert traj.diagnostics.iterations > 0
             assert traj.diagnostics.line_search_failures > 0
+        hits = {"cold": solve(coarse_problem(x0=(30.0, 70.0, 1.0), **self.COARSE)),
+                "fine": solve(fine_problem())}
+        assert len(runs) == self.WARM_LINK + 2
+        assert {name: solve_digest(t) for name, t in hits.items()} == {
+            name: self.DIGESTS[name] for name in hits}
 
     @pytest.mark.parametrize("make", ["coarse", "fine"])
     def test_cached_margins_match_reference_rule(self, make):
