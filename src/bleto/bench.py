@@ -52,6 +52,7 @@ METHODS = {
 
 
 _PARKED_STEP_M = 0.1  # a body step shorter than this leaves the rover parked
+_GROUND_CELL_M = 0.25  # side of the square ground cells the scorecard counts
 
 
 class ConfigError(ValueError):
@@ -201,30 +202,68 @@ def _write_csv(path, header, rows):
             f.write(",".join(repr(v) for v in row) + "\n")
 
 
-def scorecard_row(metrics, log, scenario):
+def _imaged_ground(log, workspace, camera_model, yaw_limit):
+    """(distinct, summed) area in m² of the ``_GROUND_CELL_M`` cells of
+    ``workspace`` whose centres some image of ``log`` sees
+    (``world.sees``): the first counts each cell once, the second once per
+    image that sees it."""
+    side = _GROUND_CELL_M
+    shape = np.ceil(workspace.lengths / side).astype(int)
+    seen = np.zeros(shape, dtype=bool)
+    reach = camera_model.max_range
+    summed = 0
+    for event in log.events:
+        # only cells within the classifier's range of the body can be seen
+        pos = np.asarray(event.body_pose[:2]) - workspace.lows
+        lo = np.clip(np.floor((pos - reach) / side).astype(int), 0, shape)
+        hi = np.clip(np.ceil((pos + reach) / side).astype(int), 0, shape)
+        ix, iy = np.meshgrid(np.arange(lo[0], hi[0]), np.arange(lo[1], hi[1]),
+                             indexing="ij")
+        centres = workspace.lows + (np.stack((ix.ravel(), iy.ravel()), axis=1) + 0.5) * side
+        hit = ws.sees(camera_model, event.body_pose, event.camera_angles, yaw_limit, centres)
+        seen[ix.ravel()[hit], iy.ravel()[hit]] = True
+        summed += int(np.count_nonzero(hit))
+    return int(np.count_nonzero(seen)) * side * side, summed * side * side
+
+
+def scorecard_row(metrics, log, scenario, config):
     """One trial's scorecard row: what the mission imaged and how it moved.
 
     ``imaged`` counts the distinct rocks nearest some detection's world
     point (``world.nearest_rocks``; localization is exact, so that rock is
     the one imaged), and ``path_per_imaged_m`` is the path length over it
-    (``None`` when nothing was imaged).  ``lock_on_share`` is the share of
+    (``None`` when nothing was imaged).  ``ground_m2`` is the distinct
+    ground the images saw, counted on ``_GROUND_CELL_M`` cells under the
+    test a rock must pass to be classified (``world.sees``), and
+    ``images_per_ground`` the seen area summed over images over it
+    (``None`` when nothing was seen): how often the mission saw each
+    square metre it saw.  ``lock_on_share`` is the share of
     detections on the most-detected rock (0 without a detection),
     ``parked_share`` the share of body steps shorter than
-    ``_PARKED_STEP_M`` (0 without a step).
+    ``_PARKED_STEP_M`` (0 without a step).  ``config`` is the trial's
+    ``ExperimentConfig``, whose camera and occlusion sector the ground
+    count uses.
     """
     nearest, _ = ws.nearest_rocks(scenario, [ev.world_point for ev in log.detections()])
     per_rock = np.bincount(nearest[nearest >= 0])
     imaged = int(np.count_nonzero(per_rock))
+    ground, summed = _imaged_ground(log, scenario.workspace, config.camera,
+                                    config.mission.yaw_limit)
     steps = np.linalg.norm(np.diff(np.array(log.body_states)[:, 1:3], axis=0), axis=1)
     return {
         "method": metrics.method,
         "seed": metrics.seed,
         "found": metrics.rocks_found,
         "imaged": imaged,
+        "ground_m2": ground,
+        "images_per_ground": summed / ground if ground else None,
         "path_per_imaged_m": metrics.path_length_m / imaged if imaged else None,
         "lock_on_share": float(per_rock.max() / len(nearest)) if per_rock.size else 0.0,
         "parked_share": float(np.mean(steps < _PARKED_STEP_M)) if steps.size else 0.0,
     }
+
+
+_PAIRED_KEYS = ("found", "imaged", "ground_m2")  # the columns paired and totalled
 
 
 def _win_tie_loss(diffs):
@@ -241,18 +280,17 @@ def scorecard(config, rows, trajectories):
     paths per method: a mission that sees no rock does not depend on its
     seed, so seeds can repeat one path.  Per baseline, ``paired`` holds the
     per-seed differences bl-eto minus that baseline in found and imaged
-    rocks, and their win/tie/loss counts for bl-eto.
+    rocks and in imaged ground, and their win/tie/loss counts for bl-eto;
+    ``totals`` sums the same three columns per method.
     """
     paired = {}
     for baseline in ("eto-fixed-camera", "eto-random-camera"):
         per_seed = [{"seed": ours["seed"],
-                     "found": ours["found"] - theirs["found"],
-                     "imaged": ours["imaged"] - theirs["imaged"]}
+                     **{key: ours[key] - theirs[key] for key in _PAIRED_KEYS}}
                     for ours, theirs in zip(rows["bl-eto"], rows[baseline])]
         paired[f"bl-eto - {baseline}"] = {
             "per_seed": per_seed,
-            **{key: _win_tie_loss([d[key] for d in per_seed])
-               for key in ("found", "imaged")},
+            **{key: _win_tie_loss([d[key] for d in per_seed]) for key in _PAIRED_KEYS},
         }
     return {
         "placement": config.placement,
@@ -262,7 +300,7 @@ def scorecard(config, rows, trajectories):
         "distinct_paths": {method: len(set(map(tuple, paths)))
                            for method, paths in trajectories.items()},
         "totals": {method: {key: sum(row[key] for row in method_rows)
-                            for key in ("found", "imaged")}
+                            for key in _PAIRED_KEYS}
                    for method, method_rows in rows.items()},
         "paired": paired,
     }
@@ -295,7 +333,7 @@ def _run_trial(config, seed, out_dir):
                                            encoding="utf-8")
         im.save_pgm(mission.coarse_map, out / "map_final.pgm")
         im.save_csv(mission.coarse_map, out / "map_final.csv")
-        _write_csv(out / "solver_trace.csv", "iter,J,E,defect_inf,grad_norm",
+        _write_csv(out / "solver_trace.csv", "iter,J,E,grad_norm",
                    log.first_coarse_trace)
         (out / "timing.txt").write_text(f"wall_clock_s={runtime:.3f}\n",
                                         encoding="utf-8")
@@ -326,7 +364,7 @@ def compare(config, out_dir=None):
                 trial_dir = Path(out_dir) / method / f"seed_{seed}"
             metrics, log, scenario = _run_trial(cfg, seed, trial_dir)
             results[method].append(metrics)
-            rows[method].append(scorecard_row(metrics, log, scenario))
+            rows[method].append(scorecard_row(metrics, log, scenario, cfg))
             trajectories[method].append(log.body_states)
             hashes.setdefault(seed, set()).add(_scenario_hash(cfg, seed))
     for seed, digests in hashes.items():

@@ -72,16 +72,28 @@ class UnicycleModel:
         B[:, 2, 1] = dt
         return A, B
 
-    def vjp(self, states, controls, dt, r):
-        """(Aᵀr, Bᵀr) for the Jacobians A, B of ``jacobians`` and one
-        cotangent row r_t per step, without forming A or B."""
-        h = states[:, 2]
-        sin_h, cos_h = np.sin(h), np.cos(h)
-        dt_v = dt * controls[:, 0]
-        g_x = r.copy()
-        g_x[:, 2] += dt_v * cos_h * r[:, 1] - dt_v * sin_h * r[:, 0]
-        g_u = np.stack((dt * cos_h * r[:, 0] + dt * sin_h * r[:, 1], dt * r[:, 2]), axis=1)
-        return g_x, g_u
+    def control_gradient(self, states, controls, dt, g):
+        """The gradient of Σ_t g_t·x_t with respect to every control, for
+        the states x_0..x_{T-1} that ``rollout`` forms from ``controls``
+        u_0..u_{T-1}, the (T, 3) ``g`` the gradient with respect to each
+        state.  One adjoint pass: with the costates λ_t = g_t + A_tᵀλ_{t+1}
+        of the Jacobians A, B of ``jacobians``, the row for u_t is
+        B_tᵀλ_{t+1}, and the last row, of a control that moves no state,
+        is zero.  The position costates are running sums of g from the
+        end, and the heading's a running sum of g's heading entries plus
+        each step's turn of the position costates, so no loop runs over
+        time."""
+        h = states[:-1, 2]
+        cos_h, sin_h = np.cos(h), np.sin(h)
+        dt_v = dt * controls[:-1, 0]
+        # λ_{t+1} of the positions, for t = 0..T-2
+        lam = np.cumsum(g[:0:-1, :2], axis=0)[::-1]
+        turn = g[1:, 2].copy()
+        turn[:-1] += dt_v[1:] * (cos_h[1:] * lam[1:, 1] - sin_h[1:] * lam[1:, 0])
+        out = np.zeros(controls.shape)
+        out[:-1, 0] = dt * (cos_h * lam[:, 0] + sin_h * lam[:, 1])
+        out[:-1, 1] = dt * np.cumsum(turn[::-1])[::-1]
+        return out
 
     def rollout(self, first, controls, dt):
         """States x_0..x_T from x_0 = ``first`` through the T ``controls``.
@@ -119,9 +131,14 @@ class SingleIntegratorModel:
         B.reshape(T, 4)[:, ::3] = dt
         return A, B
 
-    def vjp(self, states, controls, dt, r):
-        """(Aᵀr, Bᵀr) with A = I and B = dt I."""
-        return r.copy(), dt * r
+    def control_gradient(self, states, controls, dt, g):
+        """The gradient of Σ_t g_t·x_t with respect to every control, as
+        ``UnicycleModel.control_gradient``: with A = I and B = dt I, the
+        row for u_t is dt times the running sum of g_{t+1}..g_{T-1}, and
+        the last row is zero."""
+        out = np.zeros(controls.shape)
+        out[:-1] = dt * np.cumsum(g[:0:-1], axis=0)[::-1]
+        return out
 
     def rollout(self, first, controls, dt):
         """States x_0..x_T from x_0 = ``first`` through the T ``controls``:

@@ -11,9 +11,9 @@ trajectory, which is what the trajectory optimizer needs.
 ``CoverageCost`` is the one place that turns trajectory points into that
 cost: it builds the per-axis basis tables of the points once, contracts
 them into the trajectory's coefficients, and from the same tables finishes
-the gradient with respect to every point on demand.  The solver's merit
-(``solver._merit``) and the costs a solve reports (``solver._costs``) both
-go through it.
+the gradient with respect to every point on demand.  The solver's
+objective (``solver._evaluate``) and the costs a solve reports
+(``solver._costs``) both go through it.
 
 Everything in this module is a pure function of immutable inputs and is
 safe to call concurrently from multiple threads.
@@ -170,8 +170,9 @@ class FourierBasis:
         ``CoverageCost`` and of the ``eval_points`` paths.
 
         ``check=False`` skips the conversion and the containment test for
-        callers that pass a (T, 2) float array already inside the workspace
-        (the solver's barrier keeps iterates inside).
+        callers that pass a (T, 2) float array; its points may lie outside
+        the workspace, where the tables extend each cosine evenly about
+        each face.
         """
         if check:
             points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -255,8 +256,11 @@ class CoverageCost:
     Construction builds the tables and the cost; ``gradient`` finishes
     dE/dw_t from them only when asked, as the solver's line search needs.
     ``check=False`` skips the conversion, the length check and the
-    containment test for callers that pass a nonempty (T, 2) float array
-    already inside the workspace.
+    containment test for callers that pass a nonempty (T, 2) float array.
+    Its points may lie outside the workspace: every mode is a product of
+    cosines, even about each face, so the basis extends evenly beyond it
+    and the cost and its gradient stay smooth across the faces (the
+    solver's rolled-out trials cross them under its workspace penalty).
     """
 
     __slots__ = ("basis", "horizon", "tables", "coefficients", "residual", "cost")

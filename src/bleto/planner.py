@@ -60,15 +60,14 @@ _COARSE_MODES = 10
 _FINE_MODES = 8
 _COARSE_CONTROL_WEIGHT = 1e-6
 _FINE_CONTROL_WEIGHT = 1e-2
-# per-replan solver effort: a cold plan runs at the full caps; inside a
-# mission, replans are warm-started and polish is wasted time
-_COARSE_INNER_CAP = 150
-_COARSE_OUTER_ROUNDS = 6
+# per-solve iteration caps: a cold body plan has room to converge (the
+# default mission's opening plan converges in under 300 iterations); a warm
+# replan from the shifted plan mostly converges inside its cap, which binds
+# mostly after a detection or an exhausted plan
+_COARSE_ITERATION_CAP = 900
+_COARSE_WARM_ITERATION_CAP = 60
 _COARSE_OPTIMALITY_TOL = 1e-2
-_COARSE_WARM_INNER_CAP = 60
-_COARSE_WARM_OUTER_ROUNDS = 2
-_FINE_INNER_CAP = 40
-_FINE_OUTER_ROUNDS = 3
+_FINE_ITERATION_CAP = 120
 _FINE_OPTIMALITY_TOL = 5e-2
 _COARSE_BUMP_AMPLITUDE = 50.0
 _COARSE_BUMP_SIGMA = 1.5
@@ -138,6 +137,12 @@ class BiLevelConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if not self.yaw_limit <= math.pi:
             raise ValueError("yaw_limit must lie in (0, pi]")
+        # heading enters a body step only through its sine and cosine, so a
+        # turn rate has no workspace to fit; one full turn per second is past
+        # any rover's, and a turn box of 1e300 overflowed the solver
+        if not self.body_turn_max <= 2.0 * math.pi:
+            raise ValueError("body_turn_max must lie in (0, 2 pi]: at most one full turn "
+                             "per second")
         if not all(v > 0 for v in self.coarse_lengths):
             raise ValueError("coarse_lengths must be positive")
         pitch_lo, pitch_hi = self.pitch_bounds
@@ -251,19 +256,17 @@ def ergodic_coarse_planner(body_pose, phi, basis, config, memory, warm_start=Non
     """Plan a body trajectory from ``body_pose`` toward the coarse map's
     coefficients ``phi`` in ``basis``; the target is the residual that the
     body's coverage ``memory`` makes of them.  A warm-started replan runs at
-    the ``_COARSE_WARM_*`` effort, a cold plan at the full coarse caps.
+    most ``_COARSE_WARM_ITERATION_CAP`` iterations, a cold plan
+    ``_COARSE_ITERATION_CAP``.
     """
-    if warm_start is None:
-        inner_cap, outer_rounds = _COARSE_INNER_CAP, _COARSE_OUTER_ROUNDS
-    else:
-        inner_cap, outer_rounds = _COARSE_WARM_INNER_CAP, _COARSE_WARM_OUTER_ROUNDS
+    cap = _COARSE_ITERATION_CAP if warm_start is None else _COARSE_WARM_ITERATION_CAP
     problem = ErgodicProblem(
         basis=basis, target_coefficients=memory.residual_target(phi, config.coarse_horizon),
         model=UnicycleModel(), initial_state=body_pose, horizon=config.coarse_horizon,
         dt=config.coarse_dt, control_weight=_COARSE_CONTROL_WEIGHT,
         bounds=ControlBounds((-config.body_speed_max, -config.body_turn_max),
                              (config.body_speed_max, config.body_turn_max)),
-        inner_cap=inner_cap, outer_rounds=outer_rounds, optimality_tol=_COARSE_OPTIMALITY_TOL)
+        iteration_cap=cap, optimality_tol=_COARSE_OPTIMALITY_TOL)
     return solve(problem, warm_start=warm_start)
 
 
@@ -283,8 +286,7 @@ def ergodic_fine_planner(camera_angles, phi, basis, config, memory, warm_start=N
         model=SingleIntegratorModel(), initial_state=camera_angles, horizon=config.fine_horizon,
         dt=config.fine_dt, control_weight=_FINE_CONTROL_WEIGHT,
         bounds=ControlBounds((-rate, -rate), (rate, rate)),
-        inner_cap=_FINE_INNER_CAP, outer_rounds=_FINE_OUTER_ROUNDS,
-        optimality_tol=_FINE_OPTIMALITY_TOL)
+        iteration_cap=_FINE_ITERATION_CAP, optimality_tol=_FINE_OPTIMALITY_TOL)
     return solve(problem, warm_start=warm_start)
 
 

@@ -18,6 +18,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Tuple, get_args, get_origin
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "Scenario",
     "generate_scenario",
     "nearest_rocks",
+    "sees",
     "classify_view",
     "project_detection",
     "scenario_to_json",
@@ -134,6 +136,13 @@ class Scenario:
         for rock in self.rocks:
             self.workspace.require_inside((rock.x, rock.y), what="rock")
 
+    @cached_property
+    def points(self):
+        """The rocks' (x, y) positions, one row per rock, read-only."""
+        points = np.array([(r.x, r.y) for r in self.rocks]).reshape(-1, 2)
+        points.flags.writeable = False
+        return points
+
 
 def generate_scenario(seed, rock_count, placement, workspace, epicenters):
     """Seeded random field of ``rock_count`` rocks in ``workspace``.
@@ -168,7 +177,7 @@ def nearest_rocks(scenario, points):
     ``scenario`` and its distance, as two arrays; with no rock, index -1
     at an infinite distance."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    rocks = np.array([(r.x, r.y) for r in scenario.rocks]).reshape(-1, 2)
+    rocks = scenario.points
     if not len(rocks):
         return np.full(len(points), -1), np.full(len(points), np.inf)
     dist = np.linalg.norm(points[:, None] - rocks[None], axis=2)
@@ -180,41 +189,52 @@ def _wrap_angle(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def sees(camera_model, body_pose, camera_angles, yaw_limit, points):
+    """Which ground ``points`` (x, y) one image sees, as a boolean array.
+
+    A point is seen when it lies within ``max_range`` of the body (and not
+    under it), outside the body's occlusion sector (body-relative bearings
+    of ``yaw_limit`` or more, where the robot itself blocks the sight
+    line), and inside the frustum of the camera at ``camera_angles``.
+    This is the test a rock must pass to be classifiable; the scorecard
+    applies it to ground cells."""
+    x, y, heading = body_pose
+    cam_yaw, cam_pitch = camera_angles
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    dx, dy = points[:, 0] - x, points[:, 1] - y
+    dist = np.hypot(dx, dy)
+    seen = dist <= camera_model.max_range
+    if not np.count_nonzero(seen):  # the common case for rocks: none in range
+        return seen
+    bearing = _wrap_angle(np.arctan2(dy, dx) - heading)
+    d_az = _wrap_angle(bearing - cam_yaw)
+    d_el = np.arctan2(-camera_model.mount_height, dist) - cam_pitch
+    return (seen & (dist >= 1e-9) & (np.abs(bearing) < yaw_limit)
+            & (np.abs(d_az) <= 0.5 * camera_model.hfov)
+            & (np.abs(d_el) <= 0.5 * camera_model.vfov))
+
+
 def classify_view(scenario, camera_model, body_pose, camera_angles, yaw_limit, rng):
     """Label the current image; geometric stand-in for the learned classifier.
 
     Returns (label, image_offset).  The offset is the (azimuth, elevation)
     angle of the detected rock relative to the camera axis, i.e. the
     perspective projection of the rock center; it is None for background.
-    The nearest rock that is within range, inside the frustum, and outside
-    the body's occlusion sector (body-relative bearings of ``yaw_limit`` or
-    more, where the robot itself blocks the sight line) is the candidate;
-    classification then succeeds with the true-positive rate.
+    The nearest rock the image ``sees`` is the candidate; classification
+    then succeeds with the true-positive rate.
     """
-    x, y, heading = body_pose
-    cam_yaw, cam_pitch = camera_angles
-    best = None
-    for rock in scenario.rocks:
-        dx, dy = rock.x - x, rock.y - y
-        dist = math.hypot(dx, dy)
-        if dist > camera_model.max_range or dist < 1e-9:
-            continue
-        bearing = _wrap_angle(math.atan2(dy, dx) - heading)
-        if abs(bearing) >= yaw_limit:
-            continue  # hidden behind the body
-        d_az = _wrap_angle(bearing - cam_yaw)
-        if abs(d_az) > 0.5 * camera_model.hfov:
-            continue
-        depression = math.atan2(-camera_model.mount_height, dist)
-        d_el = depression - cam_pitch
-        if abs(d_el) > 0.5 * camera_model.vfov:
-            continue
-        if best is None or dist < best[0]:
-            best = (dist, rock, d_az, d_el)
-
-    if best is not None and rng.random() < camera_model.true_positive_rate:
-        _, rock, d_az, d_el = best
-        return rock.kind, (d_az, d_el)
+    rocks = scenario.points
+    seen = sees(camera_model, body_pose, camera_angles, yaw_limit, rocks)
+    if np.count_nonzero(seen) and rng.random() < camera_model.true_positive_rate:
+        # the seen rocks' distances and offsets in scalar floats, the
+        # arithmetic detections have always been recorded in
+        x, y, heading = body_pose
+        cam_yaw, cam_pitch = camera_angles
+        dist, i = min((math.hypot(rocks[i, 0] - x, rocks[i, 1] - y), i)
+                      for i in np.flatnonzero(seen))
+        bearing = _wrap_angle(math.atan2(rocks[i, 1] - y, rocks[i, 0] - x) - heading)
+        d_el = math.atan2(-camera_model.mount_height, dist) - cam_pitch
+        return scenario.rocks[i].kind, (_wrap_angle(bearing - cam_yaw), d_el)
     return "background", None
 
 

@@ -4,6 +4,8 @@ They are written for clarity, not speed, and nothing in ``src/`` calls
 them.
 """
 
+import math
+
 import numpy as np
 
 
@@ -85,6 +87,27 @@ def reference_two_loop(g, pairs):
     return q
 
 
+def adjoint_recursion(A, B, g):
+    """The rows ∂/∂u_t of Σ_t g_t·x_t over states x_0..x_{T-1} with
+    Jacobians A_t = ∂x_{t+1}/∂x_t and B_t = ∂x_{t+1}/∂u_t (t < T - 1), by
+    the costate recursion λ_{T-1} = g_{T-1}, λ_t = g_t + A_tᵀλ_{t+1}:
+    ∂/∂u_t = B_tᵀλ_{t+1}, and the last control's row is zero."""
+    T = g.shape[0]
+    out = np.zeros((T, B.shape[2]))
+    lam = np.array(g[-1])
+    for t in range(T - 2, -1, -1):
+        out[t] = B[t].T @ lam
+        lam = g[t] + A[t].T @ lam
+    return out
+
+
+def reference_control_gradient(model, states, controls, dt, g):
+    """``model.control_gradient`` by ``adjoint_recursion`` over the
+    model's ``jacobians``."""
+    A, B = model.jacobians(states[:-1], controls[:-1], dt)
+    return adjoint_recursion(A, B, g)
+
+
 def reference_rollout(model, initial_state, controls, dt):
     """States x_0..x_{T-1} of T controls by stepping ``model.step`` once
     per transition: the loop ``dynamics.rollout`` replaced."""
@@ -94,3 +117,25 @@ def reference_rollout(model, initial_state, controls, dt):
     for t in range(controls.shape[0] - 1):
         states[t + 1] = model.step(states[t], controls[t], dt)
     return states
+
+
+def reference_sees(camera_model, body_pose, camera_angles, yaw_limit, point):
+    """Whether one image sees the ground ``point``, in scalar floats: the
+    per-rock test ``world.classify_view`` applied before ``world.sees``."""
+    x, y, heading = body_pose
+    cam_yaw, cam_pitch = camera_angles
+
+    def wrap(a):
+        return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+    dx, dy = point[0] - x, point[1] - y
+    dist = math.hypot(dx, dy)
+    if dist > camera_model.max_range or dist < 1e-9:
+        return False
+    bearing = wrap(math.atan2(dy, dx) - heading)
+    if abs(bearing) >= yaw_limit:
+        return False
+    if abs(wrap(bearing - cam_yaw)) > 0.5 * camera_model.hfov:
+        return False
+    d_el = math.atan2(-camera_model.mount_height, dist) - cam_pitch
+    return abs(d_el) <= 0.5 * camera_model.vfov

@@ -231,6 +231,12 @@ CRASHING_CONFIGS = [
                  "identification_radius must be a finite number",
                  id="identification_radius_infinite"),
     pytest.param("mission", "yaw_limit", 4.0, "yaw_limit must lie in", id="mission_yaw_limit"),
+    # a 1e300 turn rate ran to exit status 0 through overflow warnings in
+    # the solver
+    pytest.param("mission", "body_turn_max", 1e300, "body_turn_max must lie in",
+                 id="body_turn_max_huge"),
+    pytest.param("mission", "body_turn_max", math.nextafter(2.0 * math.pi, 7.0),
+                 "body_turn_max must lie in", id="body_turn_max_past_a_turn_per_second"),
     # a NaN or infinite heading stopped the first coarse solve outside its
     # workspace, an infinite epicenter multiplier left the solver no feasible
     # start, and an infinite charge ran with exit status 0 and wrote
@@ -356,7 +362,8 @@ class TestUnnamedFields:
 
 
 # the planner's tuning, once mission fields, with the defaults they had; each
-# is now a module constant of that value, and a config key for it is unknown
+# is now a module constant of that value, except the six solver caps, and a
+# config key for any of them is unknown
 REMOVED_TUNING = [
     ("coarse_resolution", (100, 100)),
     ("fine_resolution", (54, 24)),
@@ -383,11 +390,27 @@ REMOVED_TUNING = [
 ]
 
 
+# the six solver caps, an inner-iteration cap and an outer-round count per
+# solve kind, are one iteration cap per solve kind: the constant and value
+# each key's effort lives in now
+ITERATION_CAPS = {
+    "coarse_inner_cap": ("_COARSE_ITERATION_CAP", 900),
+    "coarse_outer_rounds": ("_COARSE_ITERATION_CAP", 900),
+    "coarse_warm_inner_cap": ("_COARSE_WARM_ITERATION_CAP", 60),
+    "coarse_warm_outer_rounds": ("_COARSE_WARM_ITERATION_CAP", 60),
+    "fine_inner_cap": ("_FINE_ITERATION_CAP", 120),
+    "fine_outer_rounds": ("_FINE_ITERATION_CAP", 120),
+}
+
+
 class TestRemovedTuning:
     @pytest.mark.parametrize("name,default", REMOVED_TUNING)
     def test_constant_keeps_its_old_default(self, name, default):
         assert name not in BiLevelConfig.__dataclass_fields__
-        assert getattr(planner, "_" + name.upper()) == default
+        constant, value = ITERATION_CAPS.get(name, ("_" + name.upper(), default))
+        assert getattr(planner, constant) == value
+        if name in ITERATION_CAPS:
+            assert not hasattr(planner, "_" + name.upper())
 
     @pytest.mark.parametrize("name,default", REMOVED_TUNING)
     def test_from_dict_names_the_key(self, name, default):
@@ -556,6 +579,10 @@ class TestLongestSteps:
     def test_a_step_just_short_of_the_diagonal_is_accepted(self, field):
         # just past it, each field is rejected (CRASHING_CONFIGS)
         BiLevelConfig(**{field: longest_step_values(1.0 - 1e-12)[field]})
+
+    def test_a_turn_of_one_turn_per_second_is_accepted(self):
+        # just past it, body_turn_max is rejected (CRASHING_CONFIGS)
+        BiLevelConfig(body_turn_max=2.0 * math.pi)
 
     def test_mission_at_the_longest_steps_completes(self):
         # from corners of both workspaces, each box's longest step just short

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from bleto.dynamics import (ControlBounds, SingleIntegratorModel,
                             UnicycleModel, rollout)
-from oracles import reference_rollout
+from oracles import adjoint_recursion, reference_control_gradient, reference_rollout
 
 
 class TestUnicycleStep:
@@ -138,31 +138,63 @@ class TestClosedFormRollout:
                     bits(got), bits(reference_rollout(model, start, controls, dt)))
 
 
-class TestVjp:
-    """Each model's vector–Jacobian product gives the floats of the
-    ``einsum`` over its ``jacobians``, signed zeros aside."""
+@st.composite
+def adjoint_case(draw):
+    """(model, states, controls, dt, g): the rollout of random controls of
+    2 to 60 steps and a random gradient with respect to each state."""
+    model = draw(st.sampled_from([UnicycleModel(), SingleIntegratorModel()]))
+    value = st.floats(-1e3, 1e3, allow_nan=False)
+    start = draw(arrays(np.float64, model.state_dim, elements=value))
+    steps = draw(st.integers(2, 60))
+    controls = draw(arrays(np.float64, (steps, model.control_dim), elements=value))
+    dt = draw(st.floats(1e-3, 1e2))
+    g = draw(arrays(np.float64, (steps, model.state_dim), elements=value))
+    return model, rollout(model, start, controls, dt), controls, dt, g
+
+
+class TestControlGradient:
+    """Each model's ``control_gradient`` is the adjoint recursion over its
+    ``jacobians`` (``oracles.reference_control_gradient``) and the
+    derivative of Σ g_t·x_t through ``rollout``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjoint_case())
+    def test_matches_the_adjoint_recursion(self, case):
+        model, states, controls, dt, g = case
+        got = model.control_gradient(states, controls, dt, g)
+        expect = reference_control_gradient(model, states, controls, dt, g)
+        # the running sums and the recursion add the same terms in other
+        # orders: their difference is rounding, relative to the same
+        # recursion over the terms' magnitudes
+        A, B = model.jacobians(states[:-1], controls[:-1], dt)
+        size = adjoint_recursion(np.abs(A), np.abs(B), np.abs(g))
+        assert got.shape == controls.shape and not got[-1].any()
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(size)
 
     @pytest.mark.parametrize("model", [UnicycleModel(), SingleIntegratorModel()],
                              ids=["unicycle", "integrator"])
-    def test_vjp_matches_einsum_over_jacobians(self, model):
-        rng = np.random.default_rng(8)
-        zeros = np.array([0.0, -0.0])
-        for T in (1, 4, 47):
-            for _ in range(200):
-                # views of larger arrays, as the solver passes them, with
-                # a share of entries +0 or -0 in states, controls and r
-                states = rng.normal(size=(T + 1, model.state_dim)) * 10.0
-                controls = rng.normal(size=(T + 1, model.control_dim))
-                r = rng.normal(size=(T, model.state_dim)) * 10.0 ** rng.uniform(-5, 3)
-                for a in (states, controls, r):
-                    pick = rng.random(a.shape) < 0.3
-                    a[pick] = rng.choice(zeros, pick.sum())
-                dt = float(10.0 ** rng.uniform(-2, 2))
-                A, B = model.jacobians(states[:-1], controls[:-1], dt)
-                got = model.vjp(states[:-1], controls[:-1], dt, r)
-                expect = (np.einsum("tij,ti->tj", A, r), np.einsum("tij,ti->tj", B, r))
-                for g, e in zip(got, expect):
-                    assert np.array_equal(g, e)
+    def test_matches_central_differences(self, model):
+        # the body's 48-step plans at 15 s and the camera's 5-step sweeps
+        rng = np.random.default_rng(71)
+        for steps, dt, box in ((48, 15.0, (0.3, 0.5)), (5, 0.4, (0.6, 0.6))):
+            for _ in range(5):
+                start = rng.uniform(-3.0, 3.0, model.state_dim)
+                controls = rng.uniform(-1.0, 1.0, (steps, model.control_dim)) * box
+                g = rng.normal(size=(steps, model.state_dim))
+
+                def objective(u):
+                    return float((g * rollout(model, start, u, dt)).sum())
+
+                got = model.control_gradient(rollout(model, start, controls, dt),
+                                             controls, dt, g)
+                eps = 1e-6
+                fd = np.zeros(controls.shape)
+                for index in np.ndindex(controls.shape):
+                    up, um = controls.copy(), controls.copy()
+                    up[index] += eps
+                    um[index] -= eps
+                    fd[index] = (objective(up) - objective(um)) / (2 * eps)
+                assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 class TestControlBounds:

@@ -9,14 +9,12 @@ change that is meant to be a pure refactor or speed-up must keep every
 digest; a change that alters behaviour on purpose must update the digests
 and say why.
 
-The digests were recorded after the solver's L-BFGS two-loop recursion
-gave way to its compact matrix form, which changed the last bits of every
-solve and so every mission, on linux x86-64 with numpy 2.4.6 and
-scipy-openblas, BLAS on one thread.  The
-fixed-camera runs see no detection within 120 s, so their image logs do
-not depend on the seed; bl-eto on seed 1 detects a rock and so exercises
-the map updates.  The random camera's seed-1 run detects a rock, its
-seed-2 run does not.
+The digests were recorded when the body's and the camera's solver became
+single shooting (``solver``), which changed every mission, on linux x86-64
+with numpy 2.4.6 and scipy-openblas, BLAS on one thread.  Within 120 s,
+bl-eto on seed 3 and the random camera on seed 4 detect rocks and so
+exercise the map updates; the other runs see none, so the fixed camera's
+image logs, and bl-eto's on seed 1, do not depend on the seed.
 """
 
 import hashlib
@@ -30,46 +28,46 @@ GOLDEN_BUDGET_S = 120.0
 
 GOLDEN = {
     ("bl-eto", 1): {
-        "metrics.json": "5de1fc40739bcbbb0f8de7f2301aed4ccac9c789b6a9b5df6940bcee7eb460e0",
-        "detections.jsonl": "62678df33798f3400a0ae463a1d304b7fd0dc5efb2a3478eeadf40d84338678f",
+        "metrics.json": "8272870a710f71572dcb423da11cdabcb7f6bdc1062bb4ee54734d3cf17ce8b9",
+        "detections.jsonl": "5a9734e17e349c56c697ea1e9cdd0b402e9a1c77fde11efdb44f9f147f9df0cd",
     },
-    ("bl-eto", 2): {
-        "metrics.json": "4f81befe392d32b6320aad8d206dfce17278b9c9ced4bf2e9f33897ae10e308f",
-        "detections.jsonl": "d4e98ebf533c0faffac388525f20bb3b6c94cf20ae680d2c5d470e740e88004b",
+    ("bl-eto", 3): {
+        "metrics.json": "70b10f8e7c926904c40821b8fda8b562adbb2cb0b12261ffbf06fbc66dcc558f",
+        "detections.jsonl": "5b4d20a1ad4d729c339b7b5502a832e45ac5120237c8965fe64e9964b8f23cf7",
     },
     ("eto-fixed-camera", 1): {
-        "metrics.json": "cec21f2ac7b8440c7743f97a9e869d46429b7eaca266c6b2ab43b32e39fdac64",
-        "detections.jsonl": "c38c1cfbd4f7f291585f0afbef500152565d162a1d483b01b57d89ea0df8ee7f",
+        "metrics.json": "107ac2ec41c6cf51bd713548b433058fa129a218bb21d34cdb7fd931d25db05d",
+        "detections.jsonl": "8442f94b12e3a025776cbe7fde0b45ea21ed3f9d92d32f7b68f002e8264a61ab",
     },
     ("eto-fixed-camera", 2): {
-        "metrics.json": "54b42ad4d5d3fb97c83fc4dd89b6c0a5f90c93ab16214e2a0d932dd81a455722",
-        "detections.jsonl": "c38c1cfbd4f7f291585f0afbef500152565d162a1d483b01b57d89ea0df8ee7f",
+        "metrics.json": "8a030c818b6bde739126f2354bea6cffa917ba3940806bf474a6c677436dbc73",
+        "detections.jsonl": "8442f94b12e3a025776cbe7fde0b45ea21ed3f9d92d32f7b68f002e8264a61ab",
     },
     ("eto-random-camera", 1): {
-        "metrics.json": "1b6307391b083d8ccdbeb7ec35d3ab8ccef87dfac97fe87461f084024e2e0d0f",
-        "detections.jsonl": "bef049cfffcb6a0a2dae23204b3743be9596c2c8679adaae08538499338b88a8",
+        "metrics.json": "6535f63eea144d79f5b32cd00068b69c54f1118e4b20b19af27fd2dce2beb187",
+        "detections.jsonl": "01b6428a2bf0c2ba904333069044650e28588ee5a4d16f4b20d87311ad43fa53",
     },
-    ("eto-random-camera", 2): {
-        "metrics.json": "00fd2459a6dd0ffb5d2e4d882c5a993e50e94fcef1397e760ec046282460a89f",
-        "detections.jsonl": "6035ea79a2e04e5382e8b7f561059d1bda4071dad99dbaa1ebdd82e3f380ef16",
+    ("eto-random-camera", 4): {
+        "metrics.json": "30df59de4aaeb0b1448c9fa7aa2e229ad472e73aa938f6d95f0d2e27726e61d5",
+        "detections.jsonl": "1c39a51406ceeec8579a015238d99ffe7535e3af5a51ffbfaad38af6c112d2d9",
     },
 }
 
 
 # The seed-1 missions of the benchmark's three workloads at its own budgets,
 # configured as perfbench/workloads.py configures them, with their
-# metrics.json digests.  These were recorded with the compact L-BFGS
-# product; the digests in perfbench/baseline.json are older and no longer
+# metrics.json digests.  These were recorded with the single-shooting
+# solver; the digests in perfbench/baseline.json are older and no longer
 # match.  The open-loop mission covers the cold solve, many fine solves and
-# replans after an exhausted plan, and makes 12 detections; the receding
-# one makes 7.
+# replans after an exhausted plan, and makes 3 detections; the receding
+# and fixed-camera ones make none.
 BENCHMARK_WORKLOADS = {
     "receding": ("bl-eto", 300.0, False,
-                 "f7b0ee63b7726de4d109ddce010ea9df209c9d8e3c4ebabb6ac2a154a6f0b0e3"),
+                 "e7765e760afaf7bf47f2d9def45f9629d752660d3a9947edbe1f7cb3ad7f4e1a"),
     "open-loop": ("bl-eto", 2700.0, True,
-                  "d011b2acc1256e80abb23340fbf25dfe7c4c7999844a6a8785bb2f37c5801c72"),
+                  "bebf3cd1ea2c099c2f820fb492d40083fbd97773761e737ae2c7554b66bd3c4d"),
     "fixed-camera": ("eto-fixed-camera", 300.0, False,
-                     "d4cf16c42a2b8c9866a0370e0680bfce76c8ac7fb861ae228e5ba35cabce76aa"),
+                     "166d4143479b969c68186c28f76e76330f78a4b2383c1beed068e8a3fcee05c7"),
 }
 
 

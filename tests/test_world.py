@@ -8,7 +8,8 @@ from bleto.bench import ExperimentConfig, build_scenario
 from bleto.ergodic import Workspace
 from bleto.planner import BiLevelConfig
 from bleto.world import (CameraModel, Rock, Scenario, classify_view, generate_scenario,
-                         project_detection, scenario_from_json, scenario_to_json)
+                         project_detection, scenario_from_json, scenario_to_json, sees)
+from oracles import reference_sees
 
 
 # the mission's occlusion sector, which it passes to the oracle
@@ -145,6 +146,24 @@ class TestClassifyView:
                                        (0.0, deg(-18.4)), YAW_LIMIT, rng)
                          for _ in range(50)])
         assert outs[0] == outs[1]
+
+
+class TestSees:
+    def test_matches_the_scalar_test_point_by_point(self):
+        # random poses, aims and points within 6 m, so that every clause of
+        # the test (range, occlusion, azimuth, elevation) decides some points
+        rng = np.random.default_rng(9)
+        camera = CameraModel()
+        checked = 0
+        for _ in range(200):
+            pose = (*rng.uniform(0.0, 100.0, 2), rng.uniform(-10.0, 10.0))
+            angles = (rng.uniform(-YAW_LIMIT, YAW_LIMIT), rng.uniform(deg(-90.0), deg(30.0)))
+            points = np.array(pose[:2]) + rng.uniform(-6.0, 6.0, (50, 2))
+            got = sees(camera, pose, angles, YAW_LIMIT, points)
+            assert got.tolist() == [reference_sees(camera, pose, angles, YAW_LIMIT, p)
+                                    for p in points]
+            checked += int(got.sum())
+        assert 0 < checked < 200 * 50
 
 
 class TestProjectDetection:
