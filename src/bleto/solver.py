@@ -95,7 +95,6 @@ import dataclasses
 import math
 import struct
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -462,7 +461,6 @@ def _solve_uncached(problem, warm_start):
     f, point = _evaluate(problem, guess, scale)
     g = _gradient(problem, point, scale)
     fails = 0  # consecutive line-search failures
-    window = deque(maxlen=15)
     it = 0
     while True:
         # projected gradient in the preconditioned frame
@@ -471,9 +469,6 @@ def _solve_uncached(problem, warm_start):
         diag.trace.append((it, f, point.cost.cost, pg_norm))
         if pg_norm <= problem.optimality_tol or it >= problem.iteration_cap:
             break
-        window.append(f)
-        if len(window) == window.maxlen and window[0] - f <= 1e-9 * (1.0 + abs(f)):
-            break  # the objective has flattened out
         # a control held at a bound that the gradient pushes against stays
         held = ((z <= lower) & (g > 0.0)) | ((z >= upper) & (g < 0.0))
         direction = -lbfgs.apply(g_w)

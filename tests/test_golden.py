@@ -9,12 +9,13 @@ change that is meant to be a pure refactor or speed-up must keep every
 digest; a change that alters behaviour on purpose must update the digests
 and say why.
 
-The digests were recorded when the body's and the camera's solver became
-single shooting (``solver``), which changed every mission, on linux x86-64
-with numpy 2.4.6 and scipy-openblas, BLAS on one thread.  Within 120 s,
-bl-eto on seed 3 and the random camera on seed 4 detect rocks and so
-exercise the map updates; the other runs see none, so the fixed camera's
-image logs, and bl-eto's on seed 1, do not depend on the seed.
+The digests were recorded when the body's turn box became half a turn
+per step (``BiLevelConfig.body_bounds``), which changed every mission, on
+linux x86-64 with numpy 2.4.6 and scipy-openblas, BLAS on one thread.
+Within 120 s, bl-eto on seed 4 and the random camera on seed 8 detect
+rocks and so exercise the map updates; the other runs see none, so the
+fixed camera's image logs, and bl-eto's on seed 1, do not depend on the
+seed.
 """
 
 import hashlib
@@ -28,46 +29,45 @@ GOLDEN_BUDGET_S = 120.0
 
 GOLDEN = {
     ("bl-eto", 1): {
-        "metrics.json": "8272870a710f71572dcb423da11cdabcb7f6bdc1062bb4ee54734d3cf17ce8b9",
-        "detections.jsonl": "5a9734e17e349c56c697ea1e9cdd0b402e9a1c77fde11efdb44f9f147f9df0cd",
+        "metrics.json": "07b619981d22d662fe823e43b250d64354f5cb5463eae178fa23189ce0506a5c",
+        "detections.jsonl": "2b8957475cfc79e8468320f7f73e42213513acee38c86851861367425a1e6f95",
     },
-    ("bl-eto", 3): {
-        "metrics.json": "70b10f8e7c926904c40821b8fda8b562adbb2cb0b12261ffbf06fbc66dcc558f",
-        "detections.jsonl": "5b4d20a1ad4d729c339b7b5502a832e45ac5120237c8965fe64e9964b8f23cf7",
+    ("bl-eto", 4): {
+        "metrics.json": "502348bef9c9abbb5988907209bcca0ec41549ecc5f386199cb5e32a2fe111c5",
+        "detections.jsonl": "245b3c3c22a23c659c603ea00c1c697ee14c845257a284edebba6e95bcf3e0a4",
     },
     ("eto-fixed-camera", 1): {
-        "metrics.json": "107ac2ec41c6cf51bd713548b433058fa129a218bb21d34cdb7fd931d25db05d",
-        "detections.jsonl": "8442f94b12e3a025776cbe7fde0b45ea21ed3f9d92d32f7b68f002e8264a61ab",
+        "metrics.json": "a4467f93802c7a5d6b01666ce68ecfc92718d5036a12666e859a240d5d9be454",
+        "detections.jsonl": "22dab80d510c8e0d11238541e3de7320006d5d730c5ecd74910f32011abe0b36",
     },
     ("eto-fixed-camera", 2): {
-        "metrics.json": "8a030c818b6bde739126f2354bea6cffa917ba3940806bf474a6c677436dbc73",
-        "detections.jsonl": "8442f94b12e3a025776cbe7fde0b45ea21ed3f9d92d32f7b68f002e8264a61ab",
+        "metrics.json": "6d85fcbffbc9b84999e2486600a011e91034a8d7fce9f83c6aabd37b592b5861",
+        "detections.jsonl": "22dab80d510c8e0d11238541e3de7320006d5d730c5ecd74910f32011abe0b36",
     },
     ("eto-random-camera", 1): {
-        "metrics.json": "6535f63eea144d79f5b32cd00068b69c54f1118e4b20b19af27fd2dce2beb187",
-        "detections.jsonl": "01b6428a2bf0c2ba904333069044650e28588ee5a4d16f4b20d87311ad43fa53",
+        "metrics.json": "a5eef110a7a987128ac4431d7a8c54423243cecaeaeafac7acdf49db80714cdb",
+        "detections.jsonl": "e24126de09266c879f145123c7a261b243d30b41ffd1a606c2786ecf9ac458ac",
     },
-    ("eto-random-camera", 4): {
-        "metrics.json": "30df59de4aaeb0b1448c9fa7aa2e229ad472e73aa938f6d95f0d2e27726e61d5",
-        "detections.jsonl": "1c39a51406ceeec8579a015238d99ffe7535e3af5a51ffbfaad38af6c112d2d9",
+    ("eto-random-camera", 8): {
+        "metrics.json": "35921479e9604001ce8fb268f8b11a2dd094c372d488b8780c58b94a978e00ac",
+        "detections.jsonl": "a08de0dc5c3b4af44b354c3e98d9995ae1ad8b5ccfe8a0e257ad9a3948e7eeac",
     },
 }
 
 
 # The seed-1 missions of the benchmark's three workloads at its own budgets,
 # configured as perfbench/workloads.py configures them, with their
-# metrics.json digests.  These were recorded with the single-shooting
-# solver; the digests in perfbench/baseline.json are older and no longer
-# match.  The open-loop mission covers the cold solve, many fine solves and
-# replans after an exhausted plan, and makes 3 detections; the receding
-# and fixed-camera ones make none.
+# metrics.json digests.  These were recorded with the half-turn turn box;
+# the digests in perfbench/baseline.json are older and no longer match.
+# The open-loop mission covers the cold solve, many fine solves and replans
+# after an exhausted plan; none of the three makes a detection.
 BENCHMARK_WORKLOADS = {
     "receding": ("bl-eto", 300.0, False,
-                 "e7765e760afaf7bf47f2d9def45f9629d752660d3a9947edbe1f7cb3ad7f4e1a"),
+                 "bfd4bf0f7fa66be650fc7b80e5c7c0fa42426b6a655024d3f1252a5a4b2e0b7f"),
     "open-loop": ("bl-eto", 2700.0, True,
-                  "bebf3cd1ea2c099c2f820fb492d40083fbd97773761e737ae2c7554b66bd3c4d"),
+                  "4a84f8a0a15e42976e41027f3f2ad315eeda00de1d4aa384961af700f20da29d"),
     "fixed-camera": ("eto-fixed-camera", 300.0, False,
-                     "166d4143479b969c68186c28f76e76330f78a4b2383c1beed068e8a3fcee05c7"),
+                     "551cb8510d45b582698a293b78efaa10f5a094b893e72b85bfe709d8493f1d98"),
 }
 
 

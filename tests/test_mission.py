@@ -7,7 +7,8 @@ at or after the budget ends the mission whichever action it pays for, each
 coarse map is transformed once, comparisons stay paired and write a
 scorecard that agrees with their trials, bad input exits with status 2,
 ``run --out`` writes the solver trace of the mission's own first coarse
-plan, and a process solves that plan once yet writes each trial's bytes.
+plan, a process solves that plan once yet writes each trial's bytes, and
+the body turns at most half a turn per step.
 """
 
 import functools
@@ -25,15 +26,15 @@ import bleto.solver
 from bleto.bench import ExperimentConfig, build_scenario, compare
 from bleto.cli import EXIT_CONFIG, EXIT_OK, main
 from bleto.dynamics import UnicycleModel
-from bleto.ergodic import Workspace
+from bleto.ergodic import FourierBasis, Workspace
 from bleto.infomap import DetectionEvent
-from bleto.planner import BiLevelConfig, Mission, MissionLog
+from bleto.planner import BiLevelConfig, CoverageMemory, Mission, MissionLog
 from bleto.world import Rock, Scenario, scenario_to_json
 
 SWEEP_BUDGET_S = 120.0
 # the seed whose bl-eto mission detects rocks earliest: its first detection
-# comes at 42 s, and a repeat sighting near it follows within 300 s
-ROCK_SEED = 3
+# comes at 24 s, and a repeat sighting near it follows within 300 s
+ROCK_SEED = 4
 
 
 def run_mission(method, seed, **mission_kw):
@@ -309,6 +310,41 @@ class TestRepeatSightings:
         clip = bleto.planner._CLIP_FACTOR
         assert all(factor == (clip if near else 1.0) for near, factor in checked)
         assert {near for near, _ in checked} == {True, False}
+
+
+class TestTurnBox:
+    """The body plans with a turn box of at most half a turn per step
+    (``BiLevelConfig.body_bounds``): heading enters a step only through its
+    sine and cosine, so a wider box holds several copies of each heading."""
+
+    @pytest.mark.parametrize("turn_max,box", [(BiLevelConfig().body_turn_max, math.pi / 15.0),
+                                              (0.1, 0.1)], ids=["default", "narrow"])
+    def test_coarse_problem_turns_at_most_half_a_turn_per_step(self, monkeypatch,
+                                                               turn_max, box):
+        problems = []
+        monkeypatch.setattr(bleto.planner, "solve",
+                            lambda problem, warm_start=None: problems.append(problem))
+        config = BiLevelConfig(body_turn_max=turn_max)
+        assert config.coarse_dt == 15.0
+        basis = FourierBasis(config.coarse_workspace(), 4)
+        bleto.planner.ergodic_coarse_planner(
+            config.start_pose, np.ones(len(basis)), basis, config,
+            memory=CoverageMemory(basis, [config.start_pose[:2]]))
+        (problem,) = problems
+        speed = config.body_speed_max
+        assert problem.bounds.lower.tolist() == [-speed, -box]
+        assert problem.bounds.upper.tolist() == [speed, box]
+
+    @pytest.mark.parametrize("method", sorted(bleto.bench.METHODS))
+    def test_no_body_step_turns_past_half_a_turn(self, tmp_path, method):
+        config = ExperimentConfig(
+            mission=BiLevelConfig(time_budget=300.0)).for_method(method)
+        bleto.bench.run_trial(config, 1, tmp_path)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        headings = np.array([float(line.split(",")[3]) for line in lines[1:]])
+        turns = np.abs(np.diff(headings))
+        assert len(turns) >= 10 and turns.max() > 0.0
+        assert turns.max() <= math.pi * (1.0 + 1e-12)
 
 
 class TestTrajectoryCsv:

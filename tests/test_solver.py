@@ -15,6 +15,7 @@ import bleto.solver
 from bleto.dynamics import ControlBounds, SingleIntegratorModel, UnicycleModel, rollout
 from bleto.ergodic import FourierBasis, Workspace, ergodic_metric, map_coefficients
 from bleto.infomap import InfoMap, init_coarse
+from bleto.planner import BiLevelConfig
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
                           shift_warm_start, solve)
 from bleto.solver import (_COLD_MEMO_SIZE, _LBFGS_MEMORY, _CompactLbfgs, _cold_key,
@@ -28,7 +29,7 @@ EFFORT = dict(optimality_tol=1e-3, iteration_cap=2000)
 
 
 def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
-                   phi=None, weight=1e-6, **kw):
+                   phi=None, weight=1e-6, bounds=None, **kw):
     ws = Workspace((100.0, 100.0))
     basis = FourierBasis(ws, modes)
     if phi is None:
@@ -37,7 +38,7 @@ def coarse_problem(x0=(50.0, 50.0, 0.0), horizon=48, modes=10, dt=5.0,
         basis=basis, target_coefficients=phi, model=UnicycleModel(),
         initial_state=np.asarray(x0, dtype=float), horizon=horizon, dt=dt,
         control_weight=weight,
-        bounds=ControlBounds((-0.3, -0.5), (0.3, 0.5)), **{**EFFORT, **kw})
+        bounds=bounds or ControlBounds((-0.3, -0.5), (0.3, 0.5)), **{**EFFORT, **kw})
 
 
 def fine_problem(x0=(0.0, -0.35), horizon=5, modes=8, **kw):
@@ -231,6 +232,17 @@ class TestSolve:
         traj = solve(prob)
         assert traj.diagnostics.converged
         assert traj.diagnostics.optimality_norm < 1e-3
+
+    @pytest.mark.parametrize("make", ["fine", "coarse"])
+    def test_an_unmeetable_tolerance_runs_to_the_cap(self, make):
+        # the one stall stop is three failed line searches in a row
+        # (TestLineSearchFailure), and at tolerance 0 these problems descend
+        # to their cap without a failed search
+        prob = (fine_problem(optimality_tol=0.0, iteration_cap=300) if make == "fine"
+                else coarse_problem(horizon=12, modes=5, optimality_tol=0.0,
+                                    iteration_cap=300))
+        d = bleto.solver._solve_uncached(prob, None).diagnostics
+        assert (d.iterations, d.line_search_failures, d.converged) == (300, 0, False)
 
     def test_trace_written(self):
         prob = coarse_problem(horizon=12, modes=5, iteration_cap=40)
@@ -529,25 +541,26 @@ class TestColdMemo:
 class TestByteIdentity:
     """The solver's output is pinned to the byte.
 
-    The digests were recorded when single shooting replaced the
-    transcription, on linux x86-64 with numpy 2.4.6 and scipy-openblas,
-    BLAS on one thread.  A change meant as a pure speed-up must keep them;
-    one that alters the solver or its arithmetic on purpose must update
-    them and say why.  The settings are the mission's: a cold coarse
-    replan, a warm one, and a fine (camera) solve.
+    The digests were recorded when the body's turn box became half a turn
+    per step (``BiLevelConfig.body_bounds``), on linux x86-64 with numpy
+    2.4.6 and scipy-openblas, BLAS on one thread.  A change meant as a pure
+    speed-up must keep them; one that alters the solver or its arithmetic
+    on purpose must update them and say why.  The settings are the
+    mission's: a cold coarse replan, a warm one, and a fine (camera) solve.
 
-    The warm case is a link of the chain cold → warm₁ → warm₂ → …, each
-    link the replan from its predecessor's state 1 through
-    ``shift_warm_start``: the third, which stops at its cap.  No solve of
-    the chain fails a line search; ``TestLineSearchFailure`` takes that
-    path.
+    The cold case converges, at under 5% of its guess's cost.  The warm
+    case is a link of the chain cold → warm₁ → warm₂ → …, each link the
+    replan from its predecessor's state 1 through ``shift_warm_start``: the
+    second, which stops at its cap.  No solve of the chain fails a line
+    search; ``TestLineSearchFailure`` takes that path.
     """
 
-    COARSE = dict(dt=15.0, iteration_cap=900, optimality_tol=1e-2)
-    WARM_LINK = 3
+    COARSE = dict(dt=15.0, iteration_cap=900, optimality_tol=1e-2,
+                  bounds=BiLevelConfig().body_bounds())
+    WARM_LINK = 2
     DIGESTS = {
-        "cold": "5f4c7b1c6f9348a46071599c264405509f36b8fb0f25919536077bf09c75b84a",
-        "warm": "23713d30af736e881c560eb8262c95803e36d1e9bf1816728d907483fbc7efb9",
+        "cold": "d8affbc09fcfa4fb02d09bdc5ffe364073ba3e94b0193f2e46f2127a86a7e342",
+        "warm": "db64cd7a9b0160b26f57d66e0f3c00bb8040adbf8ca9d0bc8402dd6fe4f74fa9",
         "fine": "722eb722f92aedc336c2513a56fdb863b4f18fab42cd7745a7a66b6912bb9c72",
     }
 
@@ -570,6 +583,9 @@ class TestByteIdentity:
         # every case runs the line search
         for traj in (cold, warm, fine):
             assert traj.diagnostics.iterations > 0
+            assert traj.diagnostics.line_search_failures == 0
+        assert cold.diagnostics.converged
+        assert cold.ergodic_cost < 0.05 * cold.diagnostics.initial_cost
         assert warm.diagnostics.iterations == warm_kw["iteration_cap"]
         hits = {"cold": solve(coarse_problem(x0=(30.0, 70.0, 1.0), **self.COARSE)),
                 "fine": solve(fine_problem())}
