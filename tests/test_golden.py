@@ -4,7 +4,8 @@ Each ``GOLDEN`` case runs one trial through ``bench.run_trial`` at a 120 s
 simulated budget and compares the sha256 of its deterministic artifacts,
 ``metrics.json`` and ``detections.jsonl``, with digests pinned here; each
 ``BENCHMARK_WORKLOADS`` case runs one of the benchmark's missions at its
-own, longer budget and compares ``metrics.json``.  A
+own, longer budget and compares ``metrics.json``, and
+``OPEN_LOOP_DETECTING`` pins one open-loop mission that detects rocks.  A
 change that is meant to be a pure refactor or speed-up must keep every
 digest; a change that alters behaviour on purpose must update the digests
 and say why.
@@ -60,7 +61,8 @@ GOLDEN = {
 # metrics.json digests.  These were recorded with the half-turn turn box;
 # the digests in perfbench/baseline.json are older and no longer match.
 # The open-loop mission covers the cold solve, many fine solves and replans
-# after an exhausted plan; none of the three makes a detection.
+# after an exhausted plan; none of the three makes a detection, so
+# ``OPEN_LOOP_DETECTING`` pins one that does.
 BENCHMARK_WORKLOADS = {
     "receding": ("bl-eto", 300.0, False,
                  "bfd4bf0f7fa66be650fc7b80e5c7c0fa42426b6a655024d3f1252a5a4b2e0b7f"),
@@ -71,14 +73,38 @@ BENCHMARK_WORKLOADS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
-def test_benchmark_workload_matches_baseline_digest(workload, tmp_path):
-    method, budget, open_loop, digest = BENCHMARK_WORKLOADS[workload]
+# An open-loop mission at that workload's config that detects rocks (six
+# times), so replans after a detection, with their map updates, stay pinned
+# at the config where the body replans only then or on an exhausted plan.
+# Seed 4 was picked only to keep that path covered.
+OPEN_LOOP_DETECTING = (4, {
+    "metrics.json": "15129459452acec640adea8309382802d51534b038e3b5bec0e28bc8e8a57fb5",
+    "detections.jsonl": "6e21fa564b594961111a08bf09ea5535a7de60bc988ae8b8a14f26a619d79714",
+})
+
+
+def _workload_config(method, budget, open_loop):
     mission = BiLevelConfig(time_budget=budget)
     if open_loop:  # the body replans only on detections or an exhausted plan
         mission = mission.replaced(replan_interval=mission.coarse_horizon)
-    run_trial(ExperimentConfig(mission=mission).for_method(method), 1, out_dir=tmp_path)
+    return ExperimentConfig(mission=mission).for_method(method)
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_workload_matches_baseline_digest(workload, tmp_path):
+    method, budget, open_loop, digest = BENCHMARK_WORKLOADS[workload]
+    run_trial(_workload_config(method, budget, open_loop), 1, out_dir=tmp_path)
     assert hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest() == digest
+
+
+def test_open_loop_mission_with_detections_matches_digests(tmp_path):
+    seed, golden = OPEN_LOOP_DETECTING
+    _, budget, open_loop, _ = BENCHMARK_WORKLOADS["open-loop"]
+    metrics = run_trial(_workload_config("bl-eto", budget, open_loop), seed, out_dir=tmp_path)
+    assert metrics.detections > 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in golden}
+    assert digests == golden
 
 
 @pytest.mark.parametrize("method,seed", sorted(GOLDEN))
