@@ -72,20 +72,19 @@ class UnicycleModel:
         B[:, 2, 1] = dt
         return A, B
 
-    def control_gradient(self, states, controls, dt, g):
+    def control_gradient(self, terms, controls, dt, g):
         """The gradient of Σ_t g_t·x_t with respect to every control, for
         the states x_0..x_{T-1} that ``rollout`` forms from ``controls``
         u_0..u_{T-1}, the (T, 3) ``g`` the gradient with respect to each
-        state.  One adjoint pass: with the costates λ_t = g_t + A_tᵀλ_{t+1}
-        of the Jacobians A, B of ``jacobians``, the row for u_t is
-        B_tᵀλ_{t+1}, and the last row, of a control that moves no state,
-        is zero.  The position costates are running sums of g from the
-        end, and the heading's a running sum of g's heading entries plus
-        each step's turn of the position costates, so no loop runs over
-        time."""
-        h = states[:-1, 2]
-        cos_h, sin_h = np.cos(h), np.sin(h)
-        dt_v = dt * controls[:-1, 0]
+        state and ``terms`` the (cos h, sin h, dt·v) of the steps that the
+        model's ``rollout`` returns beside the states.  One adjoint pass:
+        with the costates λ_t = g_t + A_tᵀλ_{t+1} of the Jacobians A, B of
+        ``jacobians``, the row for u_t is B_tᵀλ_{t+1}, and the last row, of
+        a control that moves no state, is zero.  The position costates are
+        running sums of g from the end, and the heading's a running sum of
+        g's heading entries plus each step's turn of the position costates,
+        so no loop runs over time."""
+        cos_h, sin_h, dt_v = terms
         # λ_{t+1} of the positions, for t = 0..T-2
         lam = np.cumsum(g[:0:-1, :2], axis=0)[::-1]
         turn = g[1:, 2].copy()
@@ -96,19 +95,20 @@ class UnicycleModel:
         return out
 
     def rollout(self, first, controls, dt):
-        """States x_0..x_T from x_0 = ``first`` through the T ``controls``.
-        Each coordinate of ``step`` is a running sum, so each is one
-        ``cumsum`` of the same terms in the same order: the headings of
-        h_0 and dt·w, then the positions of x_0 and (dt·v)·cos h, y_0 and
-        (dt·v)·sin h."""
+        """States x_0..x_T from x_0 = ``first`` through the T ``controls``,
+        and the (cos h, sin h, dt·v) of each step, which
+        ``control_gradient`` reads.  Each coordinate of ``step`` is a
+        running sum, so each is one ``cumsum`` of the same terms in the same
+        order: the headings of h_0 and dt·w, then the positions of x_0 and
+        (dt·v)·cos h, y_0 and (dt·v)·sin h."""
         heading = np.cumsum(np.concatenate(([first[2]], dt * controls[:, 1])))
         h = heading[:-1]
-        dt_v = dt * controls[:, 0]
+        cos_h, sin_h, dt_v = np.cos(h), np.sin(h), dt * controls[:, 0]
         states = np.empty((heading.size, 3))
-        states[:, 0] = np.cumsum(np.concatenate(([first[0]], dt_v * np.cos(h))))
-        states[:, 1] = np.cumsum(np.concatenate(([first[1]], dt_v * np.sin(h))))
+        states[:, 0] = np.cumsum(np.concatenate(([first[0]], dt_v * cos_h)))
+        states[:, 1] = np.cumsum(np.concatenate(([first[1]], dt_v * sin_h)))
         states[:, 2] = heading
-        return states
+        return states, (cos_h, sin_h, dt_v)
 
 
 class SingleIntegratorModel:
@@ -131,19 +131,20 @@ class SingleIntegratorModel:
         B.reshape(T, 4)[:, ::3] = dt
         return A, B
 
-    def control_gradient(self, states, controls, dt, g):
+    def control_gradient(self, terms, controls, dt, g):
         """The gradient of Σ_t g_t·x_t with respect to every control, as
         ``UnicycleModel.control_gradient``: with A = I and B = dt I, the
         row for u_t is dt times the running sum of g_{t+1}..g_{T-1}, and
-        the last row is zero."""
+        the last row is zero; the rollout's ``terms`` are none."""
         out = np.zeros(controls.shape)
         out[:-1] = dt * np.cumsum(g[:0:-1], axis=0)[::-1]
         return out
 
     def rollout(self, first, controls, dt):
-        """States x_0..x_T from x_0 = ``first`` through the T ``controls``:
-        the running sums of x_0 and dt·u, added in ``step``'s order."""
-        return np.cumsum(np.concatenate((first[None], dt * controls)), axis=0)
+        """States x_0..x_T from x_0 = ``first`` through the T ``controls``,
+        the running sums of x_0 and dt·u added in ``step``'s order, and no
+        terms for ``control_gradient``."""
+        return np.cumsum(np.concatenate((first[None], dt * controls)), axis=0), ()
 
 
 def rollout(model, initial_state, controls, dt):
@@ -152,11 +153,13 @@ def rollout(model, initial_state, controls, dt):
     Returns exactly T = len(controls) states, so the final control only
     enters through the control cost, never through a visible transition.
     Each model's ``rollout`` forms them without a loop, bit for bit the
-    states of stepping ``step`` T - 1 times.
+    states of stepping ``step`` T - 1 times.  The solver calls the model's
+    ``rollout`` itself, with the checks and the copy of x_0 done once per
+    solve, and keeps its terms for the gradient.
     """
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     if controls.shape[0] < 1:
         raise ValueError("need at least one control")
     first = np.empty(model.state_dim)
     first[:] = np.asarray(initial_state, dtype=float)
-    return model.rollout(first, controls[:-1], dt)
+    return model.rollout(first, controls[:-1], dt)[0]

@@ -12,8 +12,8 @@ trajectory, which is what the trajectory optimizer needs.
 cost: it builds the per-axis basis tables of the points once, contracts
 them into the trajectory's coefficients, and from the same tables finishes
 the gradient with respect to every point on demand.  The solver's
-objective (``solver._evaluate``) and the costs a solve reports
-(``solver._costs``) both go through it.
+objective (``solver._Objective``) and the costs a solve reports both go
+through it.
 
 Everything in this module is a pure function of immutable inputs and is
 safe to call concurrently from multiple threads.
@@ -59,12 +59,9 @@ class Workspace:
             raise ValueError("lows must match lengths per axis")
         if not np.all(np.isfinite(self.lows)):
             raise ValueError("every axis low must be finite")
-        self.lengths.flags.writeable = False
-        self.lows.flags.writeable = False
-
-    @property
-    def highs(self):
-        return self.lows + self.lengths
+        self.highs = self.lows + self.lengths
+        for arr in (self.lengths, self.lows, self.highs):
+            arr.flags.writeable = False
 
     def area(self):
         return float(np.prod(self.lengths))
@@ -113,10 +110,11 @@ class FourierBasis:
 
     Every F_k is a product of one cosine per axis, so the reference form of
     anything summed over modes and points is a per-axis contraction:
-    ``point_tables`` takes (m_0 + m_1)·T cosines, one (modes_per_axis[i], T)
-    table per axis, and ``CoverageCost`` and ``map_coefficients`` contract
-    those tables with matrix products, never forming one entry per mode
-    and point.  Reassociating any of those sums changes the bits of every
+    ``point_tables`` takes (m_0 + m_1)·T cosines, the two axes' (m, T)
+    tables stacked as one (2, m, T) array, so that one call builds each
+    table for both axes; ``CoverageCost`` and ``map_coefficients`` contract
+    the per-axis tables with matrix products, never forming one entry per
+    mode and point.  Reassociating any of those sums changes the bits of every
     mission (``solver``'s bit-for-bit rule).  ``eval_points`` and
     ``eval_points_with_gradient`` still form each value or gradient entry
     as one product of two table entries divided by h_k last, the
@@ -135,21 +133,21 @@ class FourierBasis:
         ell = np.where(self.modes == 0, workspace.lengths, workspace.lengths / 2.0)
         self.normalizers = np.sqrt(np.prod(ell, axis=1))
         # what the table paths would otherwise rebuild on every call: the
-        # frequencies ω_{k,i} and their negatives as one (m_i, 1) column per
-        # axis, the axis lows, and the normalizers as divisors of the (nK, T)
-        # values and (nK, T, 2) gradients of the ``eval_points`` paths
-        self._axis_frequencies = tuple(
-            (np.arange(m) * np.pi / workspace.lengths[i])[:, None]
-            for i, m in enumerate(self.modes_per_axis))
-        self._neg_frequencies = tuple(-omega for omega in self._axis_frequencies)
-        self._lows = tuple(workspace.lows)
+        # frequencies ω_{k,i} and their negatives as a (2, m, 1) stack of
+        # one (m, 1) column per axis, the axis lows as a (2, 1) column, and
+        # the normalizers as divisors of the (nK, T) values and (nK, T, 2)
+        # gradients of the ``eval_points`` paths
+        omega = np.arange(self.modes_per_axis[0]) * np.pi / workspace.lengths[:, None]
+        self._frequencies = omega[:, :, None]
+        self._neg_frequencies = -self._frequencies
+        self._lows = workspace.lows[:, None]
         self._value_normalizers = self.normalizers[:, None]
         self._gradient_normalizers = self.normalizers[:, None, None]
         # weight_k / h_k on the (m_0, m_1) mode grid: the per-mode factor of
         # the coverage gradient (``CoverageCost.gradient``)
         self._mode_gains = (self.weights / self.normalizers).reshape(self.modes_per_axis)
         for arr in (self.modes, self.weights, self.normalizers, self._mode_gains,
-                    *self._axis_frequencies, *self._neg_frequencies):
+                    self._frequencies, self._neg_frequencies):
             arr.flags.writeable = False
 
     def __len__(self):
@@ -157,17 +155,10 @@ class FourierBasis:
 
     # ---- vectorized paths used by the metric and the solver ----
 
-    def _axis_tables(self, axis_points):
-        """Per-axis phase tables ω_{k,i} (w_i - low_i) and their cosines,
-        two lists of (m_i, n_i) arrays, from one float array per axis."""
-        phases = [omega * (pts_i - low)
-                  for omega, pts_i, low in zip(self._axis_frequencies, axis_points,
-                                               self._lows)]
-        return phases, [np.cos(p) for p in phases]
-
     def point_tables(self, points, check=True):
-        """Per-axis phase and cosine tables of many points, the input of
-        ``CoverageCost`` and of the ``eval_points`` paths.
+        """The phase tables ω_{k,i} (w_i - low_i) of many points and their
+        cosines, each a (2, m, T) stack of one (m, T) table per axis: the
+        input of ``CoverageCost`` and of the ``eval_points`` paths.
 
         ``check=False`` skips the conversion and the containment test for
         callers that pass a (T, 2) float array; its points may lie outside
@@ -177,7 +168,8 @@ class FourierBasis:
         if check:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             self.workspace.require_inside(points, what="trajectory point")
-        return self._axis_tables(points.T)
+        phases = self._frequencies * (points.T - self._lows)[:, None]
+        return phases, np.cos(phases)
 
     def _values(self, cx, cy):
         return (cx[:, None] * cy[None]).reshape(len(self), -1) / self._value_normalizers
@@ -192,12 +184,12 @@ class FourierBasis:
         dF_k/dw_0 = (-ω_{k,0} sin(ω_{k,0} w_0)) cos(ω_{k,1} w_1) / h_k, and
         dF_k/dw_1 = (-ω_{k,1} sin(ω_{k,1} w_1)) cos(ω_{k,0} w_0) / h_k
         """
-        (px, py), (cx, cy) = self.point_tables(points)
-        neg_x, neg_y = self._neg_frequencies
+        phases, (cx, cy) = self.point_tables(points)
+        sx, sy = self._neg_frequencies * np.sin(phases)
         T = cx.shape[1]
         grads = np.empty(self.modes_per_axis + (T, 2))
-        np.multiply((neg_x * np.sin(px))[:, None], cy[None], out=grads[..., 0])
-        np.multiply((neg_y * np.sin(py))[None], cx[:, None], out=grads[..., 1])
+        np.multiply(sx[:, None], cy[None], out=grads[..., 0])
+        np.multiply(sy[None], cx[:, None], out=grads[..., 1])
         grads = grads.reshape(-1, T, 2)
         grads /= self._gradient_normalizers
         return self._values(cx, cy), grads
@@ -209,7 +201,8 @@ class FourierBasis:
         the result is one (modes_per_axis[i], len(axis_points[i])) table
         per axis, *without* the 1/h_k normalization (applied by callers).
         """
-        return self._axis_tables([np.asarray(p, dtype=float) for p in axis_points])[1]
+        return [np.cos(omega * (np.asarray(p, dtype=float) - low))
+                for omega, p, low in zip(self._frequencies, axis_points, self.workspace.lows)]
 
 
 def map_coefficients(basis, grid_map):
@@ -244,8 +237,10 @@ class CoverageCost:
         E   = sum_k weight_k r_k^2         ``cost``
 
     Every sum over modes and points is a per-axis contraction of the
-    points' cosine and sine tables (``FourierBasis.point_tables``), the
-    (m_0, T) and (m_1, T) arrays C_x, C_y, S_x, S_y: with modes on their
+    points' cosine and sine tables, the (m_0, T) and (m_1, T) arrays C_x,
+    C_y, S_x, S_y; each pair is one (2, m, T) stack, the cosines from
+    ``FourierBasis.point_tables`` and the sines from one ``np.sin`` of its
+    phases in ``gradient``.  With modes on their
     (m_0, m_1) grid, c = (C_x C_y^T) / (h T), and ``gradient`` contracts
     the weighted residual W_ab = weight_ab r_ab / h_ab once per axis,
 
@@ -261,11 +256,13 @@ class CoverageCost:
     cosines, even about each face, so the basis extends evenly beyond it
     and the cost and its gradient stay smooth across the faces (the
     solver's rolled-out trials cross them under its workspace penalty).
+    ``divisors``, the h_k·T of ``coefficients``, lets a caller that builds
+    many costs of one length pass them in, computed once.
     """
 
     __slots__ = ("basis", "horizon", "tables", "coefficients", "residual", "cost")
 
-    def __init__(self, basis, points, target_coefficients, check=True):
+    def __init__(self, basis, points, target_coefficients, check=True, divisors=None):
         if check:
             points = np.atleast_2d(np.asarray(points, dtype=float))
             if points.shape[0] < 1:
@@ -273,8 +270,10 @@ class CoverageCost:
         self.basis = basis
         self.horizon = points.shape[0]
         self.tables = basis.point_tables(points, check)
+        if divisors is None:
+            divisors = basis.normalizers * self.horizon
         cx, cy = self.tables[1]
-        self.coefficients = (cx @ cy.T).ravel() / (basis.normalizers * self.horizon)
+        self.coefficients = (cx @ cy.T).ravel() / divisors
         self.residual = self.coefficients - target_coefficients
         r = self.residual
         self.cost = float((basis.weights * r * r).sum())
@@ -282,11 +281,11 @@ class CoverageCost:
     def gradient(self, weight=1.0):
         """``weight`` times dE/dw_t for every point, shape (T, 2)."""
         basis = self.basis
-        (px, py), (cx, cy) = self.tables
-        neg_x, neg_y = basis._neg_frequencies
+        phases, (cx, cy) = self.tables
+        sx, sy = basis._neg_frequencies * np.sin(phases)
         W = (weight * 2.0 / self.horizon) * (
             basis._mode_gains * self.residual.reshape(basis.modes_per_axis))
         g = np.empty((self.horizon, 2))
-        g[:, 0] = ((neg_x * np.sin(px)) * (W @ cy)).sum(axis=0)
-        g[:, 1] = ((neg_y * np.sin(py)) * (W.T @ cx)).sum(axis=0)
+        g[:, 0] = (sx * (W @ cy)).sum(axis=0)
+        g[:, 1] = (sy * (W.T @ cx)).sum(axis=0)
         return g

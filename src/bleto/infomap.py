@@ -313,8 +313,21 @@ def save_pgm(imap, path):
 
 
 def save_csv(imap, path):
-    """Raw densities, one row per axis-0 index."""
-    np.savetxt(path, imap.density, delimiter=",", fmt="%.17g")
+    """Raw densities, one row per axis-0 index: the bytes that
+    ``np.savetxt(path, density, delimiter=",", fmt="%.17g")`` writes.  A
+    map holds few distinct values, so each value's text is made once;
+    densities are strictly positive, so equal values have equal bits."""
+    texts = {}
+
+    def text(v):
+        t = texts.get(v)
+        if t is None:
+            t = texts[v] = "%.17g" % v
+        return t
+
+    with open(path, "w", encoding="utf-8") as f:
+        for row in imap.density:
+            f.write(",".join([text(v) for v in row.tolist()]) + "\n")
 
 
 def save_detections_jsonl(events, path):

@@ -221,15 +221,18 @@ class CoverageMemory:
     """
 
     def __init__(self, basis, points):
-        self.basis = basis
-        self.count = 0
-        self._fsum = np.zeros(len(basis))
-        self.add(points)
-
-    def add(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self._fsum += self.basis.eval_points(pts).sum(axis=1)
-        self.count += pts.shape[0]
+        self.basis = basis
+        self.count = pts.shape[0]
+        self._fsum = np.zeros(len(basis))
+        self._fsum += basis.eval_points(pts).sum(axis=1)
+
+    def add(self, point):
+        """Add the sample ``point``, the basis values of which are one
+        product of its two axes' cosines per mode over h_k."""
+        cx, cy = self.basis.point_tables([point])[1][:, :, 0]
+        self._fsum += (cx[:, None] * cy).ravel() / self.basis.normalizers
+        self.count += 1
 
     def average(self):
         return self._fsum / self.count
@@ -403,7 +406,7 @@ class Mission:
         label, offset = ws.classify_view(self.scenario, self.camera_model, self.pose,
                                          self.angles, self.config.yaw_limit, self.rng)
         if self.fine_memory is not None:
-            self.fine_memory.add([self.angles])
+            self.fine_memory.add(self.angles)
         point = None
         if label != "background":
             point = ws.project_detection(self.pose, self.angles, self.camera_model,
@@ -491,7 +494,7 @@ class Mission:
                 self.log.path_length += abs(float(control[0])) * cfg.coarse_dt
                 self.step_index += 1
                 self.log.body_states.append((self.log.sim_time, *self.pose, *self.angles))
-                self.memory.add([self.pose[:2]])
+                self.memory.add(self.pose[:2])
                 self.log.final_metric = self.memory.metric_against(self.coarse_phi)
                 if detections:
                     self._plan_coarse("detections")

@@ -15,14 +15,16 @@ mechanism:
   mode is even about each face, so the cost stays smooth across it.
 
 A box on the controls bounds each step of a plan, since every returned
-plan is re-rolled from its clipped controls; there is no separate limit on
+plan is the rollout of its clipped controls; there is no separate limit on
 how far a position moves per step.
 
-Each trial point of the line search is evaluated once (``_evaluate``): a
-rollout, the coverage cost and the penalty.  The line search reads only
-the value; when it accepts a trial, that evaluation's record finishes the
-gradient (``_gradient``) in one adjoint pass through the model
-(``control_gradient``).  The quasi-Newton direction is zeroed on controls
+Each point is evaluated once (``_Objective``, which takes what a solve
+holds fixed once): a rollout, the coverage cost and the penalty.  The
+line search reads only the value; an accepted trial's record finishes the
+gradient in one adjoint pass (``control_gradient``), on the cos h, sin h
+and dt·v of the rollout.  The guess and the returned plan are evaluated
+points too, with their own states and costs wherever the positions lie
+inside the workspace.  The quasi-Newton direction is zeroed on controls
 held at a bound that the gradient pushes against, and each line search
 starts from the step that moves no control by more than its box width.
 
@@ -196,14 +198,6 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _costs(problem, states, controls):
-    """The ``CoverageCost`` of a state sequence inside the workspace and the
-    control cost w·Σ|u|²: the objective ``solve`` reports for its guess and
-    for the trajectory it returns."""
-    cost = CoverageCost(problem.basis, states[:, :2], problem.target_coefficients)
-    return cost, float(np.sum(controls * (controls * problem.control_weight)))
-
-
 def _objective_scale(problem):
     """Intrinsic objective normalization.
 
@@ -220,42 +214,62 @@ def _objective_scale(problem):
 
 @dataclass(eq=False, slots=True)
 class _Point:
-    """What one ``_evaluate`` computed at the controls ``us``: their
-    rollout ``states``, the ``CoverageCost`` of its positions and
-    ``outside``, each position's distance past the workspace faces over
-    the axis lengths (zero inside)."""
+    """What one ``_Objective.evaluate`` computed at the controls ``us``:
+    their rollout ``states`` and the model's ``terms`` of it, the
+    ``CoverageCost`` of its positions, ``outside``, each position's
+    distance past the workspace faces over the axis lengths (zero inside),
+    and the control cost ``ctrl`` = w·Σ|u|²."""
 
     us: np.ndarray
     states: np.ndarray
+    terms: tuple
     cost: CoverageCost
     outside: np.ndarray
+    ctrl: float
 
 
-def _evaluate(problem, us, scale):
-    """The objective at the controls ``us``, (T, m): ``scale`` times the
-    coverage and control costs plus the workspace penalty.  Returns the
-    value and the ``_Point`` that finishes its gradient on demand."""
-    ws = problem.workspace
-    states = rollout(problem.model, problem.initial_state, us, problem.dt)
-    pts = states[:, :2]
-    cost = CoverageCost(problem.basis, pts, problem.target_coefficients, check=False)
-    outside = (pts - pts.clip(ws.lows, ws.highs)) / ws.lengths
-    value = (scale * (cost.cost + float((us * (us * problem.control_weight)).sum()))
-             + _WALL_WEIGHT * float((outside * outside).sum()))
-    return value, _Point(us, states, cost, outside)
+class _Objective:
+    """The objective of one solve at the controls ``us``, (T, m): ``scale``
+    times the coverage and control costs plus the workspace penalty, and
+    its gradient.  What stays fixed during the solve is taken once: the
+    model's ``rollout`` starts from the initial state that ``problem``
+    checked, and the coefficient divisors h_k·T and the gradient's scalar
+    factors are computed here."""
 
+    def __init__(self, problem):
+        self.problem, self._workspace = problem, problem.workspace
+        self.scale = _objective_scale(problem)
+        self._divisors = problem.basis.normalizers * problem.horizon
+        self._wall_gain = 2.0 * _WALL_WEIGHT
+        self._control_gain = self.scale * 2.0 * problem.control_weight
 
-def _gradient(problem, point, scale):
-    """The gradient of ``_evaluate``'s objective at ``point``, flat over the
-    controls: the state gradient pulled back through the rollout by one
-    adjoint pass (``control_gradient``), plus the control cost's."""
-    g_states = np.zeros(point.states.shape)
-    g_pts = point.cost.gradient(scale)
-    g_pts += (2.0 * _WALL_WEIGHT) * point.outside / problem.workspace.lengths
-    g_states[:, :2] = g_pts
-    g = problem.model.control_gradient(point.states, point.us, problem.dt, g_states)
-    g += (scale * 2.0 * problem.control_weight) * point.us
-    return g.ravel()
+    def evaluate(self, us):
+        """The value at ``us`` and the ``_Point`` that finishes its
+        gradient on demand."""
+        p = self.problem
+        states, terms = p.model.rollout(p.initial_state, us[:-1], p.dt)
+        pts = states[:, :2]
+        cost = CoverageCost(p.basis, pts, p.target_coefficients, check=False,
+                            divisors=self._divisors)
+        ws = self._workspace
+        outside = (pts - pts.clip(ws.lows, ws.highs)) / ws.lengths
+        ctrl = float((us * (us * p.control_weight)).sum())
+        value = (self.scale * (cost.cost + ctrl)
+                 + _WALL_WEIGHT * float((outside * outside).sum()))
+        return value, _Point(us, states, terms, cost, outside, ctrl)
+
+    def gradient(self, point):
+        """The gradient at ``point``, flat over the controls: the state
+        gradient pulled back through the rollout by one adjoint pass
+        (``control_gradient``), plus the control cost's."""
+        p = self.problem
+        g_states = np.zeros(point.states.shape)
+        g_pts = point.cost.gradient(self.scale)
+        g_pts += self._wall_gain * point.outside / self._workspace.lengths
+        g_states[:, :2] = g_pts
+        g = p.model.control_gradient(point.terms, point.us, p.dt, g_states)
+        g += self._control_gain * point.us
+        return g.ravel()
 
 
 def _norm(x):
@@ -343,26 +357,31 @@ def default_initial_guess(problem):
     is a saddle point of the metric, and the descent method needs the
     symmetry broken.  Returns the guess's rollout and its controls.
     """
+    controls = _guess_controls(problem)
+    return rollout(problem.model, problem.initial_state, controls, problem.dt), controls
+
+
+def _guess_controls(problem):
+    """The controls of ``default_initial_guess``, without their rollout."""
     u0 = np.zeros(problem.model.control_dim)
     if problem.model.state_dim > 2:
         u0[0] = 0.5 * problem.bounds.upper[0]
     half_range = 0.5 * (problem.bounds.upper - problem.bounds.lower)
     wiggle = _GUESS_WIGGLE * np.where(np.arange(problem.horizon) % 2 == 0, 1.0, -1.0)
-    controls = u0 + wiggle[:, None] * half_range
-    states = rollout(problem.model, problem.initial_state, controls, problem.dt)
-    return states, controls
+    return u0 + wiggle[:, None] * half_range
 
 
-def _reroll(problem, controls, diag):
-    """Clip ``controls`` to their boxes and roll them out from the initial
-    state, so dynamics hold exactly.  Positions the rollout carries outside
-    the workspace are clamped back, which marks the solve unconverged."""
-    controls = problem.bounds.clip(controls)
-    states = rollout(problem.model, problem.initial_state, controls, problem.dt)
-    if not np.all(problem.workspace.contains(states[:, :2])):
-        states[:, :2] = problem.workspace.clamp(states[:, :2])
-        diag.converged = False
-    return states, controls
+def _plan(problem, point):
+    """The states and ``CoverageCost`` that ``solve`` returns for the
+    evaluated ``point``, and whether its positions lie inside the
+    workspace: ``point``'s own if they do, else a copy of its rollout with
+    the positions clamped back, and the cost of those."""
+    ws = problem.workspace
+    if np.all(ws.contains(point.states[:, :2])):
+        return point.states, point.cost, True
+    states = point.states.copy()
+    states[:, :2] = ws.clamp(states[:, :2])
+    return states, CoverageCost(problem.basis, states[:, :2], problem.target_coefficients), False
 
 
 _cold_memo = {}  # cold-problem key -> the Trajectory its solve returned
@@ -407,9 +426,9 @@ def _copy_trajectory(traj):
 def solve(problem, warm_start=None):
     """Minimize the coverage objective subject to dynamics and bounds.
 
-    Returns a feasible trajectory: the final controls are clipped to their
-    boxes and re-rolled through the dynamics, and positions the penalty
-    left outside the workspace are clamped back, which flags the solve
+    Returns a feasible trajectory: the final controls lie in their boxes,
+    the states are their rollout, and positions the penalty left outside
+    the workspace are clamped back, which flags the solve
     ``converged=False``.  If optimization fails to beat the initial guess
     the guess itself is returned, flagged the same way.
     The diagnostics record every inner step in ``trace``.
@@ -442,11 +461,12 @@ def _solve_uncached(problem, warm_start):
             raise ValueError("warm start control dimension mismatch")
         guess = warm_start.controls
     else:
-        guess = default_initial_guess(problem)[1]
+        guess = _guess_controls(problem)
+    objective = _Objective(problem)
+    f, point = objective.evaluate(problem.bounds.clip(guess))
+    guess_point, guess_plan = point, _plan(problem, point)
     diag = SolveDiagnostics()
-    guess_states, guess = _reroll(problem, guess, diag)
-    cost, ctrl = _costs(problem, guess_states, guess)
-    diag.initial_cost = init_objective = cost.cost + ctrl
+    diag.initial_cost = init_objective = guess_plan[1].cost + point.ctrl
 
     T, m = problem.horizon, problem.model.control_dim
     lower = np.tile(problem.bounds.lower, T)
@@ -454,12 +474,10 @@ def _solve_uncached(problem, warm_start):
     # controls in units of their half-range, which brings the objective's
     # curvature into comparable units across channels
     precond = 0.5 * (upper - lower)
-    scale = _objective_scale(problem)
     lbfgs = _CompactLbfgs(T * m, _LBFGS_MEMORY)
 
-    z = guess.ravel()
-    f, point = _evaluate(problem, guess, scale)
-    g = _gradient(problem, point, scale)
+    z = point.us.ravel()
+    g = objective.gradient(point)
     fails = 0  # consecutive line-search failures
     it = 0
     while True:
@@ -487,7 +505,7 @@ def _solve_uncached(problem, warm_start):
             step = z_new - z
             if not step.any():
                 break
-            f_new, trial = _evaluate(problem, z_new.reshape(T, m), scale)
+            f_new, trial = objective.evaluate(z_new.reshape(T, m))
             if f_new <= f + _ARMIJO * min(0.0, float(g.dot(step))):
                 accepted = trial
                 break
@@ -501,7 +519,7 @@ def _solve_uncached(problem, warm_start):
                 break
             continue
         fails = 0
-        g_new = _gradient(problem, accepted, scale)
+        g_new = objective.gradient(accepted)
         s_w = step / precond
         y_w = precond * (g_new - g)
         sy = float(s_w.dot(y_w))
@@ -512,16 +530,16 @@ def _solve_uncached(problem, warm_start):
     diag.optimality_norm = pg_norm
     diag.converged = pg_norm <= problem.optimality_tol
 
-    # Re-roll the clipped controls so dynamics hold exactly on return; fall
-    # back to the initial guess if that does not beat it.
-    final_states, final_controls = _reroll(problem, z.reshape(T, m), diag)
-    cost, ctrl = _costs(problem, final_states, final_controls)
-    if cost.cost + ctrl > init_objective + 1e-12:
-        final_states, final_controls = guess_states, guess
+    # The plan is the last point's rollout from its clipped controls, so
+    # dynamics hold exactly on return; fall back to the initial guess if
+    # that does not beat it.
+    states, cost, inside = guess_plan if point is guess_point else _plan(problem, point)
+    diag.converged = diag.converged and inside
+    if cost.cost + point.ctrl > init_objective + 1e-12:
+        point, (states, cost, _) = guess_point, guess_plan
         diag.converged = False
-        cost, ctrl = _costs(problem, final_states, final_controls)
-    return Trajectory(states=final_states, controls=final_controls,
-                      ergodic_cost=cost.cost, control_cost=ctrl, diagnostics=diag)
+    return Trajectory(states=states, controls=point.us,
+                      ergodic_cost=cost.cost, control_cost=point.ctrl, diagnostics=diag)
 
 
 def shift_warm_start(prev):

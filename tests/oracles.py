@@ -17,6 +17,14 @@ def trajectory_coefficients(basis, points):
     return basis.eval_points(pts).mean(axis=1)
 
 
+def reference_memory_add(memory, points):
+    """``CoverageMemory.add`` as it was, for any number of ``points``: their
+    (nK, n) basis values summed over the points into the running sum."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    memory._fsum += memory.basis.eval_points(pts).sum(axis=1)
+    memory.count += pts.shape[0]
+
+
 def mode_index(basis, k):
     """Flat index of an integer mode vector (row-major in the basis's
     mode grid)."""

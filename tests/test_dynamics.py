@@ -140,8 +140,9 @@ class TestClosedFormRollout:
 
 @st.composite
 def adjoint_case(draw):
-    """(model, states, controls, dt, g): the rollout of random controls of
-    2 to 60 steps and a random gradient with respect to each state."""
+    """(model, states, terms, controls, dt, g): the rollout of random
+    controls of 2 to 60 steps, the model's terms of it, and a random
+    gradient with respect to each state."""
     model = draw(st.sampled_from([UnicycleModel(), SingleIntegratorModel()]))
     value = st.floats(-1e3, 1e3, allow_nan=False)
     start = draw(arrays(np.float64, model.state_dim, elements=value))
@@ -149,7 +150,8 @@ def adjoint_case(draw):
     controls = draw(arrays(np.float64, (steps, model.control_dim), elements=value))
     dt = draw(st.floats(1e-3, 1e2))
     g = draw(arrays(np.float64, (steps, model.state_dim), elements=value))
-    return model, rollout(model, start, controls, dt), controls, dt, g
+    states, terms = model.rollout(start, controls[:-1], dt)
+    return model, states, terms, controls, dt, g
 
 
 class TestControlGradient:
@@ -160,8 +162,8 @@ class TestControlGradient:
     @settings(max_examples=300, deadline=None)
     @given(adjoint_case())
     def test_matches_the_adjoint_recursion(self, case):
-        model, states, controls, dt, g = case
-        got = model.control_gradient(states, controls, dt, g)
+        model, states, terms, controls, dt, g = case
+        got = model.control_gradient(terms, controls, dt, g)
         expect = reference_control_gradient(model, states, controls, dt, g)
         # the running sums and the recursion add the same terms in other
         # orders: their difference is rounding, relative to the same
@@ -170,6 +172,21 @@ class TestControlGradient:
         size = adjoint_recursion(np.abs(A), np.abs(B), np.abs(g))
         assert got.shape == controls.shape and not got[-1].any()
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(adjoint_case())
+    def test_rollout_terms_are_the_gradients_own_inputs(self, case):
+        # the unicycle's gradient once took cos h, sin h and dt·v from the
+        # states and controls themselves: the rollout hands over those bits
+        model, states, terms, controls, dt, g = case
+        assert np.array_equal(states, rollout(model, states[0], controls, dt))
+        if isinstance(model, UnicycleModel):
+            h = states[:-1, 2]
+            expect = (np.cos(h), np.sin(h), dt * controls[:-1, 0])
+            assert all(np.array_equal(t.view(np.int64), e.view(np.int64))
+                       for t, e in zip(terms, expect))
+        else:
+            assert terms == ()
 
     @pytest.mark.parametrize("model", [UnicycleModel(), SingleIntegratorModel()],
                              ids=["unicycle", "integrator"])
@@ -185,7 +202,7 @@ class TestControlGradient:
                 def objective(u):
                     return float((g * rollout(model, start, u, dt)).sum())
 
-                got = model.control_gradient(rollout(model, start, controls, dt),
+                got = model.control_gradient(model.rollout(start, controls[:-1], dt)[1],
                                              controls, dt, g)
                 eps = 1e-6
                 fd = np.zeros(controls.shape)

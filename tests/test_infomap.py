@@ -8,6 +8,7 @@ from bleto.infomap import (DetectionEvent, InfoMap, init_coarse,
                            load_detections_jsonl, project_to_fine,
                            register_detection, save_csv, save_detections_jsonl,
                            save_pgm, update_fine)
+from bleto.planner import DEFAULT_EPICENTERS
 from bleto.world import CameraModel
 
 
@@ -268,3 +269,19 @@ class TestExports:
         save_csv(imap, path)
         back = np.loadtxt(path, delimiter=",")
         assert np.allclose(back, imap.density, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["prior", "bumps", "distinct"])
+    def test_csv_bytes_are_savetxt_bytes(self, ws, tmp_path, kind):
+        # the mission's prior, a map after several detections, and a map of
+        # which no two cells hold the same value
+        imap = init_coarse(ws, (100, 100), DEFAULT_EPICENTERS)
+        if kind == "bumps":
+            for x, y in ((40.0, 40.0), (41.0, 40.5), (75.0, 20.0), (0.5, 99.5)):
+                imap = register_detection(imap, detection(x, y), **COARSE_BUMP)
+        elif kind == "distinct":
+            imap = InfoMap(ws, np.random.default_rng(3).random((100, 100)) + 0.5)
+            assert np.unique(imap.density).size == imap.density.size
+        path, expect = tmp_path / "m.csv", tmp_path / "expect.csv"
+        save_csv(imap, path)
+        np.savetxt(expect, imap.density, delimiter=",", fmt="%.17g")
+        assert path.read_bytes() == expect.read_bytes()

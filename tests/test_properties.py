@@ -7,22 +7,25 @@ Example counts are capped so that the module costs a few seconds.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bleto.ergodic import CoverageCost, FourierBasis, Workspace, ergodic_metric
+from bleto.ergodic import (CoverageCost, FourierBasis, OutsideWorkspaceError, Workspace,
+                           ergodic_metric)
 from bleto.infomap import (DetectionEvent, InfoMap, init_coarse,
                            register_detection, update_fine)
 from bleto.planner import DEFAULT_EPICENTERS, BiLevelConfig, CoverageMemory
 from bleto.world import (ROCK_CLASSES, CameraModel, Rock, Scenario,
                          classify_view, project_detection)
-from oracles import trajectory_coefficients
+from oracles import reference_memory_add, trajectory_coefficients
 
 COARSE = Workspace((100.0, 100.0))
 FINE = Workspace((math.radians(270.0), math.radians(120.0)),
                  (math.radians(-135.0), math.radians(-90.0)))
 BASIS = FourierBasis(COARSE, 10)
+FINE_BASIS = FourierBasis(FINE, 8)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -55,6 +58,27 @@ class TestCoverageMemoryIdentity:
         direct = ergodic_metric(BASIS, whole, phi)
         folded = CoverageCost(BASIS, plan, memory.residual_target(phi, T)).cost
         assert math.isclose(direct, (T / (N + T)) ** 2 * folded, rel_tol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["coarse", "fine"]),
+           st.lists(st.tuples(unit, unit), min_size=1, max_size=30))
+    def test_one_point_add_matches_the_many_point_path(self, level, samples):
+        # the body's and the camera's memories, one sample after another;
+        # unit offsets 0 and 1 put samples on the workspace faces
+        ws, basis = (COARSE, BASIS) if level == "coarse" else (FINE, FINE_BASIS)
+        start = ws.lows + 0.5 * ws.lengths
+        memory, reference = CoverageMemory(basis, [start]), CoverageMemory(basis, [start])
+        for a, b in samples:
+            point = tuple(ws.lows + np.array([a, b]) * ws.lengths)
+            memory.add(point)
+            reference_memory_add(reference, [point])
+            assert memory.count == reference.count
+            assert np.array_equal(memory._fsum.view(np.int64), reference._fsum.view(np.int64))
+        outside = ws.highs + (0.0, 1e-6)
+        with pytest.raises(OutsideWorkspaceError):
+            memory.add(outside)
+        with pytest.raises(OutsideWorkspaceError):
+            reference_memory_add(reference, [outside])
 
 
 coarse_update = st.tuples(st.just("coarse"), unit, unit, st.booleans())

@@ -19,7 +19,7 @@ from bleto.planner import BiLevelConfig
 from bleto.solver import (ErgodicProblem, Trajectory, default_initial_guess,
                           shift_warm_start, solve)
 from bleto.solver import (_COLD_MEMO_SIZE, _LBFGS_MEMORY, _CompactLbfgs, _cold_key,
-                          _costs, _evaluate, _gradient, _norm, _objective_scale)
+                          _Objective, _norm)
 from oracles import reference_two_loop, trajectory_coefficients
 
 
@@ -101,26 +101,28 @@ class TestProblemValidation:
 
 
 class TestObjectiveAndGradient:
-    """The objective E + sum u'Ru as ``solve`` reports it (``_costs``), and
-    the gradient of the shooting objective built on it (``_evaluate``,
-    ``_gradient``)."""
+    """The objective E + sum u'Ru of an evaluated point as ``solve``
+    reports it (``_Point.cost`` and ``ctrl``), and the gradient of the
+    shooting objective built on it (``_Objective``)."""
 
     def test_zero_weight_leaves_pure_metric(self):
         prob = coarse_problem(horizon=12, modes=6, weight=0.0)
-        states, us = random_states(prob, np.random.default_rng(0))
-        cost, ctrl = _costs(prob, states, us)
-        c = trajectory_coefficients(prob.basis, states[:, :2])
+        _, us = random_states(prob, np.random.default_rng(0))
+        objective = _Objective(prob)
+        f, point = objective.evaluate(us)
+        c = trajectory_coefficients(prob.basis, point.states[:, :2])
         E = ergodic_metric(prob.basis, c, prob.target_coefficients)
-        assert ctrl == 0.0
-        assert cost.cost + ctrl == pytest.approx(E, rel=1e-12)
+        assert point.ctrl == 0.0 and not point.outside.any()
+        assert point.cost.cost + point.ctrl == pytest.approx(E, rel=1e-12)
+        assert f == objective.scale * point.cost.cost
 
     def test_zero_controls_zero_control_term(self):
         prob = coarse_problem(horizon=10, modes=5, weight=3.0)
-        states, us = random_states(prob, np.random.default_rng(1))
-        cost, ctrl = _costs(prob, states, np.zeros_like(us))
-        c = trajectory_coefficients(prob.basis, states[:, :2])
-        assert ctrl == 0.0
-        assert cost.cost + ctrl == pytest.approx(
+        _, us = random_states(prob, np.random.default_rng(1))
+        point = _Objective(prob).evaluate(np.zeros_like(us))[1]
+        c = trajectory_coefficients(prob.basis, point.states[:, :2])
+        assert point.ctrl == 0.0
+        assert point.cost.cost + point.ctrl == pytest.approx(
             ergodic_metric(prob.basis, c, prob.target_coefficients), rel=1e-12)
 
     @pytest.mark.parametrize("make,seed", [("coarse", 3), ("coarse", 4), ("coarse-corner", 5),
@@ -139,22 +141,22 @@ class TestObjectiveAndGradient:
             prob = fine_problem(x0=x0, horizon=6)
         T, m = prob.horizon, prob.model.control_dim
         us = rng.uniform(prob.bounds.lower, prob.bounds.upper, (T, m))
-        scale = _objective_scale(prob)
-        f, point = _evaluate(prob, us, scale)
+        objective = _Objective(prob)
+        f, point = objective.evaluate(us)
         assert math.isfinite(f)
         crossed = np.abs(point.outside).max() > 0
         assert crossed == make.endswith("corner")
-        g = _gradient(prob, point, scale)
+        g = objective.gradient(point)
         eps = 1e-6
         fd = np.zeros(us.size)
         for i in range(us.size):
             up, um = us.ravel().copy(), us.ravel().copy()
             up[i] += eps
             um[i] -= eps
-            fd[i] = (_evaluate(prob, up.reshape(T, m), scale)[0]
-                     - _evaluate(prob, um.reshape(T, m), scale)[0]) / (2 * eps)
+            fd[i] = (objective.evaluate(up.reshape(T, m))[0]
+                     - objective.evaluate(um.reshape(T, m))[0]) / (2 * eps)
         # the last control moves no state: only the control cost sees it
-        assert np.array_equal(g[-m:], (scale * 2.0 * prob.control_weight) * us[-1])
+        assert np.array_equal(g[-m:], (objective.scale * 2.0 * prob.control_weight) * us[-1])
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-6
 
@@ -562,6 +564,9 @@ class TestByteIdentity:
         "cold": "d8affbc09fcfa4fb02d09bdc5ffe364073ba3e94b0193f2e46f2127a86a7e342",
         "warm": "db64cd7a9b0160b26f57d66e0f3c00bb8040adbf8ca9d0bc8402dd6fe4f74fa9",
         "fine": "722eb722f92aedc336c2513a56fdb863b4f18fab42cd7745a7a66b6912bb9c72",
+        "settled": "fdbc780ff7edd6b25d75675c2d08c1fd8eae3060c7a03356e5f088ef54967eb4",
+        "clamped": "8f78e71fa71d00db74821eea572eaae01c00a79507de1305d60785a95a0e9a4d",
+        "returned": "4c5d20542dc482651525007199fe568dd8d24b24f1cb3da317bec254410987d0",
     }
 
     def test_solves_match_pinned_digests(self, monkeypatch):
@@ -578,7 +583,7 @@ class TestByteIdentity:
         fine = solve(fine_problem())
         digests = {"cold": solve_digest(cold), "warm": solve_digest(warm),
                    "fine": solve_digest(fine)}
-        assert digests == self.DIGESTS
+        assert digests == {name: self.DIGESTS[name] for name in digests}
         assert len(runs) == self.WARM_LINK + 2
         # every case runs the line search
         for traj in (cold, warm, fine):
@@ -592,6 +597,55 @@ class TestByteIdentity:
         assert len(runs) == self.WARM_LINK + 2
         assert {name: solve_digest(t) for name, t in hits.items()} == {
             name: self.DIGESTS[name] for name in hits}
+
+    def test_solves_that_reuse_their_evaluations_match_pinned_digests(self):
+        # a converged plan re-solved from itself stops before its first step
+        problem = coarse_problem(x0=(30.0, 70.0, 1.0), **self.COARSE)
+        settled = solve(problem, warm_start=solve(problem))
+        assert settled.diagnostics.iterations == 0 and settled.diagnostics.converged
+        # from a corner, the cold guess and the plan after 5 steps both
+        # leave the workspace, and both are clamped back
+        corner = coarse_problem(x0=(1.0, 1.0, -2.3), **dict(self.COARSE, iteration_cap=5))
+        clamped = solve(corner)
+        guess_states, guess_controls = default_initial_guess(corner)
+        assert not corner.workspace.contains(guess_states[:, :2]).all()
+        assert corner.workspace.contains(clamped.states[:, :2]).all()
+        assert not np.array_equal(clamped.controls, guess_controls)
+        assert not clamped.diagnostics.converged
+        # a warm start that drives out of the workspace, read at its clamped
+        # states, beats the plan that 10 steps pull back inside
+        wall = coarse_problem(x0=(5.0, 25.0, 2.9), **dict(self.COARSE, iteration_cap=10))
+        warm = Trajectory(states=np.zeros((wall.horizon, 3)),
+                          controls=np.tile((0.08, 0.0), (wall.horizon, 1)))
+        returned = solve(wall, warm_start=warm)
+        assert returned.diagnostics.iterations == 10
+        assert np.array_equal(returned.controls, warm.controls)
+        assert not wall.workspace.contains(
+            rollout(wall.model, wall.initial_state, warm.controls, wall.dt)[:, :2]).all()
+        assert not returned.diagnostics.converged
+        digests = {"settled": solve_digest(settled), "clamped": solve_digest(clamped),
+                   "returned": solve_digest(returned)}
+        assert digests == {name: self.DIGESTS[name] for name in digests}
+
+    def test_a_solve_that_takes_no_step_rolls_out_and_costs_once(self, monkeypatch):
+        calls = {"rollout": 0, "cost": 0}
+        real_rollout, real_cost = UnicycleModel.rollout, bleto.solver.CoverageCost
+
+        def counting_rollout(model, *args):
+            calls["rollout"] += 1
+            return real_rollout(model, *args)
+
+        def counting_cost(*args, **kwargs):
+            calls["cost"] += 1
+            return real_cost(*args, **kwargs)
+
+        problem = coarse_problem(x0=(30.0, 70.0, 1.0), **self.COARSE)
+        cold = solve(problem)
+        monkeypatch.setattr(UnicycleModel, "rollout", counting_rollout)
+        monkeypatch.setattr(bleto.solver, "CoverageCost", counting_cost)
+        settled = solve(problem, warm_start=cold)
+        assert settled.diagnostics.iterations == 0
+        assert calls == {"rollout": 1, "cost": 1}
 
 
 class TestLineSearchFailure:
